@@ -16,7 +16,7 @@ import (
 // TrainStream is the out-of-core counterpart of Train for the decision-tree
 // learner: it consumes the training set as a record stream and never
 // materializes the table. One streaming pass builds SPRINT-style columnar
-// attribute lists in fixed-size segments spilled to gzipped files — binning
+// attribute lists in fixed-size segments spilled to files — binning
 // unperturbed attributes on the fly and parking perturbed raw columns on
 // disk — then each perturbed attribute is reconstructed and re-assigned one
 // column at a time, and the tree grows from the spilled lists through a
@@ -239,9 +239,7 @@ func spillColumns(src stream.Source, parts []reconstruct.Partition, cfg Config, 
 // assignSpilledColumns runs the reconstruction-and-reassignment step for
 // every perturbed attribute, one column in memory at a time (columns are
 // processed in parallel bounded by Workers, so peak raw-column memory is
-// Workers × one column). The per-column computation is exactly
-// globalColumns/byClassColumns on the re-read values, so the resulting
-// interval assignments match the in-memory path bit for bit.
+// Workers × one column), dropping each raw file once it has been binned.
 func assignSpilledColumns(labels []int, classes int, parts []reconstruct.Partition, cfg Config, sp *spill) error {
 	var work []int
 	for j, c := range sp.cols {
@@ -252,31 +250,10 @@ func assignSpilledColumns(labels []int, classes int, parts []reconstruct.Partiti
 	return parallel.ForEach(len(work), cfg.Workers, func(i int) error {
 		j := work[i]
 		c := sp.cols[j]
-		values, err := readSpilledColumn(c)
-		if err != nil {
+		raw := stream.NewSegmentReader(c.rawFile, c.rawIdx)
+		if err := sp.rebin(j, c, raw, labels, classes, parts[j], cfg); err != nil {
 			return err
 		}
-		if len(values) != len(labels) {
-			return fmt.Errorf("core: spilled column %d holds %d values, stream had %d records", j, len(values), len(labels))
-		}
-		col, err := reassignColumn(j, values, labels, classes, parts[j], cfg)
-		if err != nil {
-			return err
-		}
-		if c.binFile, err = sp.create(j, "bins"); err != nil {
-			return err
-		}
-		w := stream.NewSegmentWriter(c.binFile)
-		for lo := 0; lo < len(col); lo += tree.SegLen {
-			hi := lo + tree.SegLen
-			if hi > len(col) {
-				hi = len(col)
-			}
-			if err := w.WriteInts(col[lo:hi]); err != nil {
-				return err
-			}
-		}
-		c.binIndex = w.Index()
 		// The raw column is dead weight from here on; drop it early so the
 		// spill footprint never holds raw and binned copies of every
 		// attribute at once.
@@ -288,19 +265,40 @@ func assignSpilledColumns(labels []int, classes int, parts []reconstruct.Partiti
 	})
 }
 
-// readSpilledColumn re-reads one raw column from its segment file, in row
-// order.
-func readSpilledColumn(c *spillCol) ([]float64, error) {
-	r := stream.NewSegmentReader(c.rawFile, c.rawIdx)
-	values := make([]float64, 0, r.N())
-	for seg := 0; seg < r.Segments(); seg++ {
-		vals, err := r.ReadFloats(seg)
-		if err != nil {
-			return nil, err
-		}
-		values = append(values, vals...)
+// rebin is the reconstruct-and-rebin step shared by TrainStream and
+// MergeShardSpills: it reads perturbed attribute j's raw column from raw
+// into one n-length slice, reconstructs and re-assigns it with exactly the
+// per-column code of the in-memory path (globalColumns/byClassColumns), so
+// the interval assignments match it bit for bit, and writes them to a new
+// bins file of sp on the tree.SegLen grid, recorded in c.
+func (sp *spill) rebin(j int, c *spillCol, raw *stream.SegmentReader, labels []int, classes int, part reconstruct.Partition, cfg Config) error {
+	if raw.N() != len(labels) {
+		return fmt.Errorf("core: spilled column %d holds %d values, the class list has %d records", j, raw.N(), len(labels))
 	}
-	return values, nil
+	values := make([]float64, len(labels))
+	at := 0
+	for seg := 0; seg < raw.Segments(); seg++ {
+		n := raw.Count(seg)
+		if err := raw.ReadFloats(seg, values[at:at+n]); err != nil {
+			return err
+		}
+		at += n
+	}
+	col, err := reassignColumn(j, values, labels, classes, part, cfg)
+	if err != nil {
+		return err
+	}
+	if c.binFile, err = sp.create(j, "bins"); err != nil {
+		return err
+	}
+	w := stream.NewSegmentWriter(c.binFile)
+	for lo := 0; lo < len(col); lo += tree.SegLen {
+		if err := w.WriteInts(col[lo:min(lo+tree.SegLen, len(col))]); err != nil {
+			return err
+		}
+	}
+	c.binIndex = w.Index()
+	return nil
 }
 
 // reassignColumn maps one perturbed raw column to interval assignments

@@ -166,42 +166,11 @@ func MergeShardSpills(shards []*ShardSpill, cfg Config) (*Classifier, error) {
 	}
 
 	// Reconstruct and re-assign each merged perturbed column, in parallel
-	// bounded by Workers — the merge-side twin of assignSpilledColumns.
+	// bounded by Workers, through the same step as TrainStream.
 	err = parallel.ForEach(len(perturbed), cfg.Workers, func(i int) error {
 		j := perturbed[i]
-		r := rawReaders[j]
-		values := make([]float64, 0, r.N())
-		for seg := 0; seg < r.Segments(); seg++ {
-			vals, err := r.ReadFloats(seg)
-			if err != nil {
-				return err
-			}
-			values = append(values, vals...)
-		}
-		if len(values) != n {
-			return fmt.Errorf("core: merged column %d holds %d values, shards hold %d records", j, len(values), n)
-		}
-		col, err := reassignColumn(j, values, labels, s.NumClasses(), parts[j], cfg)
-		if err != nil {
-			return err
-		}
-		mc := &spillCol{}
-		if mc.binFile, err = msp.create(j, "bins"); err != nil {
-			return err
-		}
-		w := stream.NewSegmentWriter(mc.binFile)
-		for lo := 0; lo < len(col); lo += tree.SegLen {
-			hi := lo + tree.SegLen
-			if hi > len(col) {
-				hi = len(col)
-			}
-			if err := w.WriteInts(col[lo:hi]); err != nil {
-				return err
-			}
-		}
-		mc.binIndex = w.Index()
-		msp.cols[j] = mc
-		return nil
+		msp.cols[j] = &spillCol{}
+		return msp.rebin(j, msp.cols[j], rawReaders[j], labels, s.NumClasses(), parts[j], cfg)
 	})
 	if err != nil {
 		return nil, err

@@ -1,31 +1,43 @@
 package stream
 
 import (
-	"bufio"
-	"compress/gzip"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
-	"strconv"
+	"math"
+	"sync"
 )
 
+// Segment file layout: a segment is Count fixed-width little-endian values
+// followed by the CRC-32C (Castagnoli) of those payload bytes, so its Size is
+// Count×width+4. Floats are stored as their 8-byte IEEE 754 bits, integers as
+// 4-byte uint32.
+const (
+	floatWidth = 8
+	intWidth   = 4
+	crcLen     = 4
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // Segment locates one column segment inside a segment file: the byte range
-// of its gzip member and the number of values it holds. Indices live in
-// memory for the lifetime of the spill (segment files are scratch of one
+// of its payload and checksum and the number of values it holds. Indices live
+// in memory for the lifetime of the spill (segment files are scratch of one
 // training run, not an interchange format).
 type Segment struct {
-	// Off and Size bound the segment's gzip member in the file.
+	// Off and Size bound the segment in the file.
 	Off, Size int64
 	// Count is the number of values in the segment.
 	Count int
 }
 
-// SegmentWriter spills a column to a file as a sequence of independently
-// gzipped segments — the out-of-core counterpart of a memory-resident
-// attribute list. Each segment is its own gzip member holding one value per
-// line, in the same exact textual encoding as the record codec (Writer):
-// floats render with strconv.FormatFloat(v, 'g', -1, 64), so a spilled
-// value re-reads bit-identically, which is what lets the out-of-core
-// training path reproduce the in-memory path byte for byte.
+// SegmentWriter spills a column to a file as a sequence of checksummed,
+// fixed-width segments — the out-of-core counterpart of a memory-resident
+// attribute list. Floats are written as their IEEE 754 bits, so a spilled
+// value re-reads bit-identically (NaN payloads and signed zeros included),
+// which is what lets the out-of-core training path reproduce the in-memory
+// path byte for byte.
 type SegmentWriter struct {
 	w     io.Writer
 	off   int64
@@ -58,71 +70,46 @@ func (w *SegmentWriter) Index() []Segment {
 
 // WriteFloats appends one segment of float64 values.
 func (w *SegmentWriter) WriteFloats(vals []float64) error {
-	return w.writeSegment(len(vals), func(enc *bufio.Writer) error {
-		for _, v := range vals {
-			w.buf = strconv.AppendFloat(w.buf[:0], v, 'g', -1, 64)
-			w.buf = append(w.buf, '\n')
-			if _, err := enc.Write(w.buf); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	w.buf = w.buf[:0]
+	for _, v := range vals {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
+	}
+	return w.writeSegment(len(vals))
 }
 
-// WriteInts appends one segment of integer values.
+// WriteInts appends one segment of integer values, each of which must fit
+// the 4-byte width on disk: [0, math.MaxUint32].
 func (w *SegmentWriter) WriteInts(vals []int) error {
-	return w.writeSegment(len(vals), func(enc *bufio.Writer) error {
-		for _, v := range vals {
-			w.buf = strconv.AppendInt(w.buf[:0], int64(v), 10)
-			w.buf = append(w.buf, '\n')
-			if _, err := enc.Write(w.buf); err != nil {
-				return err
-			}
+	w.buf = w.buf[:0]
+	for i, v := range vals {
+		if v < 0 || uint64(v) > math.MaxUint32 {
+			return fmt.Errorf("stream: segment %d value %d is %d, outside [0,%d]", len(w.index), i, v, uint32(math.MaxUint32))
 		}
-		return nil
-	})
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(v))
+	}
+	return w.writeSegment(len(vals))
 }
 
-// writeSegment frames one gzip member around the encoded payload and
-// records it in the index.
-func (w *SegmentWriter) writeSegment(count int, encode func(*bufio.Writer) error) error {
+// writeSegment seals the payload in w.buf with its checksum, appends it to
+// the file, and records it in the index.
+func (w *SegmentWriter) writeSegment(count int) error {
 	if count == 0 {
 		return fmt.Errorf("stream: refusing to write an empty segment")
 	}
-	cw := &countingWriter{w: w.w}
-	gz := gzip.NewWriter(cw)
-	enc := bufio.NewWriter(gz)
-	if err := encode(enc); err != nil {
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(w.buf, castagnoli))
+	if _, err := w.w.Write(w.buf); err != nil {
 		return fmt.Errorf("stream: writing segment %d: %w", len(w.index), err)
 	}
-	if err := enc.Flush(); err != nil {
-		return fmt.Errorf("stream: writing segment %d: %w", len(w.index), err)
-	}
-	if err := gz.Close(); err != nil {
-		return fmt.Errorf("stream: writing segment %d: %w", len(w.index), err)
-	}
-	w.index = append(w.index, Segment{Off: w.off, Size: cw.n, Count: count})
-	w.off += cw.n
+	size := int64(len(w.buf))
+	w.index = append(w.index, Segment{Off: w.off, Size: size, Count: count})
+	w.off += size
 	return nil
 }
 
-// countingWriter tracks how many bytes pass through.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // SegmentReader reads individual segments of a file written by
-// SegmentWriter, in any order. Reads are stateless — each call opens its own
-// section and gzip stream — so a reader is safe for concurrent use as long
-// as the underlying ReaderAt is (an *os.File is).
+// SegmentWriter, in any order, decoding into caller storage. Reads are
+// stateless, so a reader is safe for concurrent use as long as the
+// underlying ReaderAt is (an *os.File is).
 type SegmentReader struct {
 	r     io.ReaderAt
 	index []Segment
@@ -149,61 +136,77 @@ func (r *SegmentReader) N() int {
 	return n
 }
 
-// ReadFloats decodes one float64 segment. The values are bit-identical to
-// what WriteFloats was given.
-func (r *SegmentReader) ReadFloats(seg int) ([]float64, error) {
-	var out []float64
-	err := r.readSegment(seg, func(line []byte) error {
-		v, err := strconv.ParseFloat(string(line), 64)
-		if err != nil {
-			return err
+// ReadFloats decodes float64 segment seg into dst, which must hold exactly
+// Count(seg) values. On success the values are bit-identical to what
+// WriteFloats was given; on error dst's contents are unspecified.
+func (r *SegmentReader) ReadFloats(seg int, dst []float64) error {
+	return r.readSegment(seg, len(dst), floatWidth, func(at int, p []byte) {
+		out := dst[at : at+len(p)/floatWidth]
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*floatWidth:]))
 		}
-		out = append(out, v)
-		return nil
 	})
-	return out, err
 }
 
-// ReadInts decodes one integer segment.
-func (r *SegmentReader) ReadInts(seg int) ([]int, error) {
-	var out []int
-	err := r.readSegment(seg, func(line []byte) error {
-		v, err := strconv.Atoi(string(line))
-		if err != nil {
-			return err
+// ReadInts decodes integer segment seg into dst, which must hold exactly
+// Count(seg) values, at the 4-byte width the segment stores. On error dst's
+// contents are unspecified.
+func (r *SegmentReader) ReadInts(seg int, dst []uint32) error {
+	return r.readSegment(seg, len(dst), intWidth, func(at int, p []byte) {
+		out := dst[at : at+len(p)/intWidth]
+		for i := range out {
+			out[i] = binary.LittleEndian.Uint32(p[i*intWidth:])
 		}
-		out = append(out, v)
-		return nil
 	})
-	return out, err
 }
 
-// readSegment streams one gzip member line by line through parse and
-// validates the value count against the index.
-func (r *SegmentReader) readSegment(seg int, parse func(line []byte) error) error {
+// chunkLen is the read granularity of readSegment. It is a multiple of every
+// value width.
+const chunkLen = 64 << 10
+
+var chunkPool = sync.Pool{New: func() any { return new([chunkLen]byte) }}
+
+// readSegment checks that segment seg holds n values of the given width —
+// which also rejects decoding a segment as the wrong type, since the widths
+// differ — then streams its bytes through a pooled chunk buffer, handing
+// each run of whole payload values to decode (at is the index of its first
+// value), and verifies the trailing checksum. It allocates nothing, whatever
+// the file holds.
+func (r *SegmentReader) readSegment(seg, n, width int, decode func(at int, p []byte)) error {
 	if seg < 0 || seg >= len(r.index) {
 		return fmt.Errorf("stream: segment %d outside file of %d segments", seg, len(r.index))
 	}
 	s := r.index[seg]
-	gz, err := gzip.NewReader(io.NewSectionReader(r.r, s.Off, s.Size))
-	if err != nil {
-		return fmt.Errorf("stream: opening segment %d: %w", seg, err)
-	}
-	defer gz.Close()
-	sc := bufio.NewScanner(gz)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	n := 0
-	for sc.Scan() {
-		if err := parse(sc.Bytes()); err != nil {
-			return fmt.Errorf("stream: segment %d value %d: %w", seg, n, err)
-		}
-		n++
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("stream: reading segment %d: %w", seg, err)
-	}
 	if n != s.Count {
-		return fmt.Errorf("stream: segment %d decoded %d values, index says %d", seg, n, s.Count)
+		return fmt.Errorf("stream: segment %d holds %d values, destination has room for %d", seg, s.Count, n)
+	}
+	if want := int64(n)*int64(width) + crcLen; s.Size != want {
+		return fmt.Errorf("stream: segment %d is %d bytes, %d values of %d bytes need %d", seg, s.Size, n, width, want)
+	}
+	buf := chunkPool.Get().(*[chunkLen]byte)
+	defer chunkPool.Put(buf)
+	// Chunks start at multiples of chunkLen and the payload length is a
+	// multiple of the width, so neither a value nor the checksum straddles
+	// two chunks: the checksum is the last crcLen bytes of the last chunk.
+	payload := s.Size - crcLen
+	var sum uint32
+	var tail []byte
+	for lo := int64(0); lo < s.Size; lo += chunkLen {
+		b := buf[:min(chunkLen, s.Size-lo)]
+		if got, err := r.r.ReadAt(b, s.Off+lo); got < len(b) {
+			if err == nil || err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return fmt.Errorf("stream: reading segment %d: %w", seg, err)
+		}
+		if lo+int64(len(b)) > payload {
+			b, tail = b[:payload-lo], b[payload-lo:]
+		}
+		sum = crc32.Update(sum, castagnoli, b)
+		decode(int(lo)/width, b)
+	}
+	if stored := binary.LittleEndian.Uint32(tail); stored != sum {
+		return fmt.Errorf("stream: segment %d checksum %08x, payload sums to %08x: the spill is corrupt", seg, stored, sum)
 	}
 	return nil
 }

@@ -239,6 +239,52 @@ func TestSpillSourceValidation(t *testing.T) {
 	}
 }
 
+// TestSpillCorruptSegmentFailsGrowth flips one byte inside a spilled bins
+// segment: Grow must return an error — no panic and no model — even when the
+// damaged value would still be a valid interval index.
+func TestSpillCorruptSegmentFailsGrowth(t *testing.T) {
+	const n, bins, classes = 3 * SegLen, 4, 2
+	cols, labels := randomCols(9, n, 2, bins, classes)
+	dir := t.TempDir()
+	readers := make([]*stream.SegmentReader, len(cols))
+	var victim *os.File
+	var victimIdx []stream.Segment
+	for a, col := range cols {
+		f, err := os.Create(filepath.Join(dir, "col"+string(rune('a'+a))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		w := stream.NewSegmentWriter(f)
+		for lo := 0; lo < n; lo += SegLen {
+			if err := w.WriteInts(col[lo : lo+SegLen]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		readers[a] = stream.NewSegmentReader(f, w.Index())
+		victim, victimIdx = f, w.Index()
+	}
+	// The low byte of one value in the middle segment of the last column:
+	// 0..3 xor 1 is still inside [0, bins), so only the checksum can tell.
+	off := victimIdx[1].Off + 4*100
+	b := make([]byte, 1)
+	if _, err := victim.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 1
+	if _, err := victim.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewSpillSource(readers, []int{bins, bins}, labels, classes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Grow(src, Config{MinLeaf: 1})
+	if err == nil || tr != nil {
+		t.Fatalf("Grow over a corrupt spill returned tree %v, error %v", tr != nil, err)
+	}
+}
+
 // TestSpillValueOutOfRange ensures a corrupt spilled value surfaces as an
 // error from Grow rather than corrupting the histogram.
 func TestSpillValueOutOfRange(t *testing.T) {

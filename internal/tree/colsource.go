@@ -10,16 +10,18 @@ import (
 
 // DefaultCacheSegments is the segment-cache budget of a SpillSource when the
 // caller passes 0: at SegLen values of 4 bytes each, 256 segments keep at
-// most ~8 MiB of decompressed column data resident however large the
-// training set is.
+// most ~8 MiB of decoded column data resident however large the training
+// set is.
 const DefaultCacheSegments = 256
 
-// SpillSource is a ColumnSource whose attribute lists reside in gzipped
-// on-disk segment files (written by stream.SegmentWriter on the SegLen
-// grid). Segments decompress on demand into a bounded, shared LRU cache, so
-// tree growth over an arbitrarily large training set holds only the class
-// list, the live rowID lists, and the cache budget in memory — the
-// out-of-core half of the SPRINT design.
+// SpillSource is a ColumnSource whose attribute lists reside in on-disk
+// segment files of checksummed 4-byte interval indices (written by
+// stream.SegmentWriter on the SegLen grid). Segments decode on demand into a
+// bounded, shared LRU cache, so tree growth over an arbitrarily large
+// training set holds only the class list, the live rowID lists, and the
+// cache budget in memory — the out-of-core half of the SPRINT design. A
+// segment that fails its checksum or holds an out-of-range index fails
+// growth with an error.
 //
 // The parallel split search reads different attributes concurrently;
 // SpillSource synchronizes the cache internally and performs stateless
@@ -34,7 +36,7 @@ type SpillSource struct {
 // NewSpillSource wraps one segment reader per attribute. Every reader must
 // hold exactly len(labels) values in SegLen-sized segments (the last may be
 // shorter); bin counts and labels are validated as in NewStaticSource.
-// cacheSegments bounds the decompressed segments held across all attributes
+// cacheSegments bounds the decoded segments held across all attributes
 // (0 = DefaultCacheSegments).
 func NewSpillSource(readers []*stream.SegmentReader, bins []int, labels []int, numClasses, cacheSegments int) (*SpillSource, error) {
 	if len(readers) == 0 {
@@ -143,23 +145,25 @@ type spillList struct {
 // Len implements AttrList.
 func (l *spillList) Len() int { return l.n }
 
-// Segment implements AttrList: cache hit or decompress-and-insert. A slice
+// Segment implements AttrList: cache hit or decode-and-insert. A slice
 // handed out stays valid even if evicted (eviction only drops the cache's
 // reference; the garbage collector reclaims it once the caller moves on),
 // so the budget bounds resident segments up to the readers in flight.
 func (l *spillList) Segment(seg int) ([]uint32, error) {
+	lo := seg * SegLen
+	if seg < 0 || lo >= l.n {
+		return nil, fmt.Errorf("tree: segment %d outside spilled column of %d values", seg, l.n)
+	}
 	return l.cache.get(segKey{attr: l.attr, seg: seg}, func() ([]uint32, error) {
-		raw, err := l.r.ReadInts(seg)
-		if err != nil {
+		vals := make([]uint32, min(SegLen, l.n-lo))
+		if err := l.r.ReadInts(seg, vals); err != nil {
 			return nil, err
 		}
-		vals := make([]uint32, len(raw))
-		for i, v := range raw {
-			if v < 0 || v >= l.bins {
+		for i, v := range vals {
+			if v >= uint32(l.bins) {
 				return nil, fmt.Errorf("tree: spilled value %d of attribute %d row %d outside [0,%d)",
-					v, l.attr, seg*SegLen+i, l.bins)
+					v, l.attr, lo+i, l.bins)
 			}
-			vals[i] = uint32(v)
 		}
 		return vals, nil
 	})
@@ -168,7 +172,7 @@ func (l *spillList) Segment(seg int) ([]uint32, error) {
 // segKey addresses one cached segment.
 type segKey struct{ attr, seg int }
 
-// segCache is a mutex-guarded LRU over decompressed segments, shared by all
+// segCache is a mutex-guarded LRU over decoded segments, shared by all
 // attributes of one SpillSource so hot columns can claim more of the budget
 // than cold ones.
 type segCache struct {
@@ -185,7 +189,7 @@ type segEntry struct {
 
 // get returns the cached segment or loads it with load. Concurrent misses
 // on the same key may both load; the duplicate work is harmless (identical
-// data) and cheaper than holding the lock across a gunzip.
+// data) and cheaper than holding the lock across a disk read.
 func (c *segCache) get(key segKey, load func() ([]uint32, error)) ([]uint32, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
