@@ -1,10 +1,11 @@
 package ppdm_test
 
 // Pointer-tree vs flattened-tree classification, single vs batch, and the
-// serving steady state end to end. The pointer baselines run the exact
-// pre-flattening code path (a hand-assembled Classifier has no flat form,
-// so ClassifyBatch falls back to per-record pointer walks); the flat
-// variants run the same records through the contiguous 16-byte node array.
+// serving steady state end to end. The pointer baselines run the
+// pre-flattening prediction walk, which survives only here and in the
+// golden tests as the oracle (pointerPredict: discretize, then
+// tree.Tree.Predict); the flat variants run the same records through the
+// classifier's contiguous 16-byte node array.
 // The workload is a ~96k-node unpruned tree grown on noisy data: large
 // enough that the walk leaves cache and the layout — not parallelism
 // (workers pinned to 1) — is what the pairs measure. The bins-level pair
@@ -34,10 +35,9 @@ const classifyBenchRecords = 4096
 // benchBigClassifier grows a deliberately large tree — gaussian-perturbed
 // attributes, pruning off, MinLeaf 1 — so root-to-leaf walks traverse a
 // node set far beyond L1/L2 and the memory layout dominates the walk cost.
-// It returns the trained classifier, a pointer-only twin (hand-assembled,
-// so it classifies through the pre-flattening pointer path), and a clean
-// query set as raw records and discretized bins.
-func benchBigClassifier(b *testing.B) (flat, pointer *ppdm.Classifier, records [][]float64, bins [][]int) {
+// It returns the trained classifier and a clean query set as raw records and
+// discretized bins.
+func benchBigClassifier(b *testing.B) (clf *ppdm.Classifier, records [][]float64, bins [][]int) {
 	b.Helper()
 	models, err := ppdm.ModelsForAllAttrs(ppdm.BenchmarkSchema(), "gaussian", 1.0, ppdm.DefaultConfidence)
 	if err != nil {
@@ -51,12 +51,11 @@ func benchBigClassifier(b *testing.B) (flat, pointer *ppdm.Classifier, records [
 	if err != nil {
 		b.Fatal(err)
 	}
-	clf, err := ppdm.Train(perturbed, ppdm.TrainConfig{Mode: ppdm.Original, Intervals: 100,
+	clf, err = ppdm.Train(perturbed, ppdm.TrainConfig{Mode: ppdm.Original, Intervals: 100,
 		Tree: ppdm.TreeConfig{MaxDepth: 40, MinLeaf: 1, MinGain: 1e-9, DisablePruning: true}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ptr := &ppdm.Classifier{Mode: clf.Mode, Tree: clf.Tree, Schema: clf.Schema, Partitions: clf.Partitions}
 	queries, err := ppdm.Generate(ppdm.GenConfig{Function: ppdm.F5, N: classifyBenchRecords, Seed: 9})
 	if err != nil {
 		b.Fatal(err)
@@ -70,19 +69,35 @@ func benchBigClassifier(b *testing.B) (flat, pointer *ppdm.Classifier, records [
 			bins[i][j] = clf.Partitions[j].Bin(v)
 		}
 	}
-	return clf, ptr, records, bins
+	return clf, records, bins
 }
 
-// BenchmarkClassifyPointerBatch is the pre-flattening baseline: the same
-// ClassifyBatch API on the pointer-only twin, which discretizes and walks
-// heap nodes per record — exactly what batch classification did before the
-// flat layout. One op = the whole 4096-record batch.
+// pointerPredict is the pre-flattening prediction walk: discretize rec
+// through the classifier's partitions into bins, then route the bins
+// through the pointer tree's heap nodes.
+func pointerPredict(clf *ppdm.Classifier, rec []float64, bins []int) (int, error) {
+	for j, v := range rec {
+		bins[j] = clf.Partitions[j].Bin(v)
+	}
+	return clf.Tree.Predict(bins)
+}
+
+// BenchmarkClassifyPointerBatch is the pre-flattening baseline: discretize
+// and walk heap nodes per record into a fresh result slice, as batch
+// classification did before the flat layout. One op = the whole
+// 4096-record batch.
 func BenchmarkClassifyPointerBatch(b *testing.B) {
-	_, ptr, records, _ := benchBigClassifier(b)
+	clf, records, _ := benchBigClassifier(b)
+	bins := make([]int, len(clf.Partitions))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ptr.ClassifyBatch(records, 1); err != nil {
-			b.Fatal(err)
+		out := make([]int, len(records))
+		for r, rec := range records {
+			class, err := pointerPredict(clf, rec, bins)
+			if err != nil {
+				b.Fatal(err)
+			}
+			out[r] = class
 		}
 	}
 	b.ReportMetric(float64(len(records)), "records/op")
@@ -92,7 +107,7 @@ func BenchmarkClassifyPointerBatch(b *testing.B) {
 // flattened node array (workers pinned to 1 so the delta over PointerBatch
 // is pure layout, not parallelism).
 func BenchmarkClassifyFlatBatch(b *testing.B) {
-	clf, _, records, _ := benchBigClassifier(b)
+	clf, records, _ := benchBigClassifier(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := clf.ClassifyBatch(records, 1); err != nil {
@@ -105,7 +120,7 @@ func BenchmarkClassifyFlatBatch(b *testing.B) {
 // BenchmarkClassifyPointerWalkBatch walks the pointer tree over
 // pre-discretized records — the walk alone, no binning.
 func BenchmarkClassifyPointerWalkBatch(b *testing.B) {
-	clf, _, _, bins := benchBigClassifier(b)
+	clf, _, bins := benchBigClassifier(b)
 	out := make([]int, len(bins))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -123,7 +138,7 @@ func BenchmarkClassifyPointerWalkBatch(b *testing.B) {
 // BenchmarkClassifyFlatWalkBatch is the flat-array counterpart of
 // PointerWalkBatch: FlatClassifier.ClassifyBatchInto over the same bins.
 func BenchmarkClassifyFlatWalkBatch(b *testing.B) {
-	clf, _, _, bins := benchBigClassifier(b)
+	clf, _, bins := benchBigClassifier(b)
 	flat, err := clf.Tree.Flatten()
 	if err != nil {
 		b.Fatal(err)
@@ -136,13 +151,14 @@ func BenchmarkClassifyFlatWalkBatch(b *testing.B) {
 	b.ReportMetric(float64(len(bins)), "records/op")
 }
 
-// BenchmarkClassifyPointerSingle is the per-record pointer API on the same
-// tree: one op = one Predict through heap nodes.
+// BenchmarkClassifyPointerSingle is the per-record pointer walk on the same
+// tree: one op = one record discretized and routed through heap nodes.
 func BenchmarkClassifyPointerSingle(b *testing.B) {
-	_, ptr, records, _ := benchBigClassifier(b)
+	clf, records, _ := benchBigClassifier(b)
+	bins := make([]int, len(clf.Partitions))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ptr.Predict(records[i%len(records)]); err != nil {
+		if _, err := pointerPredict(clf, records[i%len(records)], bins); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,7 +167,7 @@ func BenchmarkClassifyPointerSingle(b *testing.B) {
 // BenchmarkClassifyFlatSingle is the per-record API on the flattened tree
 // (Predict: discretize into a stack buffer, walk the node array).
 func BenchmarkClassifyFlatSingle(b *testing.B) {
-	clf, _, records, _ := benchBigClassifier(b)
+	clf, records, _ := benchBigClassifier(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := clf.Predict(records[i%len(records)]); err != nil {

@@ -31,11 +31,6 @@ func benchReconValues(b *testing.B, m ppdm.NoiseModel) []float64 {
 // benchReconKernel runs the reconstruction at the package-default epsilon so
 // the iteration kernel, not the O(n) observation histogram, dominates.
 func benchReconKernel(b *testing.B, m ppdm.NoiseModel, k int, tail float64) {
-	benchReconKernelF(b, m, k, tail, false)
-}
-
-// benchReconKernelF is benchReconKernel with the float32-slab switch exposed.
-func benchReconKernelF(b *testing.B, m ppdm.NoiseModel, k int, tail float64, f32 bool) {
 	b.Helper()
 	vals := benchReconValues(b, m)
 	part, err := ppdm.NewPartition(0, 100, k)
@@ -45,7 +40,7 @@ func benchReconKernelF(b *testing.B, m ppdm.NoiseModel, k int, tail float64, f32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ppdm.Reconstruct(vals, ppdm.ReconstructConfig{
-			Partition: part, Noise: m, TailMass: tail, Float32: f32, DisableWeightCache: true,
+			Partition: part, Noise: m, TailMass: tail, DisableWeightCache: true,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -65,16 +60,10 @@ func uniformAt(b *testing.B, level float64) ppdm.NoiseModel {
 
 func BenchmarkReconUniform25K200Dense(b *testing.B)  { benchReconKernel(b, uniformAt(b, 0.25), 200, -1) }
 func BenchmarkReconUniform25K200Banded(b *testing.B) { benchReconKernel(b, uniformAt(b, 0.25), 200, 0) }
-func BenchmarkReconUniform25K200BandedF32(b *testing.B) {
-	benchReconKernelF(b, uniformAt(b, 0.25), 200, 0, true)
-}
 func BenchmarkReconUniform50K200Dense(b *testing.B)  { benchReconKernel(b, uniformAt(b, 0.5), 200, -1) }
 func BenchmarkReconUniform50K200Banded(b *testing.B) { benchReconKernel(b, uniformAt(b, 0.5), 200, 0) }
-func BenchmarkReconUniform50K200BandedF32(b *testing.B) {
-	benchReconKernelF(b, uniformAt(b, 0.5), 200, 0, true)
-}
-func BenchmarkReconUniform25K50Dense(b *testing.B)  { benchReconKernel(b, uniformAt(b, 0.25), 50, -1) }
-func BenchmarkReconUniform25K50Banded(b *testing.B) { benchReconKernel(b, uniformAt(b, 0.25), 50, 0) }
+func BenchmarkReconUniform25K50Dense(b *testing.B)   { benchReconKernel(b, uniformAt(b, 0.25), 50, -1) }
+func BenchmarkReconUniform25K50Banded(b *testing.B)  { benchReconKernel(b, uniformAt(b, 0.25), 50, 0) }
 
 // --- unbounded noise: banding discards at most the configured tail mass ---
 
@@ -99,9 +88,6 @@ func laplaceB(b *testing.B, scale float64) ppdm.NoiseModel {
 func BenchmarkReconGaussS3K200Dense(b *testing.B) { benchReconKernel(b, gaussianSigma(b, 3), 200, -1) }
 func BenchmarkReconGaussS3K200Banded(b *testing.B) {
 	benchReconKernel(b, gaussianSigma(b, 3), 200, 1e-6)
-}
-func BenchmarkReconGaussS3K200BandedF32(b *testing.B) {
-	benchReconKernelF(b, gaussianSigma(b, 3), 200, 1e-6, true)
 }
 func BenchmarkReconLaplaceB2K200Dense(b *testing.B) { benchReconKernel(b, laplaceB(b, 2), 200, -1) }
 func BenchmarkReconLaplaceB2K200Banded(b *testing.B) {

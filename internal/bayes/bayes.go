@@ -37,10 +37,6 @@ type Config struct {
 	// selects reconstruct.DefaultTailMass, negative disables banding (dense
 	// rows for every model).
 	ReconTailMass float64
-	// ReconFloat32 runs the banded reconstruction kernel on float32 slabs
-	// (see core.Config.ReconFloat32): lower memory traffic, distributions
-	// within a small total-variation tolerance of the float64 kernel.
-	ReconFloat32 bool
 	// Smoothing is the Laplace pseudo-count (default DefaultSmoothing).
 	Smoothing float64
 }
@@ -145,7 +141,6 @@ func Train(train *dataset.Table, cfg Config) (*Classifier, error) {
 					MaxIters:  cfg.ReconMaxIters,
 					Epsilon:   cfg.ReconEpsilon,
 					TailMass:  cfg.ReconTailMass,
-					Float32:   cfg.ReconFloat32,
 				})
 				if err != nil {
 					return nil, fmt.Errorf("bayes: reconstructing attribute %d class %d: %w", j, c, err)

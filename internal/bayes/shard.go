@@ -182,7 +182,6 @@ func (t *TrainStats) Finalize() (*Classifier, error) {
 						MaxIters:  cfg.ReconMaxIters,
 						Epsilon:   cfg.ReconEpsilon,
 						TailMass:  cfg.ReconTailMass,
-						Float32:   cfg.ReconFloat32,
 					})
 					if err != nil {
 						return nil, fmt.Errorf("bayes: reconstructing attribute %d class %d: %w", j, c, err)

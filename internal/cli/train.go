@@ -43,7 +43,7 @@ import (
 //
 // Usage: ppdm-train -train train.csv -test test.csv [-mode byclass]
 // [-family gaussian] [-privacy 1.0] [-conf 0.95] [-intervals 50]
-// [-algorithm bayes|em] [-recon-tail 0] [-recon-f32] [-learner tree|nb] [-workers 0]
+// [-algorithm bayes|em] [-recon-tail 0] [-learner tree|nb] [-workers 0]
 // [-stream] [-batch 8192] [-shards 0] [-shard-workers url,url] [-print-tree]
 //
 // Worker mode: ppdm-train -shard-worker [-addr 127.0.0.1:9090] serves the
@@ -60,7 +60,6 @@ func Train(args []string, stdout, stderr io.Writer) int {
 	intervals := fs.Int("intervals", 0, "intervals per attribute (0 = default)")
 	algorithm := fs.String("algorithm", "bayes", "reconstruction algorithm: bayes|em")
 	reconTail := fs.Float64("recon-tail", 0, "noise tail mass the banded reconstruction kernel may discard per matrix row for unbounded noise (0 = default 1e-12, negative = dense rows)")
-	reconF32 := fs.Bool("recon-f32", false, "run the banded reconstruction kernel on float32 slabs (lower memory traffic; distributions within a small total-variation tolerance of float64)")
 	learner := fs.String("learner", "tree", "learner: tree|nb (naive Bayes supports original/randomized/byclass)")
 	workers := fs.Int("workers", 0, "worker goroutines for training (0 = all cores); the trained model is identical for any value")
 	streamMode := fs.Bool("stream", false, "consume -train as a gzipped record-batch stream in bounded memory (tree learner spills columnar attribute lists to disk; all modes except local)")
@@ -119,15 +118,15 @@ func Train(args []string, stdout, stderr io.Writer) int {
 				opts = &cluster.Options{
 					Shards:      nShards,
 					WorkerURLs:  workerURLs,
-					WorkerQuery: shardQuery(*modeName, *family, *level, *conf, *intervals, *algorithm, *reconTail, *reconF32),
+					WorkerQuery: shardQuery(*modeName, *family, *level, *conf, *intervals, *algorithm, *reconTail),
 				}
 			}
-			return trainStreamedNB(*trainPath, *testPath, *savePath, mode, alg, *reconTail, *reconF32, models, *intervals, *batch, opts, stdout, stderr)
+			return trainStreamedNB(*trainPath, *testPath, *savePath, mode, alg, *reconTail, models, *intervals, *batch, opts, stdout, stderr)
 		case "tree":
 			if len(workerURLs) > 0 {
 				return fail(stderr, fmt.Errorf("-shard-workers applies to the nb learner only (tree shards spill columns to local disk)"))
 			}
-			cfg := core.Config{Mode: mode, Intervals: *intervals, ReconAlgorithm: alg, ReconTailMass: *reconTail, ReconFloat32: *reconF32, Noise: models, Workers: *workers}
+			cfg := core.Config{Mode: mode, Intervals: *intervals, ReconAlgorithm: alg, ReconTailMass: *reconTail, Noise: models, Workers: *workers}
 			return trainStreamedTree(*trainPath, *testPath, *savePath, cfg, *batch, nShards, *printTree, stdout, stderr)
 		default:
 			return fail(stderr, fmt.Errorf("unknown learner %q (want tree or nb)", *learner))
@@ -148,7 +147,7 @@ func Train(args []string, stdout, stderr io.Writer) int {
 	var save func(w io.Writer) error
 	switch *learner {
 	case "tree":
-		cfg := core.Config{Mode: mode, Intervals: *intervals, ReconAlgorithm: alg, ReconTailMass: *reconTail, ReconFloat32: *reconF32, Noise: models, Workers: *workers}
+		cfg := core.Config{Mode: mode, Intervals: *intervals, ReconAlgorithm: alg, ReconTailMass: *reconTail, Noise: models, Workers: *workers}
 		treeClf, err = core.Train(trainTable, cfg)
 		if err != nil {
 			return fail(stderr, err)
@@ -156,7 +155,7 @@ func Train(args []string, stdout, stderr io.Writer) int {
 		save = treeClf.Save
 		ev, err = treeClf.Evaluate(testTable)
 	case "nb":
-		cfg := bayes.Config{Mode: mode, Intervals: *intervals, ReconAlgorithm: alg, ReconTailMass: *reconTail, ReconFloat32: *reconF32, Noise: models}
+		cfg := bayes.Config{Mode: mode, Intervals: *intervals, ReconAlgorithm: alg, ReconTailMass: *reconTail, Noise: models}
 		var nb *bayes.Classifier
 		nb, err = bayes.Train(trainTable, cfg)
 		if err != nil {
@@ -275,12 +274,12 @@ func trainStreamedTree(trainPath, testPath, savePath string, cfg core.Config, ba
 // stream is consumed batch by batch into sufficient statistics, so only
 // O(batch + classes × attributes × intervals) memory is held at once.
 func trainStreamedNB(trainPath, testPath, savePath string, mode core.Mode, alg reconstruct.Algorithm, reconTail float64,
-	reconF32 bool, models map[int]noise.Model, intervals, batch int, opts *cluster.Options, stdout, stderr io.Writer) int {
+	models map[int]noise.Model, intervals, batch int, opts *cluster.Options, stdout, stderr io.Writer) int {
 	src, closeTrain, err := openRecordStream(trainPath, batch)
 	if err != nil {
 		return fail(stderr, err)
 	}
-	cfg := bayes.Config{Mode: mode, Intervals: intervals, ReconAlgorithm: alg, ReconTailMass: reconTail, ReconFloat32: reconF32, Noise: models}
+	cfg := bayes.Config{Mode: mode, Intervals: intervals, ReconAlgorithm: alg, ReconTailMass: reconTail, Noise: models}
 	label := "nb (streamed)"
 	var nb *bayes.Classifier
 	if opts != nil {

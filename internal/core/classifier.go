@@ -7,7 +7,9 @@ import (
 
 	"ppdm/internal/dataset"
 	"ppdm/internal/parallel"
+	"ppdm/internal/reconstruct"
 	"ppdm/internal/stream"
+	"ppdm/internal/tree"
 )
 
 // maxStackBins is the record width up to which prediction discretizes into
@@ -20,24 +22,29 @@ const maxStackBins = 64
 // identical at every worker count.
 const classifyChunk = 256
 
-// initFlat packs the grown tree into its flattened form for the prediction
-// hot path. Construction sites (Train, TrainStream, Load) call it once;
-// hand-assembled Classifiers may skip it and transparently use the pointer
-// walk instead. A tree that cannot flatten (malformed by manual
-// construction) also falls back to the pointer walk, which fails or
-// succeeds exactly as before.
-func (c *Classifier) initFlat() *Classifier {
-	if f, err := c.Tree.Flatten(); err == nil {
-		c.flat = f
+// errNotBuilt is returned by the prediction paths of a Classifier that did
+// not come from Train, TrainStream, MergeShardSpills or Load, and so has no
+// flattened tree to walk.
+var errNotBuilt = errors.New("core: classifier was not built by Train, TrainStream, MergeShardSpills or Load")
+
+// newClassifier assembles a trained model and packs its tree into the
+// flattened form every prediction path walks. All construction sites go
+// through it, so a tree that cannot flatten is reported where it was built.
+func newClassifier(mode Mode, tr *tree.Tree, s *dataset.Schema, parts []reconstruct.Partition) (*Classifier, error) {
+	flat, err := tr.Flatten()
+	if err != nil {
+		return nil, err
 	}
-	return c
+	return &Classifier{Mode: mode, Tree: tr, Schema: s, Partitions: parts, flat: flat}, nil
 }
 
 // Predict classifies a record of raw attribute values (clean test data): the
 // record is discretized through the classifier's partitions and routed
-// through the flattened tree (or the pointer tree for hand-built models).
-// Steady-state calls on trained models allocate nothing.
+// through the flattened tree. Steady-state calls allocate nothing.
 func (c *Classifier) Predict(rec []float64) (int, error) {
+	if c.flat == nil {
+		return 0, errNotBuilt
+	}
 	if len(rec) != len(c.Partitions) {
 		return 0, fmt.Errorf("core: record has %d attributes, classifier expects %d", len(rec), len(c.Partitions))
 	}
@@ -49,24 +56,21 @@ func (c *Classifier) Predict(rec []float64) (int, error) {
 	for j, v := range rec {
 		bins = append(bins, c.Partitions[j].Bin(v))
 	}
-	if c.flat != nil {
-		return c.flat.Classify(bins), nil
-	}
-	return c.Tree.Predict(bins)
+	return c.flat.Classify(bins), nil
 }
 
 // PredictBins classifies a record that is already discretized to interval
 // indices (one per attribute). It is the serving fast path: the caller's
 // discretize buffer doubles as the prediction-cache key, so the record is
-// binned exactly once per request. Allocation-free on trained models.
+// binned exactly once per request. Allocation-free.
 func (c *Classifier) PredictBins(bins []int) (int, error) {
+	if c.flat == nil {
+		return 0, errNotBuilt
+	}
 	if len(bins) != len(c.Partitions) {
 		return 0, fmt.Errorf("core: record has %d attributes, classifier expects %d", len(bins), len(c.Partitions))
 	}
-	if c.flat != nil {
-		return c.flat.Classify(bins), nil
-	}
-	return c.Tree.Predict(bins)
+	return c.flat.Classify(bins), nil
 }
 
 // ClassifyBatch classifies a batch of records concurrently on the worker
@@ -75,13 +79,13 @@ func (c *Classifier) PredictBins(bins []int) (int, error) {
 // safe to call from many goroutines at once — it is the serving hot path.
 // On error the smallest-index record's error is returned.
 //
-// Trained models walk the flattened tree in record chunks — the contiguous
-// node array stays cache-resident across the whole chunk — which is what
-// makes batch classification markedly faster than per-record pointer
-// walks (see BENCH_classify.json); results are identical either way.
+// The flattened tree is walked in record chunks — the contiguous node array
+// stays cache-resident across the whole chunk — which is what makes batch
+// classification markedly faster than per-record pointer walks (see
+// BENCH_classify.json).
 func (c *Classifier) ClassifyBatch(records [][]float64, workers int) ([]int, error) {
 	if c.flat == nil {
-		return ClassifyBatchWith(records, workers, c.Predict)
+		return nil, errNotBuilt
 	}
 	for _, rec := range records {
 		if len(rec) != len(c.Partitions) {
@@ -110,9 +114,8 @@ func (c *Classifier) ClassifyBatch(records [][]float64, workers int) ([]int, err
 
 // ClassifyBatchWith fans a batch of records across the worker engine through
 // an arbitrary per-record predict function, returning one class index per
-// record in input order. It backs the ClassifyBatch methods of both the
-// decision-tree and naive-Bayes classifiers, so batched prediction semantics
-// cannot drift between learners. predict must be safe for concurrent use.
+// record in input order. The naive-Bayes classifier's ClassifyBatch runs on
+// it. predict must be safe for concurrent use.
 func ClassifyBatchWith(records [][]float64, workers int, predict func(rec []float64) (int, error)) ([]int, error) {
 	return parallel.Map(len(records), workers, func(i int) (int, error) {
 		return predict(records[i])
@@ -131,6 +134,9 @@ type Evaluation struct {
 // Evaluate classifies every record of the test table and reports accuracy.
 // As in the paper, the test data should be clean (unperturbed).
 func (c *Classifier) Evaluate(test *dataset.Table) (Evaluation, error) {
+	if c.flat == nil {
+		return Evaluation{}, errNotBuilt
+	}
 	if test == nil || test.N() == 0 {
 		return Evaluation{}, errors.New("core: empty test table")
 	}
@@ -165,6 +171,9 @@ func (c *Classifier) Evaluate(test *dataset.Table) (Evaluation, error) {
 // holding only one batch in memory at a time — the out-of-core counterpart
 // of Evaluate, with identical results for the same records.
 func (c *Classifier) EvaluateStream(src stream.Source) (Evaluation, error) {
+	if c.flat == nil {
+		return Evaluation{}, errNotBuilt
+	}
 	return EvaluateStreamWith(src, len(c.Partitions), c.Tree.NumClasses, c.Predict)
 }
 

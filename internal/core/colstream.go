@@ -94,7 +94,7 @@ func TrainStream(src stream.Source, cfg Config) (*Classifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	return (&Classifier{Mode: cfg.Mode, Tree: tr, Schema: s, Partitions: parts}).initFlat(), nil
+	return newClassifier(cfg.Mode, tr, s, parts)
 }
 
 // spill tracks the per-attribute segment files of one TrainStream run.

@@ -161,10 +161,5 @@ func Load(r io.Reader) (*Classifier, error) {
 	if err := checkCuts(doc.Tree.Root); err != nil {
 		return nil, err
 	}
-	return (&Classifier{
-		Mode:       mode,
-		Tree:       doc.Tree,
-		Schema:     schema,
-		Partitions: doc.Partitions,
-	}).initFlat(), nil
+	return newClassifier(mode, doc.Tree, schema, doc.Partitions)
 }

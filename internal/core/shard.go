@@ -187,7 +187,7 @@ func MergeShardSpills(shards []*ShardSpill, cfg Config) (*Classifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	return (&Classifier{Mode: cfg.Mode, Tree: tr, Schema: s, Partitions: parts}).initFlat(), nil
+	return newClassifier(cfg.Mode, tr, s, parts)
 }
 
 // unitSize returns the record count of global deal unit u when n records

@@ -53,11 +53,6 @@ type Config struct {
 	// every model (dense rows). When banding is enabled, bounded noise
 	// (uniform) bands at its exact support, discarding zero mass.
 	ReconTailMass float64
-	// ReconFloat32 runs the banded reconstruction kernel on float32 slabs.
-	// Roughly halves kernel memory traffic at the cost of the bit-identical
-	// guarantee: distributions match the float64 kernel only to within a
-	// small total-variation tolerance. Dense (non-banded) rows ignore it.
-	ReconFloat32 bool
 	// Tree configures the decision-tree learner.
 	Tree tree.Config
 	// LocalMinRecords is Local mode's re-reconstruction threshold (default
@@ -78,7 +73,7 @@ type Config struct {
 	// spill is scratch of one training run and is removed before TrainStream
 	// returns. In-memory Train ignores it.
 	SpillDir string
-	// ColumnCacheSegments bounds the decompressed column segments
+	// ColumnCacheSegments bounds the decoded column segments
 	// TrainStream's tree growth holds in memory at once, across all
 	// attributes (0 = tree.DefaultCacheSegments). In-memory Train ignores
 	// it; the trained model is identical for every value.
@@ -94,10 +89,10 @@ type Classifier struct {
 	Schema     *dataset.Schema
 	Partitions []reconstruct.Partition
 
-	// flat is the contiguous-array form of Tree that the prediction paths
-	// walk (initFlat builds it at training/loading time). Nil on
-	// hand-assembled Classifiers, which fall back to the pointer tree with
-	// identical predictions.
+	// flat is the contiguous-array form of Tree that every prediction path
+	// walks. newClassifier builds it in Train, TrainStream,
+	// MergeShardSpills and Load; a Classifier assembled any other way has
+	// none, and its prediction methods return an error.
 	flat *tree.FlatClassifier
 }
 
@@ -173,7 +168,7 @@ func Train(train *dataset.Table, cfg Config) (*Classifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	return (&Classifier{Mode: cfg.Mode, Tree: tr, Schema: s, Partitions: parts}).initFlat(), nil
+	return newClassifier(cfg.Mode, tr, s, parts)
 }
 
 // normalized applies defaults and validates the knobs shared by the
@@ -279,7 +274,6 @@ func reconCfg(cfg Config, part reconstruct.Partition, m noise.Model) reconstruct
 		MaxIters:           cfg.ReconMaxIters,
 		Epsilon:            cfg.ReconEpsilon,
 		TailMass:           cfg.ReconTailMass,
-		Float32:            cfg.ReconFloat32,
 		Workers:            1,
 		DisableWeightCache: cfg.DisableWeightCache,
 	}

@@ -5,6 +5,7 @@ import (
 
 	"ppdm/internal/noise"
 	"ppdm/internal/reconstruct"
+	"ppdm/internal/stream"
 	"ppdm/internal/synth"
 )
 
@@ -73,6 +74,25 @@ func TestPredictValidation(t *testing.T) {
 	}
 	if _, err := clf.Evaluate(nil); err == nil {
 		t.Error("nil test table accepted")
+	}
+
+	// Only the constructors build the flattened tree every prediction walks;
+	// any other Classifier must fail with an error, not a panic.
+	var zero Classifier
+	if _, err := zero.Predict(nil); err == nil {
+		t.Error("zero-value Classifier: Predict succeeded")
+	}
+	if _, err := zero.PredictBins(nil); err == nil {
+		t.Error("zero-value Classifier: PredictBins succeeded")
+	}
+	if _, err := zero.ClassifyBatch([][]float64{{1, 2}}, 1); err == nil {
+		t.Error("zero-value Classifier: ClassifyBatch succeeded")
+	}
+	if _, err := zero.Evaluate(train); err == nil {
+		t.Error("zero-value Classifier: Evaluate succeeded")
+	}
+	if _, err := zero.EvaluateStream(stream.FromTable(train, 0)); err == nil {
+		t.Error("zero-value Classifier: EvaluateStream succeeded")
 	}
 }
 

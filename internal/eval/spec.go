@@ -120,8 +120,6 @@ type NoiseSpec struct {
 	// TailMass is the banded reconstruction kernel's per-row discardable
 	// noise mass (0 = default, negative = dense rows).
 	TailMass float64 `json:"tail_mass,omitempty"`
-	// Float32 runs the reconstruction kernel on float32 slabs.
-	Float32 bool `json:"float32,omitempty"`
 	// Algorithm is the reconstruction update rule, "bayes" (default) or
 	// "em".
 	Algorithm string `json:"algorithm,omitempty"`

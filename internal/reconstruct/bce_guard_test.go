@@ -17,7 +17,7 @@ import (
 // of bounds checks. Each is allowed exactly one IsSliceInBounds — the
 // b = b[:len(a)] entry re-slice that pins the two lengths together — and
 // zero IsInBounds.
-var bceKernels = []string{"dot64", "scaledDot64", "dot32", "scaledDot32"}
+var bceKernels = []string{"dot64", "scaledDot64"}
 
 // TestKernelBoundsCheckElimination recompiles this package with
 // -d=ssa/check_bce (against a fresh build cache, so the compiler really

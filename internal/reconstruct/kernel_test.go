@@ -78,7 +78,7 @@ func randomKernelGeometry(seed uint64) (w *bandedWeights, counts []int, p, q []f
 	if r.Intn(2) == 1 {
 		alg = EM
 	}
-	w = computeWeights(model, alg, width, k, lowIdx, m, radius, false, 1)
+	w = computeWeights(model, alg, width, k, lowIdx, m, radius, 1)
 
 	p = make([]float64, k)
 	for t := range p {

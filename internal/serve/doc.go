@@ -23,8 +23,11 @@
 //     records, deterministically in the request seed (paper §2).
 //   - POST /reload — re-read the model file and atomically swap it in.
 //   - GET /healthz — liveness plus a summary of the loaded model.
-//   - GET /stats — per-endpoint request/latency counters, micro-batcher
-//     and prediction-cache statistics.
+//   - GET /stats — model generation, reload count, micro-batcher and
+//     prediction-cache statistics.
+//   - GET /metrics — Prometheus text exposition: per-endpoint request
+//     counters, latency histograms and in-flight gauges, plus batcher,
+//     cache and chain gauges.
 //
 // Architecture of the hot path: concurrent /classify requests are coalesced
 // by a micro-batcher (bounded queue; flush on size or deadline) and

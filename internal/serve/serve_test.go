@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ppdm/internal/stream"
@@ -220,18 +222,36 @@ func TestHealthzAndStats(t *testing.T) {
 	postJSON(t, ts.URL+"/classify", map[string]any{"record": rec}, nil)
 	postJSON(t, ts.URL+"/classify", map[string]any{"record": rec}, nil)
 
-	resp, err = http.Get(ts.URL + "/stats")
-	if err != nil {
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	data := get("/stats")
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
 		t.Fatal(err)
+	}
+	for _, key := range []string{"generation", "batcher", "cache", "reloads", "model"} {
+		if _, ok := fields[key]; !ok {
+			t.Errorf("/stats lacks %q", key)
+		}
+	}
+	// Per-endpoint counters are served once, on /metrics.
+	if _, ok := fields["endpoints"]; ok {
+		t.Errorf("/stats still carries per-endpoint counters: %s", data)
 	}
 	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
-	}
-	resp.Body.Close()
-	ep := st.Endpoints["classify"]
-	if ep.Requests != 2 || ep.Records != 2 {
-		t.Fatalf("classify endpoint stats: %+v", ep)
 	}
 	if st.Batcher.Records != 2 {
 		t.Fatalf("batcher stats: %+v", st.Batcher)
@@ -239,8 +259,15 @@ func TestHealthzAndStats(t *testing.T) {
 	if !st.Cache.Enabled || st.Cache.Hits < 1 {
 		t.Fatalf("cache stats: %+v (want at least one hit from the repeated record)", st.Cache)
 	}
-	if st.Endpoints["healthz"].Requests != 1 {
-		t.Fatalf("healthz endpoint stats: %+v", st.Endpoints["healthz"])
+
+	metrics := string(get("/metrics"))
+	for _, line := range []string{
+		`ppdm_serve_http_requests_total{endpoint="classify",code="200",generation="1"} 2`,
+		`ppdm_serve_http_requests_total{endpoint="healthz",code="200",generation="1"} 1`,
+	} {
+		if !strings.Contains(metrics, line+"\n") {
+			t.Fatalf("/metrics missing %q:\n%s", line, metrics)
+		}
 	}
 }
 

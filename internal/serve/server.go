@@ -69,7 +69,6 @@ type Server struct {
 	cfg     Config
 	model   atomic.Pointer[Model]
 	batcher *Batcher
-	metrics *metrics
 	prom    *middleware.Metrics
 	limiter *middleware.RateLimiter
 	shedder *middleware.Shedder
@@ -101,7 +100,6 @@ func New(cfg Config) (*Server, error) {
 	m.Generation = s.generation.Add(1)
 	s.model.Store(m)
 	s.batcher = NewBatcher(s.Current, cfg.MaxBatch, cfg.FlushDelay, cfg.QueueDepth, cfg.Workers)
-	s.metrics = newMetrics("classify", "perturb", "healthz", "stats", "reload")
 
 	// The traffic-hardening chain, outermost first: Prometheus metrics on
 	// every endpoint, then per-client rate limiting, load shedding, and
@@ -123,11 +121,11 @@ func New(cfg Config) (*Server, error) {
 		))
 	}
 	s.mux = http.NewServeMux()
-	s.mux.Handle("/classify", work("classify", s.instrument("classify", s.handleClassify)))
-	s.mux.Handle("/perturb", work("perturb", s.instrument("perturb", s.handlePerturb)))
-	s.mux.Handle("/healthz", s.prom.Wrap("healthz", s.instrument("healthz", s.handleHealthz)))
-	s.mux.Handle("/stats", s.prom.Wrap("stats", s.instrument("stats", s.handleStats)))
-	s.mux.Handle("/reload", s.prom.Wrap("reload", s.instrument("reload", s.handleReload)))
+	s.mux.Handle("/classify", work("classify", http.HandlerFunc(s.handleClassify)))
+	s.mux.Handle("/perturb", work("perturb", http.HandlerFunc(s.handlePerturb)))
+	s.mux.Handle("/healthz", s.prom.Wrap("healthz", http.HandlerFunc(s.handleHealthz)))
+	s.mux.Handle("/stats", s.prom.Wrap("stats", http.HandlerFunc(s.handleStats)))
+	s.mux.Handle("/reload", s.prom.Wrap("reload", http.HandlerFunc(s.handleReload)))
 	s.mux.Handle("/metrics", s.prom.Wrap("metrics", s.prom.Handler()))
 	return s, nil
 }
@@ -196,39 +194,6 @@ func (s *Server) Reload() (*Model, error) {
 	s.model.Store(m)
 	s.reloads.Add(1)
 	return m, nil
-}
-
-// statusWriter records the status code a handler answered with, so the
-// instrumentation middleware can count errors. Instances are pooled: one
-// is checked out per request and returned after the counters are folded
-// in, so instrumentation itself never allocates.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-// WriteHeader implements http.ResponseWriter.
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-var statusWriterPool = sync.Pool{New: func() any { return new(statusWriter) }}
-
-// instrument wraps a handler with the per-endpoint latency/throughput
-// counters. Handlers report their record count through the wrapper's
-// return value.
-func (s *Server) instrument(name string, h func(w http.ResponseWriter, r *http.Request) int) http.HandlerFunc {
-	em := s.metrics.endpoint(name)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := statusWriterPool.Get().(*statusWriter)
-		sw.ResponseWriter, sw.status = w, http.StatusOK
-		records := h(sw, r)
-		em.observe(start, records, sw.status >= 400)
-		sw.ResponseWriter = nil
-		statusWriterPool.Put(sw)
-	}
 }
 
 // modelInfo is the model summary embedded in several responses.
@@ -344,10 +309,10 @@ type streamClassifyResponse struct {
 // the hand-rolled parser arenas the floats, predictions are written into a
 // pooled slice by the batcher, and the response is rendered into a pooled
 // buffer (see classifyScratch and json.go).
-func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return 0
+		return
 	}
 	sc := classifyScratchPool.Get().(*classifyScratch)
 	defer classifyScratchPool.Put(sc)
@@ -361,26 +326,27 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) int {
 	n, err := io.ReadFull(r.Body, head)
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		writeError(w, http.StatusBadRequest, err)
-		return 0
+		return
 	}
 	if n == 2 && head[0] == 0x1f && head[1] == 0x8b {
-		return s.classifyStream(w, io.MultiReader(bytes.NewReader(head), r.Body))
+		s.classifyStream(w, io.MultiReader(bytes.NewReader(head), r.Body))
+		return
 	}
 
 	body, err := readBody(r.Body, sc.body[:n])
 	sc.body = body[:0] // keep the grown capacity for the next request
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-		return 0
+		return
 	}
 	if err := sc.parseClassifyRequest(body); err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return 0
+		return
 	}
 	records := sc.records
 	if len(records) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New(`body needs "record" or "records"`))
-		return 0
+		return
 	}
 
 	if cap(sc.classes) < len(records) {
@@ -401,31 +367,30 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) int {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrStopped):
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, err)
-		return len(records)
+		return
 	case errors.Is(err, ErrDeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, err)
-		return len(records)
+		return
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
-		return len(records)
+		return
 	}
 
 	sc.resp = appendClassifyResponse(sc.resp[:0], m, classes, cached)
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(sc.resp)
-	return len(records)
 }
 
 // classifyStream drains a gzipped CSV record stream from the request body,
 // classifying every batch on the worker engine against a single model
 // snapshot (the stream bypasses the micro-batcher — it is already a batch).
-func (s *Server) classifyStream(w http.ResponseWriter, body io.Reader) int {
+func (s *Server) classifyStream(w http.ResponseWriter, body io.Reader) {
 	m := s.Current()
 	reader, err := stream.NewReader(body, m.Schema, s.cfg.StreamBatch)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return 0
+		return
 	}
 	defer reader.Close()
 	resp := streamClassifyResponse{ClassCounts: make(map[string]int), Model: info(m)}
@@ -436,7 +401,7 @@ func (s *Server) classifyStream(w http.ResponseWriter, body io.Reader) int {
 		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
-			return resp.N
+			return
 		}
 		records := make([][]float64, b.N())
 		for i := range records {
@@ -445,7 +410,7 @@ func (s *Server) classifyStream(w http.ResponseWriter, body io.Reader) int {
 		preds, err := m.Predictor.ClassifyBatch(records, s.cfg.Workers)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
-			return resp.N
+			return
 		}
 		for i, p := range preds {
 			resp.ClassCounts[m.Schema.Classes[p]]++
@@ -458,11 +423,10 @@ func (s *Server) classifyStream(w http.ResponseWriter, body io.Reader) int {
 	}
 	if resp.N == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("empty record stream"))
-		return 0
+		return
 	}
 	resp.Accuracy = float64(resp.Correct) / float64(resp.N)
 	writeJSON(w, http.StatusOK, resp)
-	return resp.N
 }
 
 // perturbRequest is the JSON body of POST /perturb: records to randomize
@@ -490,19 +454,19 @@ type perturbResponse struct {
 // the requested family at the requested privacy level, scaled to that
 // attribute's domain width in the model schema; the result is
 // deterministic in the request seed.
-func (s *Server) handlePerturb(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) handlePerturb(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return 0
+		return
 	}
 	var req perturbRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return 0
+		return
 	}
 	if len(req.Records) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New(`body needs "records"`))
-		return 0
+		return
 	}
 	if req.Conf == 0 {
 		req.Conf = noise.DefaultConfidence
@@ -511,13 +475,13 @@ func (s *Server) handlePerturb(w http.ResponseWriter, r *http.Request) int {
 	for _, rec := range req.Records {
 		if err := m.CheckRecord(rec); err != nil {
 			writeError(w, http.StatusBadRequest, err)
-			return len(req.Records)
+			return
 		}
 	}
 	models, err := noise.ModelsForAllAttrs(m.Schema, req.Family, req.Privacy, req.Conf)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return len(req.Records)
+		return
 	}
 	rng := prng.New(req.Seed)
 	out := make([][]float64, len(req.Records))
@@ -536,7 +500,6 @@ func (s *Server) handlePerturb(w http.ResponseWriter, r *http.Request) int {
 		Seed:    req.Seed,
 		Records: out,
 	})
-	return len(out)
 }
 
 // healthzResponse answers GET /healthz.
@@ -547,13 +510,12 @@ type healthzResponse struct {
 }
 
 // handleHealthz answers GET /healthz: liveness plus the loaded model.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, healthzResponse{
 		Status:   "ok",
 		UptimeMS: float64(time.Since(s.start).Nanoseconds()) / 1e6,
 		Model:    info(s.Current()),
 	})
-	return 0
 }
 
 // statsResponse answers GET /stats. Generation mirrors the snapshot's
@@ -561,12 +523,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 // among them) can track reload progress without digging into the nested
 // model object.
 type statsResponse struct {
-	Generation int64                    `json:"generation"`
-	Endpoints  map[string]EndpointStats `json:"endpoints"`
-	Batcher    Stats                    `json:"batcher"`
-	Cache      cacheStats               `json:"cache"`
-	Reloads    int64                    `json:"reloads"`
-	Model      modelInfo                `json:"model"`
+	Generation int64      `json:"generation"`
+	Batcher    Stats      `json:"batcher"`
+	Cache      cacheStats `json:"cache"`
+	Reloads    int64      `json:"reloads"`
+	Model      modelInfo  `json:"model"`
 }
 
 // cacheStats reports the live snapshot's prediction cache.
@@ -578,8 +539,10 @@ type cacheStats struct {
 	Capacity int   `json:"capacity"`
 }
 
-// handleStats answers GET /stats with every counter the server keeps.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) int {
+// handleStats answers GET /stats with the model, reload, micro-batcher and
+// cache state. Per-endpoint request counts and latency are served only on
+// /metrics.
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	m := s.Current()
 	cs := cacheStats{}
 	if m.cache != nil {
@@ -589,27 +552,24 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) int {
 	}
 	writeJSON(w, http.StatusOK, statsResponse{
 		Generation: m.Generation,
-		Endpoints:  s.metrics.snapshot(),
 		Batcher:    s.batcher.Stats(),
 		Cache:      cs,
 		Reloads:    s.reloads.Load(),
 		Model:      info(m),
 	})
-	return 0
 }
 
 // handleReload answers POST /reload: re-read the model file and swap it in
 // atomically. SIGHUP triggers the same path in the CLI wrapper.
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return 0
+		return
 	}
 	m, err := s.Reload()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
-		return 0
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"status": "reloaded", "model": info(m)})
-	return 0
 }

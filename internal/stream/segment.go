@@ -6,7 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sync"
+	"unsafe"
 )
 
 // Segment file layout: a segment is Count fixed-width little-endian values
@@ -140,39 +140,38 @@ func (r *SegmentReader) N() int {
 // Count(seg) values. On success the values are bit-identical to what
 // WriteFloats was given; on error dst's contents are unspecified.
 func (r *SegmentReader) ReadFloats(seg int, dst []float64) error {
-	return r.readSegment(seg, len(dst), floatWidth, func(at int, p []byte) {
-		out := dst[at : at+len(p)/floatWidth]
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*floatWidth:]))
-		}
-	})
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), len(dst)*floatWidth)
+	if err := r.readSegment(seg, len(dst), floatWidth, raw); err != nil {
+		return err
+	}
+	// In place: value i is loaded from raw before its own bytes are stored.
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*floatWidth:]))
+	}
+	return nil
 }
 
 // ReadInts decodes integer segment seg into dst, which must hold exactly
 // Count(seg) values, at the 4-byte width the segment stores. On error dst's
 // contents are unspecified.
 func (r *SegmentReader) ReadInts(seg int, dst []uint32) error {
-	return r.readSegment(seg, len(dst), intWidth, func(at int, p []byte) {
-		out := dst[at : at+len(p)/intWidth]
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint32(p[i*intWidth:])
-		}
-	})
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), len(dst)*intWidth)
+	if err := r.readSegment(seg, len(dst), intWidth, raw); err != nil {
+		return err
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint32(raw[i*intWidth:])
+	}
+	return nil
 }
-
-// chunkLen is the read granularity of readSegment. It is a multiple of every
-// value width.
-const chunkLen = 64 << 10
-
-var chunkPool = sync.Pool{New: func() any { return new([chunkLen]byte) }}
 
 // readSegment checks that segment seg holds n values of the given width —
 // which also rejects decoding a segment as the wrong type, since the widths
-// differ — then streams its bytes through a pooled chunk buffer, handing
-// each run of whole payload values to decode (at is the index of its first
-// value), and verifies the trailing checksum. It allocates nothing, whatever
-// the file holds.
-func (r *SegmentReader) readSegment(seg, n, width int, decode func(at int, p []byte)) error {
+// differ — then reads its payload bytes into raw, the caller's destination
+// viewed as n×width bytes, and verifies the checksum. The values are still
+// little-endian on return; the caller decodes them in place. It allocates
+// nothing, whatever the file holds.
+func (r *SegmentReader) readSegment(seg, n, width int, raw []byte) error {
 	if seg < 0 || seg >= len(r.index) {
 		return fmt.Errorf("stream: segment %d outside file of %d segments", seg, len(r.index))
 	}
@@ -180,33 +179,37 @@ func (r *SegmentReader) readSegment(seg, n, width int, decode func(at int, p []b
 	if n != s.Count {
 		return fmt.Errorf("stream: segment %d holds %d values, destination has room for %d", seg, s.Count, n)
 	}
+	if n == 0 {
+		return fmt.Errorf("stream: segment %d is empty", seg)
+	}
 	if want := int64(n)*int64(width) + crcLen; s.Size != want {
 		return fmt.Errorf("stream: segment %d is %d bytes, %d values of %d bytes need %d", seg, s.Size, n, width, want)
 	}
-	buf := chunkPool.Get().(*[chunkLen]byte)
-	defer chunkPool.Put(buf)
-	// Chunks start at multiples of chunkLen and the payload length is a
-	// multiple of the width, so neither a value nor the checksum straddles
-	// two chunks: the checksum is the last crcLen bytes of the last chunk.
+	// The checksum goes through the head of raw before the payload overwrites
+	// it: raw has room for exactly the payload, and a separate buffer handed
+	// to ReadAt would escape to the heap.
 	payload := s.Size - crcLen
-	var sum uint32
-	var tail []byte
-	for lo := int64(0); lo < s.Size; lo += chunkLen {
-		b := buf[:min(chunkLen, s.Size-lo)]
-		if got, err := r.r.ReadAt(b, s.Off+lo); got < len(b) {
-			if err == nil || err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return fmt.Errorf("stream: reading segment %d: %w", seg, err)
-		}
-		if lo+int64(len(b)) > payload {
-			b, tail = b[:payload-lo], b[payload-lo:]
-		}
-		sum = crc32.Update(sum, castagnoli, b)
-		decode(int(lo)/width, b)
+	if err := r.readAt(seg, raw[:crcLen], s.Off+payload); err != nil {
+		return err
 	}
-	if stored := binary.LittleEndian.Uint32(tail); stored != sum {
+	stored := binary.LittleEndian.Uint32(raw)
+	if err := r.readAt(seg, raw, s.Off); err != nil {
+		return err
+	}
+	if sum := crc32.Checksum(raw, castagnoli); sum != stored {
 		return fmt.Errorf("stream: segment %d checksum %08x, payload sums to %08x: the spill is corrupt", seg, stored, sum)
+	}
+	return nil
+}
+
+// readAt fills b from the file at off, reporting a short read as an error
+// against segment seg.
+func (r *SegmentReader) readAt(seg int, b []byte, off int64) error {
+	if got, err := r.r.ReadAt(b, off); got < len(b) {
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return fmt.Errorf("stream: reading segment %d: %w", seg, err)
 	}
 	return nil
 }

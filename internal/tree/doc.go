@@ -20,10 +20,10 @@
 // extraction or column copying happens at all.
 //
 // Attribute lists are storage-agnostic: MemAttrList serves a memory-resident
-// column, while SpillSource serves columns from gzipped on-disk segment
+// column, while SpillSource serves columns from binary on-disk segment
 // files (written by internal/stream's segment codec) through a bounded
 // cache, so out-of-core training holds only the class list, the live rowID
-// lists, and a fixed budget of decompressed segments — never the table.
+// lists, and a fixed budget of decoded segments — never the table.
 //
 // # The Source contract and the paper's Local mode
 //

@@ -408,7 +408,7 @@ func Train(train *Table, cfg TrainConfig) (*Classifier, error) { return core.Tra
 
 // TrainStream builds the decision-tree classifier from a record source
 // without ever materializing the table: one streaming pass spills columnar
-// (SPRINT-style) attribute lists to gzipped segment files, perturbed
+// (SPRINT-style) attribute lists to binary segment files, perturbed
 // columns are reconstructed and re-assigned one at a time, and the tree
 // grows from the spilled lists through a bounded segment cache. The model
 // is byte-identical to Train on the materialized table at every worker
