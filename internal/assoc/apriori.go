@@ -25,22 +25,6 @@ func (s Itemset) Key() string {
 	return string(b)
 }
 
-// VerticalPolicy selects the support-counting engine Frequent and
-// FrequentFromRandomized mine on. The engines count the same exact integers,
-// so the mined itemsets and supports are byte-identical under every policy;
-// the policy only trades transpose cost against per-candidate scan cost.
-type VerticalPolicy int
-
-// Vertical-engine policies: VerticalAuto (the zero value) builds the
-// TID-bitmap index when the dataset holds at least VerticalThreshold
-// transactions, VerticalOn always builds it, and VerticalOff forces the
-// horizontal row-scan engine (the streaming-ingestion fallback).
-const (
-	VerticalAuto VerticalPolicy = iota
-	VerticalOn
-	VerticalOff
-)
-
 // MiningConfig bounds the Apriori search.
 type MiningConfig struct {
 	// MinSupport is the frequency threshold in (0, 1].
@@ -52,9 +36,6 @@ type MiningConfig struct {
 	// Workers bounds the support-counting parallelism (0 = all cores).
 	// Mined itemsets and supports are identical for every worker count.
 	Workers int
-	// Vertical selects the counting engine (default VerticalAuto). Mined
-	// itemsets and supports are identical for every policy.
-	Vertical VerticalPolicy
 }
 
 // DefaultMaxSize is the default itemset-size bound.
@@ -70,34 +51,17 @@ func (c MiningConfig) withDefaults() (MiningConfig, error) {
 	if c.MaxSize < 1 || c.MaxSize > 16 {
 		return c, fmt.Errorf("assoc: max size %d must be in [1,16]", c.MaxSize)
 	}
-	if c.Vertical != VerticalAuto && c.Vertical != VerticalOn && c.Vertical != VerticalOff {
-		return c, fmt.Errorf("assoc: unknown vertical policy %d", c.Vertical)
-	}
 	return c, nil
-}
-
-// miningIndex resolves the config's engine policy against the dataset.
-func (d *Dataset) miningIndex(cfg MiningConfig) *Index {
-	switch cfg.Vertical {
-	case VerticalOff:
-		return nil
-	case VerticalOn:
-		return d.Index(cfg.Workers)
-	default:
-		return d.autoIndex(cfg.Workers)
-	}
 }
 
 // supportFn estimates the support of an itemset.
 type supportFn func(items []int) (float64, error)
 
 // Frequent mines all frequent itemsets of the clean dataset with exact
-// support counting, sorted by size then lexicographically. On the vertical
-// engine (see MiningConfig.Vertical) mining runs as a depth-first walk of
-// prefix equivalence classes that reuses each (k−1)-prefix's intersection
-// bitmap, so a k-candidate costs one column AND; the horizontal fallback is
-// classic level-wise Apriori over TxChunk-sharded row scans. Both engines
-// mine byte-identical results at every worker count.
+// support counting, sorted by size then lexicographically. Mining runs as a
+// depth-first walk of prefix equivalence classes that reuses each
+// (k−1)-prefix's intersection bitmap, so a k-candidate costs one column AND;
+// the result is byte-identical at every worker count.
 func Frequent(d *Dataset, cfg MiningConfig) ([]Itemset, error) {
 	if d == nil || d.N() == 0 {
 		return nil, fmt.Errorf("assoc: empty dataset")
@@ -106,12 +70,7 @@ func Frequent(d *Dataset, cfg MiningConfig) ([]Itemset, error) {
 	if err != nil {
 		return nil, err
 	}
-	if idx := d.miningIndex(cfg); idx != nil {
-		return mineVertical(idx, cfg)
-	}
-	return apriori(d.NumItems(), cfg, func(items []int) (float64, error) {
-		return d.supportHorizontal(items, cfg.Workers)
-	})
+	return mineVertical(d, cfg)
 }
 
 // FrequentFromRandomized mines frequent itemsets of the *original* data
@@ -119,13 +78,10 @@ func Frequent(d *Dataset, cfg MiningConfig) ([]Itemset, error) {
 // inverting the randomization channel over each candidate's 2^k pattern
 // counts. Inverted estimates are NOT anti-monotone (a superset's estimate
 // can exceed a subset's), so — unlike exact mining — the full
-// all-(k-1)-subsets-frequent prune is load-bearing here, and both engines
-// must walk the exact same candidates to mine the same set. Estimated
-// mining therefore always runs the level-wise apriori walk; the engines
-// differ only in how a candidate's pattern counts are produced (masked
-// subset popcounts + inclusion–exclusion on the TID-bitmap index vs
-// horizontal row scans). The counts are exact integers on both engines, so
-// estimates — and the mined set — are byte-identical at every worker count.
+// all-(k-1)-subsets-frequent prune is load-bearing here, and estimated
+// mining runs the level-wise apriori walk rather than the prefix DFS. The
+// pattern counts are exact integers, so estimates — and the mined set —
+// are byte-identical at every worker count.
 func FrequentFromRandomized(randomized *Dataset, bf BitFlip, cfg MiningConfig) ([]Itemset, error) {
 	if randomized == nil || randomized.N() == 0 {
 		return nil, fmt.Errorf("assoc: empty dataset")
@@ -134,17 +90,8 @@ func FrequentFromRandomized(randomized *Dataset, bf BitFlip, cfg MiningConfig) (
 	if err != nil {
 		return nil, err
 	}
-	if idx := randomized.miningIndex(cfg); idx != nil {
-		return apriori(randomized.NumItems(), cfg, func(items []int) (float64, error) {
-			return bf.estimateVertical(randomized, idx, items, cfg.Workers)
-		})
-	}
 	return apriori(randomized.NumItems(), cfg, func(items []int) (float64, error) {
-		counts, err := randomized.patternCountsHorizontal(items, cfg.Workers)
-		if err != nil {
-			return 0, err
-		}
-		return bf.estimateFromCounts(counts, randomized.N(), len(items)), nil
+		return bf.EstimateSupportWorkers(randomized, items, cfg.Workers)
 	})
 }
 
@@ -156,7 +103,7 @@ type vMember struct {
 	bm   []uint64
 }
 
-// mineVertical mines the index with exact supports by depth-first prefix
+// mineVertical mines the columns with exact supports by depth-first prefix
 // equivalence classes: the class of prefix P holds every frequent P∪{x},
 // and joining members i<j yields exactly the level-wise prefix-join
 // candidates, so the mined set matches Apriori's (subset pruning is
@@ -166,19 +113,19 @@ type vMember struct {
 // itemset, so a candidate is one cached-prefix AND+popcount.
 //
 // The anti-monotonicity argument holds only for exact supports; estimated
-// mining (FrequentFromRandomized) keeps the level-wise walk so its subset
-// pruning stays byte-identical across engines.
-func mineVertical(idx *Index, cfg MiningConfig) ([]Itemset, error) {
+// mining (FrequentFromRandomized) keeps the level-wise walk and its subset
+// pruning.
+func mineVertical(d *Dataset, cfg MiningConfig) ([]Itemset, error) {
 	workers := cfg.Workers
-	n := float64(idx.n)
+	n := float64(d.n)
 	var all []Itemset
 
 	// Size 1: a column popcount per item.
 	var roots []vMember
-	for it := 0; it < idx.numItems; it++ {
-		s := float64(popcountWorkers(idx.col(it), workers)) / n
+	for it, col := range d.cols {
+		s := float64(popcountWorkers(col, workers)) / n
 		if s >= cfg.MinSupport {
-			roots = append(roots, vMember{item: it, sup: s, bm: idx.col(it)})
+			roots = append(roots, vMember{item: it, sup: s, bm: col})
 			all = append(all, Itemset{Items: []int{it}, Support: s})
 		}
 	}
@@ -200,7 +147,7 @@ func mineVertical(idx *Index, cfg MiningConfig) ([]Itemset, error) {
 				var bm []uint64
 				if size+1 < cfg.MaxSize {
 					if spare == nil {
-						spare = make([]uint64, idx.words)
+						spare = make([]uint64, d.words())
 					}
 					s = float64(andIntoWorkers(spare, a.bm, b.bm, workers)) / n
 					bm = spare
@@ -227,8 +174,9 @@ func mineVertical(idx *Index, cfg MiningConfig) ([]Itemset, error) {
 	return all, nil
 }
 
-// apriori runs level-wise candidate generation over the item universe — the
-// horizontal engine, kept as the streaming-ingestion fallback.
+// apriori runs level-wise candidate generation over the item universe with
+// Apriori's all-(k-1)-subsets-frequent prune — the walk estimated mining
+// needs, since channel-inversion estimates are not anti-monotone.
 func apriori(numItems int, cfg MiningConfig, support supportFn) ([]Itemset, error) {
 	// Level 1: frequent single items.
 	var level []Itemset
@@ -264,7 +212,7 @@ func apriori(numItems int, cfg MiningConfig, support supportFn) ([]Itemset, erro
 }
 
 // sortItemsets orders mined itemsets by size, then lexicographically — the
-// one output order both engines normalize to.
+// one output order both walks normalize to.
 func sortItemsets(all []Itemset) {
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i].Items, all[j].Items

@@ -3,10 +3,11 @@ package assoc
 import "testing"
 
 // The mining pairs run the E12-style 100k-transaction, 40-item workload
-// through both counting engines; results are byte-identical (TestMiningGolden,
-// TestMiningEngineEquivalence), so the pair isolates pure counting cost. Each
-// vertical iteration drops the cached index first, so the transpose is paid
-// inside the measurement.
+// through the row-scan oracle (the *Dense100k baselines: the tests'
+// horizontal support and pattern counts under the same apriori walk) and
+// through the item columns. Results are byte-identical
+// (TestMiningEngineEquivalence, TestRandomizedMiningEngineProperty), so each
+// pair isolates pure counting cost.
 
 func benchWorkload(b *testing.B) *Dataset {
 	b.Helper()
@@ -17,22 +18,22 @@ func benchWorkload(b *testing.B) *Dataset {
 	return d
 }
 
-func benchMine(b *testing.B, d *Dataset, policy VerticalPolicy) {
+func benchMine(b *testing.B, mine func(*Dataset, MiningConfig) ([]Itemset, error)) {
 	b.Helper()
-	cfg := MiningConfig{MinSupport: 0.1, MaxSize: 4, Workers: 1, Vertical: policy}
+	d := benchWorkload(b)
+	cfg := MiningConfig{MinSupport: 0.1, MaxSize: 4, Workers: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.dropIndex()
-		if _, err := Frequent(d, cfg); err != nil {
+		if _, err := mine(d, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkMineLevelwiseDense100k(b *testing.B) { benchMine(b, benchWorkload(b), VerticalOff) }
-func BenchmarkMineVertical100k(b *testing.B)       { benchMine(b, benchWorkload(b), VerticalOn) }
+func BenchmarkMineLevelwiseDense100k(b *testing.B) { benchMine(b, oracleFrequent) }
+func BenchmarkMineVertical100k(b *testing.B)       { benchMine(b, Frequent) }
 
-func benchMineRandomized(b *testing.B, policy VerticalPolicy) {
+func benchMineRandomized(b *testing.B, mine func(*Dataset, BitFlip, MiningConfig) ([]Itemset, error)) {
 	b.Helper()
 	d := benchWorkload(b)
 	bf, err := NewBitFlip(0.2)
@@ -43,28 +44,45 @@ func benchMineRandomized(b *testing.B, policy VerticalPolicy) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := MiningConfig{MinSupport: 0.1, MaxSize: 3, Workers: 1, Vertical: policy}
+	cfg := MiningConfig{MinSupport: 0.1, MaxSize: 3, Workers: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rd.dropIndex()
-		if _, err := FrequentFromRandomized(rd, bf, cfg); err != nil {
+		if _, err := mine(rd, bf, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkMineRandomizedDense100k(b *testing.B)    { benchMineRandomized(b, VerticalOff) }
-func BenchmarkMineRandomizedVertical100k(b *testing.B) { benchMineRandomized(b, VerticalOn) }
+func BenchmarkMineRandomizedDense100k(b *testing.B) {
+	benchMineRandomized(b, oracleFrequentFromRandomized)
+}
+func BenchmarkMineRandomizedVertical100k(b *testing.B) {
+	benchMineRandomized(b, FrequentFromRandomized)
+}
 
-// BenchmarkIndexBuild100k isolates the transpose the vertical pairs pay per
-// iteration.
-func BenchmarkIndexBuild100k(b *testing.B) {
+// BenchmarkIngest100k appends the 100k workload rows to an empty dataset in
+// TxFileBatch batches, the way the transaction-file readers ingest: the
+// cost of growing the item columns in place.
+func BenchmarkIngest100k(b *testing.B) {
 	d := benchWorkload(b)
+	rows := make([][]int, d.N())
+	for i := range rows {
+		for it := 0; it < d.NumItems(); it++ {
+			if d.Contains(i, it) {
+				rows[i] = append(rows[i], it)
+			}
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.dropIndex()
-		if d.Index(1) == nil {
-			b.Fatal("no index")
+		in, err := NewDataset(d.NumItems())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for lo := 0; lo < len(rows); lo += TxFileBatch {
+			if err := in.AddBatch(rows[lo:min(lo+TxFileBatch, len(rows))]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -11,43 +11,36 @@
 // supports. Individual transactions stay plausibly deniable while frequent
 // itemsets are recovered.
 //
-// # Counting engines
+// # Storage and counting
 //
-// Support counting — the mining hot path — has two interchangeable engines
-// that produce byte-identical results:
+// A Dataset is stored only as its vertical (Zaki-style, as in Eclat)
+// TID-bitmap index: one N-bit column per item, bit t of column i set iff
+// transaction t contains item i. AddBatch validates a batch, grows every
+// column in place by the words the batch needs, and ORs each row's bits
+// into its items' columns, so the columns always cover every row and are
+// never transposed or rebuilt. Contains, ContainsAll and Size read a row
+// back out of the columns.
 //
-// The horizontal engine reads the row-major packed transactions as a stream
-// of TxChunk-sized shards on the internal/parallel worker pool, testing
-// each row against the itemset's word mask. It needs no preprocessing, so
-// it is the natural fit for freshly ingested or still-growing data.
-//
-// The vertical engine (Zaki-style, as in Eclat) transposes the dataset
-// once into a TID-bitmap Index: one N-bit column per item, stored as a
-// contiguous word slab, built by scattering each row's set bits so the
-// transpose costs time proportional to the 1-bits rather than the full
-// item×transaction grid. support(S) is then the popcount of the AND of the
-// columns of S — a handful of 4-wide unrolled word kernels instead of a
-// full row scan. Exact mining runs depth-first over prefix equivalence
-// classes, reusing each (k-1)-prefix intersection bitmap for every
-// extension, so deep levels cost one column AND apiece; skipping Apriori's
-// subset prune there is safe because exact supports are anti-monotone.
+// All counting runs on the columns. support(S) is the popcount of the AND
+// of the columns of S — a handful of 4-wide unrolled word kernels, chunked
+// into ColChunk-word shards on the internal/parallel worker pool for long
+// columns. Exact mining runs depth-first over prefix equivalence classes,
+// reusing each (k-1)-prefix intersection bitmap for every extension, so
+// deep levels cost one column AND apiece; skipping Apriori's subset prune
+// there is safe because exact supports are anti-monotone.
 // Channel-inversion estimates are not anti-monotone, so estimated mining
-// keeps the level-wise walk (identical candidate generation and subset
-// pruning on both engines) and routes only the counting through the
-// index: a masked-subset DFS collects contains-all counts and an integer
-// Möbius pass converts them to the exact 2^k presence/absence pattern
-// table the channel inversion needs.
+// keeps the level-wise walk with its subset prune, and each candidate's
+// exact 2^k presence/absence pattern table comes from a masked-subset DFS
+// over the columns (contains-all counts) and an integer Möbius pass.
 //
-// MiningConfig.Vertical selects the engine: VerticalOn and VerticalOff
-// force one side, and the VerticalAuto default indexes datasets of at
-// least VerticalThreshold transactions while small ones stay horizontal.
-// Dataset.Index builds lazily and is cached until AddBatch invalidates it.
+// A row-by-row scan through Contains survives only in the tests, as the
+// oracle that support, pattern counts and both mining walks are checked
+// against.
 //
 // # Determinism
 //
-// Both engines compute exact integer counts divided by N: per-shard and
-// per-word-chunk partial counts fold in index order, so every engine,
-// worker count, and chunk size produces identical floats bit for bit.
-// MiningConfig.Workers bounds the parallelism without ever changing a
-// result.
+// Every count is an exact integer divided by N: per-word-chunk partial
+// counts fold in index order, so every worker count and chunk size
+// produces identical floats bit for bit. MiningConfig.Workers bounds the
+// parallelism without ever changing a result.
 package assoc

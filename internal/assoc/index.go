@@ -1,7 +1,6 @@
 package assoc
 
 import (
-	"fmt"
 	"math/bits"
 
 	"ppdm/internal/parallel"
@@ -13,148 +12,6 @@ import (
 // integer counts folded in index order. One chunk covers 64*ColChunk
 // transactions, so short columns never pay goroutine overhead.
 const ColChunk = 2048
-
-// Index is the vertical TID-bitmap index of a Dataset: the row-major packed
-// transactions transposed into one N-bit column per item, stored as a single
-// contiguous word slab (item i occupies words [i*words, (i+1)*words)). Bit t
-// of column i is set iff transaction t contains item i, so
-//
-//	support(S) = popcount(AND of the columns of S) / N
-//
-// — a k-itemset costs one k-way column intersection instead of a row scan.
-// Columns are built independently per item and all counts are exact
-// integers, so every Index result is identical at any worker count.
-type Index struct {
-	numItems int
-	n        int
-	words    int // words per column: (n + 63) / 64
-	cols     []uint64
-}
-
-// N returns the number of transactions the index covers.
-func (x *Index) N() int { return x.n }
-
-// NumItems returns the size of the item universe.
-func (x *Index) NumItems() int { return x.numItems }
-
-// col returns item it's column.
-func (x *Index) col(it int) []uint64 { return x.cols[it*x.words : (it+1)*x.words] }
-
-// buildIndex transposes the dataset into per-item columns by scattering each
-// row's set bits to their owning columns, so build cost scales with the
-// number of 1-bits rather than the full item×transaction grid. Row chunks
-// ride the TxChunk grid, which is 64-row aligned: every chunk owns a
-// disjoint word range of every column, so chunks write without overlap and
-// the build is deterministic at any worker count. The caller guarantees
-// d.n > 0.
-func buildIndex(d *Dataset, workers int) *Index {
-	words := (d.n + 63) / 64
-	x := &Index{
-		numItems: d.numItems,
-		n:        d.n,
-		words:    words,
-		cols:     make([]uint64, d.numItems*words),
-	}
-	parallel.ForEachChunk(d.n, TxChunk, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			base := i * d.words
-			cw, cb := i/64, uint(i)%64
-			for w := 0; w < d.words; w++ {
-				v := d.rows[base+w]
-				for v != 0 {
-					it := w*64 + bits.TrailingZeros64(v)
-					v &= v - 1
-					x.cols[it*words+cw] |= 1 << cb
-				}
-			}
-		}
-	})
-	return x
-}
-
-// checkItems validates an item list against the index's universe.
-func (x *Index) checkItems(items []int) error {
-	for _, it := range items {
-		if it < 0 || it >= x.numItems {
-			return fmt.Errorf("assoc: item %d outside universe [0,%d)", it, x.numItems)
-		}
-	}
-	return nil
-}
-
-// Support returns the exact fraction of transactions containing every item
-// of the set, as the popcount of the intersection of the item columns. The
-// result is bit-identical to Dataset.SupportWorkers for every worker count:
-// both divide the same exact integer count by N.
-func (x *Index) Support(items []int, workers int) (float64, error) {
-	if err := x.checkItems(items); err != nil {
-		return 0, err
-	}
-	n := float64(x.n)
-	switch len(items) {
-	case 0:
-		return 1, nil
-	case 1:
-		return float64(popcountWorkers(x.col(items[0]), workers)) / n, nil
-	case 2:
-		return float64(andPopcountWorkers(x.col(items[0]), x.col(items[1]), workers)) / n, nil
-	}
-	scratch := make([]uint64, x.words)
-	andIntoWorkers(scratch, x.col(items[0]), x.col(items[1]), workers)
-	for _, it := range items[2 : len(items)-1] {
-		andIntoWorkers(scratch, scratch, x.col(it), workers)
-	}
-	return float64(andPopcountWorkers(scratch, x.col(items[len(items)-1]), workers)) / n, nil
-}
-
-// PatternCounts returns the same 2^k presence/absence pattern table as
-// Dataset.PatternCountsWorkers, computed from the columns instead of a row
-// scan: a masked-subset DFS first collects allSup[m] = #transactions
-// containing every item of submask m (each include edge is one column AND,
-// reused by the whole subtree below it), then a superset inclusion–exclusion
-// (Möbius) pass turns the "contains at least" counts into exact-pattern
-// counts. Everything is integer arithmetic, so the table — and any estimate
-// derived from it — is identical to the horizontal path bit for bit.
-func (x *Index) PatternCounts(items []int, workers int) ([]int, error) {
-	k := len(items)
-	if k == 0 || k > 20 {
-		return nil, fmt.Errorf("assoc: pattern counting needs 1..20 items, got %d", k)
-	}
-	if err := x.checkItems(items); err != nil {
-		return nil, err
-	}
-	all := make([]int, 1<<uint(k))
-	scratch := make([]uint64, k*x.words)
-	// rec decides items[i:]: the "exclude" child inherits the current
-	// intersection, the "include" child ANDs in items[i]'s column (into the
-	// depth-i scratch slab; parents only ever hold shallower slabs or raw
-	// columns, so slabs are safely reused across siblings).
-	var rec func(i, mask int, cur []uint64, cnt int)
-	rec = func(i, mask int, cur []uint64, cnt int) {
-		if i == k {
-			all[mask] = cnt
-			return
-		}
-		rec(i+1, mask, cur, cnt)
-		col := x.col(items[i])
-		if cur == nil {
-			rec(i+1, mask|1<<uint(i), col, popcountWorkers(col, workers))
-			return
-		}
-		buf := scratch[i*x.words : (i+1)*x.words]
-		rec(i+1, mask|1<<uint(i), buf, andIntoWorkers(buf, cur, col, workers))
-	}
-	rec(0, 0, nil, x.n)
-	for b := 0; b < k; b++ {
-		bit := 1 << uint(b)
-		for m := range all {
-			if m&bit == 0 {
-				all[m] -= all[m|bit]
-			}
-		}
-	}
-	return all, nil
-}
 
 // --- 4-wide unrolled word kernels ---
 //

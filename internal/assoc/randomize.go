@@ -76,9 +76,8 @@ func (bf BitFlip) EstimateSupport(randomized *Dataset, items []int) (float64, er
 }
 
 // EstimateSupportWorkers is EstimateSupport with an explicit bound on the
-// pattern-counting parallelism (0 = all cores); the estimate is identical
-// for every worker count, and — because the vertical and horizontal pattern
-// counters return the same exact integers — for every counting engine.
+// pattern-counting parallelism (0 = all cores); the pattern counts are
+// exact integers, so the estimate is identical for every worker count.
 func (bf BitFlip) EstimateSupportWorkers(randomized *Dataset, items []int, workers int) (float64, error) {
 	counts, err := randomized.PatternCountsWorkers(items, workers)
 	if err != nil {
@@ -91,8 +90,7 @@ func (bf BitFlip) EstimateSupportWorkers(randomized *Dataset, items []int, worke
 }
 
 // estimateFromCounts inverts the k-fold channel over one pattern-count
-// table. Both counting engines feed this one float pipeline, so identical
-// integer counts yield bit-identical estimates.
+// table: identical integer counts yield bit-identical estimates.
 func (bf BitFlip) estimateFromCounts(counts []int, n, k int) float64 {
 	est := make([]float64, len(counts))
 	nf := float64(n)
@@ -108,25 +106,6 @@ func (bf BitFlip) estimateFromCounts(counts []int, n, k int) float64 {
 		v = 1
 	}
 	return v
-}
-
-// estimateVertical estimates an itemset's support from indexed pattern
-// counts when the subset lattice is small enough, falling back to the
-// horizontal scan past verticalPatternMaxK items (the randomized dataset is
-// retained for exactly that fallback). Estimates are bit-identical on both
-// routes.
-func (bf BitFlip) estimateVertical(randomized *Dataset, idx *Index, items []int, workers int) (float64, error) {
-	var counts []int
-	var err error
-	if len(items) <= verticalPatternMaxK {
-		counts, err = idx.PatternCounts(items, workers)
-	} else {
-		counts, err = randomized.patternCountsHorizontal(items, workers)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return bf.estimateFromCounts(counts, idx.n, len(items)), nil
 }
 
 // invertChannel applies the inverse per-bit channel along every bit axis of

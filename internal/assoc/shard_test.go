@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// Sharded support counting must be exact and identical for every worker
-// count: the transactions stream through a fixed TxChunk grid and per-shard
-// counts fold in index order.
+// Support counting must be exact and identical for every worker count:
+// long columns are counted in fixed ColChunk-word shards whose counts fold
+// in index order.
 func TestSupportWorkerDeterminism(t *testing.T) {
-	d, patterns, err := Generate(GenConfig{N: 3 * TxChunk, Items: 30, Seed: 7})
+	d, patterns, err := Generate(GenConfig{N: 12288, Items: 30, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestSupportWorkerDeterminism(t *testing.T) {
 }
 
 func TestPatternCountsWorkerDeterminism(t *testing.T) {
-	d, patterns, err := Generate(GenConfig{N: 2*TxChunk + 123, Items: 25, Seed: 9})
+	d, patterns, err := Generate(GenConfig{N: 8315, Items: 25, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestPatternCountsWorkerDeterminism(t *testing.T) {
 // Full Apriori runs — exact and channel-inverted — must mine identical
 // itemsets and supports at every worker count.
 func TestMiningWorkerDeterminism(t *testing.T) {
-	d, _, err := Generate(GenConfig{N: TxChunk + 500, Items: 30, Seed: 11})
+	d, _, err := Generate(GenConfig{N: 4596, Items: 30, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

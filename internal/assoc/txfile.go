@@ -9,10 +9,10 @@ import (
 )
 
 // TxFileBatch is the number of parsed transactions handed to the dataset at
-// a time by the transaction-file readers. It matches TxChunk, the shard
-// length of parallel support counting, so ingestion batches map one-to-one
-// onto counting shards.
-const TxFileBatch = TxChunk
+// a time by the transaction-file readers. It bounds ingestion memory: at
+// most this many parsed transactions are buffered beyond the dataset's own
+// columns.
+const TxFileBatch = 4096
 
 // MaxInferredItems caps the item universe ReadTransactionsFile will infer
 // from the data. Dataset stores transactions as dense bitsets — numItems/8

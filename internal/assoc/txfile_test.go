@@ -1,6 +1,7 @@
 package assoc
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -124,4 +125,65 @@ func TestReadTransactionsBatchBoundary(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzReadTransactions feeds arbitrary bytes to the transaction parser over
+// a 70-item universe, whose columns span two words. Rejected input must
+// return an error and no dataset; accepted input must round-trip: one row
+// per non-blank, non-comment line, holding exactly that line's
+// de-duplicated items as parsed independently with strings.Fields and
+// strconv.Atoi. No input may panic.
+func FuzzReadTransactions(f *testing.F) {
+	const numItems = 70
+	for _, seed := range []string{
+		txFixture,
+		"1 2\r\n3 4\r\n\r\n# comment\r\n",
+		"0 69 69 64 63 0\n",
+		"\t # indented comment\n7\t8\n\n\n",
+		"5 70\n",
+		"1 -2\n",
+		"3 +4\n",
+		"# only a comment",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ReadTransactions(bytes.NewReader(data), numItems)
+		if err != nil {
+			if d != nil {
+				t.Fatalf("rejected input %q also returned a dataset", data)
+			}
+			return
+		}
+		var rows []map[int]bool
+		for _, line := range strings.Split(string(data), "\n") {
+			fields := strings.Fields(line)
+			if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
+				continue
+			}
+			row := map[int]bool{}
+			for _, fld := range fields {
+				it, err := strconv.Atoi(fld)
+				if err != nil || it < 0 || it >= numItems {
+					t.Fatalf("accepted input %q holds item %q", data, fld)
+				}
+				row[it] = true
+			}
+			rows = append(rows, row)
+		}
+		if d.N() != len(rows) {
+			t.Fatalf("parsed %d transactions from %q, want %d", d.N(), data, len(rows))
+		}
+		for i, row := range rows {
+			if d.Size(i) != len(row) {
+				t.Fatalf("transaction %d of %q has %d items, want %d", i, data, d.Size(i), len(row))
+			}
+			for it := 0; it < numItems; it++ {
+				if d.Contains(i, it) != row[it] {
+					t.Fatalf("transaction %d of %q: Contains(%d) = %v, want %v", i, data, it, d.Contains(i, it), row[it])
+				}
+			}
+		}
+	})
 }

@@ -23,10 +23,63 @@ func renderItemsets(sets []Itemset) string {
 	return b.String()
 }
 
+// rowSupport is the tests' reference support count: a scan of every row
+// through Contains, sharing no code with the column kernels.
+func rowSupport(d *Dataset, items []int) float64 {
+	count := 0
+	for i := 0; i < d.N(); i++ {
+		if d.ContainsAll(i, items) {
+			count++
+		}
+	}
+	return float64(count) / float64(d.N())
+}
+
+// rowPatternCounts is the tests' reference 2^k presence/absence pattern
+// table: each row's pattern over items, tested bit by bit through Contains.
+func rowPatternCounts(d *Dataset, items []int) []int {
+	counts := make([]int, 1<<uint(len(items)))
+	for i := 0; i < d.N(); i++ {
+		mask := 0
+		for b, it := range items {
+			if d.Contains(i, it) {
+				mask |= 1 << uint(b)
+			}
+		}
+		counts[mask]++
+	}
+	return counts
+}
+
+// oracleFrequent mines exact supports level-wise over the row scan: the
+// reference Frequent's prefix DFS must reproduce.
+func oracleFrequent(d *Dataset, cfg MiningConfig) ([]Itemset, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	return apriori(d.NumItems(), cfg, func(items []int) (float64, error) {
+		return rowSupport(d, items), nil
+	})
+}
+
+// oracleFrequentFromRandomized mines estimated supports level-wise from
+// row-scanned pattern tables: the reference FrequentFromRandomized's column
+// pattern counts must reproduce.
+func oracleFrequentFromRandomized(rd *Dataset, bf BitFlip, cfg MiningConfig) ([]Itemset, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	return apriori(rd.NumItems(), cfg, func(items []int) (float64, error) {
+		return bf.estimateFromCounts(rowPatternCounts(rd, items), rd.N(), len(items)), nil
+	})
+}
+
 // goldenExact and goldenRandomized pin the exact output of Frequent and
 // FrequentFromRandomized on the seed-21 workload, recorded with the
-// pre-index level-wise horizontal engine. Every engine/worker combination
-// must reproduce them byte for byte.
+// pre-index level-wise horizontal engine. Every worker count must reproduce
+// them byte for byte.
 const goldenExact = `[0] 0x1.4083126e978d5p-03
 [2] 0x1.41e098ead65b8p-03
 [4] 0x1.4057619f0fb39p-03
@@ -102,7 +155,7 @@ const goldenRandomized = `[0] 0x1.45b05b05b05b1p-03
 `
 
 // TestMiningGolden pins Frequent and FrequentFromRandomized byte-identical
-// to the pre-index engine across every counting engine and worker count.
+// to the pre-index engine at every worker count.
 func TestMiningGolden(t *testing.T) {
 	d, _, err := Generate(GenConfig{N: 12000, Items: 30, Seed: 21})
 	if err != nil {
@@ -116,33 +169,31 @@ func TestMiningGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, policy := range []VerticalPolicy{VerticalAuto, VerticalOn, VerticalOff} {
-		for _, workers := range []int{1, 8} {
-			d.dropIndex()
-			rd.dropIndex()
-			cfg := MiningConfig{MinSupport: 0.08, MaxSize: 4, Workers: workers, Vertical: policy}
-			exact, err := Frequent(d, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := renderItemsets(exact); got != goldenExact {
-				t.Errorf("policy %d workers %d: exact mining diverged from the golden:\n%s", policy, workers, got)
-			}
-			cfg.MaxSize = 3
-			inv, err := FrequentFromRandomized(rd, bf, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := renderItemsets(inv); got != goldenRandomized {
-				t.Errorf("policy %d workers %d: randomized mining diverged from the golden:\n%s", policy, workers, got)
-			}
+	for _, workers := range []int{1, 8} {
+		cfg := MiningConfig{MinSupport: 0.08, MaxSize: 4, Workers: workers}
+		exact, err := Frequent(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := renderItemsets(exact); got != goldenExact {
+			t.Errorf("workers %d: exact mining diverged from the golden:\n%s", workers, got)
+		}
+		cfg.MaxSize = 3
+		inv, err := FrequentFromRandomized(rd, bf, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := renderItemsets(inv); got != goldenRandomized {
+			t.Errorf("workers %d: randomized mining diverged from the golden:\n%s", workers, got)
 		}
 	}
 }
 
 // randomDataset draws a small dataset with awkward shapes: item universes
-// not divisible by 64 and a guaranteed all-zero column.
-func randomDataset(t *testing.T, r *rand.Rand) (*Dataset, int) {
+// not divisible by 64, a guaranteed all-zero column, and rows ingested
+// through AddBatch in batches of 1, 63 and 65 rows, so batches start and end
+// inside 64-row column words. It returns the ingested rows too.
+func randomDataset(t *testing.T, r *rand.Rand) (*Dataset, int, [][]int) {
 	numItems := 1 + r.Intn(130)
 	n := 1 + r.Intn(300)
 	d, err := NewDataset(numItems)
@@ -150,28 +201,39 @@ func randomDataset(t *testing.T, r *rand.Rand) (*Dataset, int) {
 		t.Fatal(err)
 	}
 	zero := r.Intn(numItems) // this item never appears: an all-zero column
-	for i := 0; i < n; i++ {
-		var tx []int
+	txs := make([][]int, n)
+	for i := range txs {
 		for it := 0; it < numItems; it++ {
 			if it != zero && r.Float64() < 0.3 {
-				tx = append(tx, it)
+				txs[i] = append(txs[i], it)
 			}
 		}
-		if err := d.Add(tx); err != nil {
+	}
+	for rest := txs; len(rest) > 0; {
+		size := min([]int{1, 63, 65}[r.Intn(3)], len(rest))
+		if err := d.AddBatch(rest[:size]); err != nil {
 			t.Fatal(err)
 		}
+		rest = rest[size:]
 	}
-	return d, zero
+	return d, zero, txs
 }
 
-// TestVerticalHorizontalSupportProperty checks vertical ≡ horizontal support
-// and pattern counting on random datasets, including all-zero columns and
-// item universes not divisible by 64.
+// TestVerticalHorizontalSupportProperty checks that rows ingested in
+// batches that split column words read back as ingested, and checks column
+// support and pattern counting against the row-scan oracle on those
+// datasets, including all-zero columns and item universes not divisible by
+// 64.
 func TestVerticalHorizontalSupportProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		d, zero := randomDataset(t, r)
-		idx := d.Index(1)
+		d, zero, txs := randomDataset(t, r)
+		for i, tx := range txs {
+			if d.Size(i) != len(tx) || !d.ContainsAll(i, tx) {
+				t.Logf("row %d does not read back as ingested: %v", i, tx)
+				return false
+			}
+		}
 		// random itemsets, always including one containing the zero column
 		queries := [][]int{{zero}}
 		for q := 0; q < 8; q++ {
@@ -183,28 +245,22 @@ func TestVerticalHorizontalSupportProperty(t *testing.T) {
 			queries = append(queries, items)
 		}
 		for _, items := range queries {
-			hs, err := d.supportHorizontal(items, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vs, err := idx.Support(items, 1)
+			hs := rowSupport(d, items)
+			vs, err := d.SupportWorkers(items, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if hs != vs {
-				t.Logf("support mismatch on %v: horizontal %v vertical %v", items, hs, vs)
+				t.Logf("support mismatch on %v: row scan %v columns %v", items, hs, vs)
 				return false
 			}
-			hc, err := d.patternCountsHorizontal(items, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vc, err := idx.PatternCounts(items, 1)
+			hc := rowPatternCounts(d, items)
+			vc, err := d.PatternCountsWorkers(items, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(hc, vc) {
-				t.Logf("pattern counts mismatch on %v:\nhorizontal %v\nvertical   %v", items, hc, vc)
+				t.Logf("pattern counts mismatch on %v:\nrow scan %v\ncolumns  %v", items, hc, vc)
 				return false
 			}
 		}
@@ -217,7 +273,7 @@ func TestVerticalHorizontalSupportProperty(t *testing.T) {
 
 // TestIndexedWorkerDeterminism exercises the chunked AND/popcount kernels
 // with columns long enough to span several ColChunk shards and checks that
-// every indexed result is identical at workers 1 vs 8.
+// every column count is identical at workers 1 vs 8 and to the row scan.
 func TestIndexedWorkerDeterminism(t *testing.T) {
 	// 3*64*ColChunk transactions → 3 word-chunks per column.
 	n := 3 * 64 * ColChunk
@@ -245,44 +301,42 @@ func TestIndexedWorkerDeterminism(t *testing.T) {
 	if err := d.AddBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	idx := d.Index(1)
 	items := []int{0, 2, 5}
-	s1, err := idx.Support(items, 1)
+	s1, err := d.SupportWorkers(items, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s8, err := idx.Support(items, 8)
+	s8, err := d.SupportWorkers(items, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1 != s8 {
-		t.Errorf("indexed support differs: workers 1 %v, workers 8 %v", s1, s8)
+		t.Errorf("column support differs: workers 1 %v, workers 8 %v", s1, s8)
 	}
-	hs, err := d.supportHorizontal(items, 1)
+	if hs := rowSupport(d, items); s1 != hs {
+		t.Errorf("column support %v differs from the row scan's %v", s1, hs)
+	}
+	c1, err := d.PatternCountsWorkers(items, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1 != hs {
-		t.Errorf("indexed support %v differs from horizontal %v", s1, hs)
-	}
-	c1, err := idx.PatternCounts(items, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c8, err := idx.PatternCounts(items, 8)
+	c8, err := d.PatternCountsWorkers(items, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(c1, c8) {
-		t.Errorf("indexed pattern counts differ across worker counts:\n%v\n%v", c1, c8)
+		t.Errorf("column pattern counts differ across worker counts:\n%v\n%v", c1, c8)
+	}
+	if hc := rowPatternCounts(d, items); !reflect.DeepEqual(c1, hc) {
+		t.Errorf("column pattern counts differ from the row scan's:\n%v\n%v", c1, hc)
 	}
 }
 
-// TestMiningEngineEquivalence mines one dataset under every policy and
-// checks the results are deeply equal — the auto threshold sits inside the
-// dataset's size so both engines actually run.
+// TestMiningEngineEquivalence mines one dataset exactly and from its
+// randomization, and checks both results deeply equal the row-scan
+// oracle's.
 func TestMiningEngineEquivalence(t *testing.T) {
-	d, _, err := Generate(GenConfig{N: TxChunk + 500, Items: 30, Seed: 31})
+	d, _, err := Generate(GenConfig{N: 4596, Items: 30, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,31 +350,27 @@ func TestMiningEngineEquivalence(t *testing.T) {
 	}
 	cfg := MiningConfig{MinSupport: 0.1, MaxSize: 3, Workers: 1}
 
-	cfg.Vertical = VerticalOff
-	exactH, err := Frequent(d, cfg)
+	exactH, err := oracleFrequent(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	invH, err := FrequentFromRandomized(rd, bf, cfg)
+	invH, err := oracleFrequentFromRandomized(rd, bf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, policy := range []VerticalPolicy{VerticalAuto, VerticalOn} {
-		cfg.Vertical = policy
-		exactV, err := Frequent(d, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(exactH, exactV) {
-			t.Errorf("policy %d: exact vertical mining differs from horizontal", policy)
-		}
-		invV, err := FrequentFromRandomized(rd, bf, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(invH, invV) {
-			t.Errorf("policy %d: randomized vertical mining differs from horizontal", policy)
-		}
+	exactV, err := Frequent(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(exactH, exactV) {
+		t.Error("exact mining differs from the row-scan oracle")
+	}
+	invV, err := FrequentFromRandomized(rd, bf, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(invH, invV) {
+		t.Error("randomized mining differs from the row-scan oracle")
 	}
 }
 
@@ -348,14 +398,14 @@ func noisyEstimationDataset(t *testing.T, r *rand.Rand) *Dataset {
 	return d
 }
 
-// TestRandomizedMiningEngineProperty races the estimated-mining engines on
-// noisy datasets with the support threshold drawn inside the estimate
-// distribution. Channel-inversion estimates are not anti-monotone (a
-// superset's inverted estimate can exceed a subset's), so Apriori's
-// all-(k-1)-subsets-frequent prune actually removes candidates here — this
-// pins the property that both engines run the identical level-wise candidate
-// walk, prune included; a vertical engine that skipped the prune would
-// diverge on these workloads. The seed sweep is fixed (not time-seeded)
+// TestRandomizedMiningEngineProperty races estimated mining against the
+// row-scan oracle on noisy datasets with the support threshold drawn inside
+// the estimate distribution. Channel-inversion estimates are not
+// anti-monotone (a superset's inverted estimate can exceed a subset's), so
+// Apriori's all-(k-1)-subsets-frequent prune actually removes candidates
+// here — this pins the property that production runs the oracle's
+// level-wise candidate walk, prune included; a column miner that skipped
+// the prune would diverge on these workloads. The seed sweep is fixed (not time-seeded)
 // because the divergence shape — prefix pair frequent, cross-branch subset
 // infrequent, candidate estimate above threshold — only arises on some
 // seeds, and those must be covered on every run.
@@ -368,34 +418,29 @@ func TestRandomizedMiningEngineProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := MiningConfig{MinSupport: 0.1 + 0.15*r.Float64(), MaxSize: 4, Workers: 1}
-		cfg.Vertical = VerticalOff
-		want, err := FrequentFromRandomized(d, bf, cfg)
+		want, err := oracleFrequentFromRandomized(d, bf, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Vertical = VerticalOn
 		got, err := FrequentFromRandomized(d, bf, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("seed %d: engines mined different sets:\nhorizontal:\n%svertical:\n%s",
+			t.Errorf("seed %d: production and oracle mined different sets:\nrow scan:\n%scolumns:\n%s",
 				seed, renderItemsets(want), renderItemsets(got))
 		}
 	}
 }
 
-// TestConcurrentAutoIndex hammers the lazy index build from many
-// goroutines; run under -race this checks the build-once locking.
+// TestConcurrentAutoIndex counts support from many goroutines at once; run
+// under -race this checks that concurrent counts only read the columns.
 func TestConcurrentAutoIndex(t *testing.T) {
-	d, patterns, err := Generate(GenConfig{N: VerticalThreshold + 100, Items: 20, Seed: 41})
+	d, patterns, err := Generate(GenConfig{N: 4196, Items: 20, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := d.supportHorizontal(patterns[0], 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := rowSupport(d, patterns[0])
 	got, err := parallel.Map(16, 8, func(i int) (float64, error) {
 		return d.SupportWorkers(patterns[0], 1)
 	})
@@ -404,13 +449,13 @@ func TestConcurrentAutoIndex(t *testing.T) {
 	}
 	for _, s := range got {
 		if s != want {
-			t.Fatalf("concurrent indexed support %v, want %v", s, want)
+			t.Fatalf("concurrent column support %v, want %v", s, want)
 		}
 	}
 }
 
-// TestAddBatchInvalidatesIndex checks that growing the dataset drops the
-// cached index so later counts cover the new rows.
+// TestAddBatchInvalidatesIndex checks that counts after growing the dataset
+// cover the new rows.
 func TestAddBatchInvalidatesIndex(t *testing.T) {
 	d, err := NewDataset(4)
 	if err != nil {
@@ -421,8 +466,8 @@ func TestAddBatchInvalidatesIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if idx := d.Index(1); idx == nil || idx.N() != 10 {
-		t.Fatal("index not built")
+	if s, err := d.Support([]int{0}); err != nil || s != 1 {
+		t.Fatalf("support before growth = %v, %v; want 1", s, err)
 	}
 	if err := d.Add([]int{1}); err != nil {
 		t.Fatal(err)
@@ -434,35 +479,27 @@ func TestAddBatchInvalidatesIndex(t *testing.T) {
 	if want := 10.0 / 11.0; s != want {
 		t.Errorf("support after growth = %v, want %v", s, want)
 	}
-	if idx := d.Index(1); idx.N() != 11 {
-		t.Errorf("rebuilt index covers %d rows, want 11", idx.N())
-	}
 }
 
-// TestIndexValidation covers the index's error paths and the engine-policy
-// validation.
+// TestIndexValidation covers the column counters' error paths.
 func TestIndexValidation(t *testing.T) {
 	empty, _ := NewDataset(3)
-	if empty.Index(1) != nil {
-		t.Error("empty dataset produced an index")
+	if _, err := empty.SupportWorkers([]int{0}, 1); err == nil {
+		t.Error("empty dataset counted")
 	}
 	d, _ := NewDataset(3)
 	_ = d.Add([]int{0, 2})
-	idx := d.Index(1)
-	if _, err := idx.Support([]int{5}, 1); err == nil {
-		t.Error("out-of-range item accepted by Index.Support")
+	if _, err := d.SupportWorkers([]int{5}, 1); err == nil {
+		t.Error("out-of-range item accepted by SupportWorkers")
 	}
-	if _, err := idx.PatternCounts(nil, 1); err == nil {
+	if _, err := d.PatternCountsWorkers(nil, 1); err == nil {
 		t.Error("empty pattern list accepted")
 	}
-	if _, err := idx.PatternCounts([]int{-1}, 1); err == nil {
+	if _, err := d.PatternCountsWorkers([]int{-1}, 1); err == nil {
 		t.Error("negative item accepted")
 	}
-	if s, err := idx.Support(nil, 1); err != nil || s != 1 {
+	if s, err := d.SupportWorkers(nil, 1); err != nil || s != 1 {
 		t.Errorf("empty-itemset support = %v, %v; want 1", s, err)
-	}
-	if _, err := Frequent(d, MiningConfig{MinSupport: 0.5, Vertical: VerticalPolicy(9)}); err == nil {
-		t.Error("unknown vertical policy accepted")
 	}
 }
 

@@ -370,8 +370,12 @@ func segmentFixture(tb testing.TB) ([]byte, []Segment, []fixtureSeg) {
 // from any mutation of the file the writer produced. Each segment must come
 // back exactly as written or fail with an error — never a panic, never
 // different values — and reading every segment into caller storage must
-// allocate no more than the index's Count×width bytes.
+// allocate no more than the index's Count×width bytes. The allocation
+// check reads process-wide TotalAlloc, so the test runs at GOMAXPROCS 1:
+// with more Ps, a stop-the-world restart inside the window can start an OS
+// thread whose runtime structures count against the budget.
 func FuzzSegmentReader(f *testing.F) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	file, idx, segs := segmentFixture(f)
 	f.Add(file)
 	budget := uint64(0)

@@ -181,7 +181,8 @@ type (
 	NaiveBayes = bayes.Classifier
 	// NaiveBayesConfig parameterizes TrainNaiveBayes.
 	NaiveBayesConfig = bayes.Config
-	// Transactions is a boolean market-basket dataset.
+	// Transactions is a boolean market-basket dataset, stored as one
+	// TID-bitmap column per item that AddBatch appends to in place.
 	Transactions = assoc.Dataset
 	// BitFlip is the per-item randomization operator for transactions.
 	BitFlip = assoc.BitFlip
@@ -189,25 +190,8 @@ type (
 	Itemset = assoc.Itemset
 	// MiningConfig bounds Apriori mining.
 	MiningConfig = assoc.MiningConfig
-	// VerticalPolicy selects the mining counting engine via
-	// MiningConfig.Vertical.
-	VerticalPolicy = assoc.VerticalPolicy
 	// BasketGenConfig parameterizes GenerateBaskets.
 	BasketGenConfig = assoc.GenConfig
-)
-
-// Counting-engine policies for MiningConfig.Vertical: the zero-value
-// VerticalAuto indexes datasets of at least assoc.VerticalThreshold
-// transactions and scans smaller ones horizontally; VerticalOn and
-// VerticalOff force one engine. Both engines produce byte-identical
-// results.
-const (
-	// VerticalAuto picks the engine by dataset size (the default).
-	VerticalAuto = assoc.VerticalAuto
-	// VerticalOn forces the TID-bitmap index engine.
-	VerticalOn = assoc.VerticalOn
-	// VerticalOff forces the horizontal row-scan engine.
-	VerticalOff = assoc.VerticalOff
 )
 
 // Benchmark and harness types.
@@ -488,13 +472,15 @@ func GenerateBaskets(cfg BasketGenConfig) (*Transactions, [][]int, error) {
 	return assoc.Generate(cfg)
 }
 
-// FrequentItemsets mines frequent itemsets with exact supports (Apriori).
+// FrequentItemsets mines frequent itemsets with exact supports: Apriori's
+// itemsets, found depth-first by intersecting the item columns.
 func FrequentItemsets(d *Transactions, cfg MiningConfig) ([]Itemset, error) {
 	return assoc.Frequent(d, cfg)
 }
 
 // FrequentFromRandomized mines the original data's frequent itemsets from a
-// randomized dataset by inverting the bit-flip channel.
+// randomized dataset by inverting the bit-flip channel over each candidate's
+// column pattern counts, level by level.
 func FrequentFromRandomized(randomized *Transactions, bf BitFlip, cfg MiningConfig) ([]Itemset, error) {
 	return assoc.FrequentFromRandomized(randomized, bf, cfg)
 }
