@@ -311,18 +311,21 @@ func reassignColumn(j int, values []float64, labels []int, classes int, part rec
 	case Global:
 		return assignPerturbed(values, part, m, cfg, fmt.Sprintf("attribute %d", j))
 	case ByClass:
+		sizes := make([]int, classes)
+		for _, l := range labels {
+			sizes[l]++
+		}
 		col := make([]int, len(values))
-		for cl := 0; cl < classes; cl++ {
-			var classVals []float64
-			var rowIdx []int
+		for cl, size := range sizes {
+			if size == 0 {
+				continue
+			}
+			classVals, rowIdx := make([]float64, 0, size), make([]int, 0, size)
 			for r, l := range labels {
 				if l == cl {
 					classVals = append(classVals, values[r])
 					rowIdx = append(rowIdx, r)
 				}
-			}
-			if len(classVals) == 0 {
-				continue
 			}
 			bins, err := assignPerturbed(classVals, part, m, cfg, fmt.Sprintf("attribute %d class %d", j, cl))
 			if err != nil {

@@ -94,15 +94,22 @@ func (s *localSource) NodeDistributions(attr int, rows []int, span tree.Span) ([
 	if !perturbed || len(rows) < s.cfg.LocalMinRecords || span.Count() < 2 {
 		return nil, false
 	}
+	sizes := make([]int, s.classes)
+	for _, r := range rows {
+		sizes[s.labels[r]]++
+	}
+	for _, n := range sizes {
+		if n > 0 && n < s.cfg.LocalMinRecords/4 {
+			return nil, false
+		}
+	}
 	byClassVals := make([][]float64, s.classes)
+	for c, n := range sizes {
+		byClassVals[c] = make([]float64, 0, n)
+	}
 	for _, r := range rows {
 		c := s.labels[r]
 		byClassVals[c] = append(byClassVals[c], s.table.Row(r)[attr])
-	}
-	for _, vals := range byClassVals {
-		if n := len(vals); n > 0 && n < s.cfg.LocalMinRecords/4 {
-			return nil, false
-		}
 	}
 	part := s.parts[attr]
 	sub, err := reconstruct.NewPartition(part.LoEdge(span.Lo), part.HiEdge(span.Hi), span.Count())

@@ -185,6 +185,9 @@ func (cfg Config) normalized(n int) (Config, error) {
 	if cfg.Intervals < 2 {
 		return cfg, fmt.Errorf("core: need >= 2 intervals, got %d", cfg.Intervals)
 	}
+	if cfg.LocalMinRecords < 0 {
+		return cfg, fmt.Errorf("core: LocalMinRecords %d must not be negative (0 means DefaultLocalMinRecords)", cfg.LocalMinRecords)
+	}
 	if cfg.LocalMinRecords == 0 {
 		cfg.LocalMinRecords = DefaultLocalMinRecords
 	}

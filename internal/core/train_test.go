@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"ppdm/internal/noise"
@@ -28,6 +29,13 @@ func TestTrainValidation(t *testing.T) {
 	}
 	if _, err := Train(tb, Config{Mode: Local}); err == nil {
 		t.Error("Local without noise models accepted")
+	}
+	models, err := noise.ModelsForAllAttrs(tb.Schema(), "gaussian", 1.0, noise.DefaultConfidence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Train(tb, Config{Mode: Local, Noise: models, LocalMinRecords: -1}); err == nil || !strings.Contains(err.Error(), "LocalMinRecords") {
+		t.Errorf("negative LocalMinRecords: err = %v, want an error naming the field", err)
 	}
 }
 

@@ -110,6 +110,13 @@ func (t *Table) Column(j int) []float64 {
 // ColumnForClass returns a copy of column j restricted to records of the
 // given class, along with the original row indices of those records.
 func (t *Table) ColumnForClass(j, class int) (values []float64, rowIdx []int) {
+	n := 0
+	for _, l := range t.labels {
+		if l == class {
+			n++
+		}
+	}
+	values, rowIdx = make([]float64, 0, n), make([]int, 0, n)
 	for i, r := range t.rows {
 		if t.labels[i] == class {
 			values = append(values, r[j])
