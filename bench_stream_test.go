@@ -112,13 +112,11 @@ func BenchmarkReconstructColumnStreamed(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		stats, err := ppdm.CollectStreamStats(perturbed, map[int]ppdm.Partition{ageIdx: part})
+		stats, err := ppdm.CollectStreamStats(perturbed, map[int]ppdm.Partition{ageIdx: part}, models)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := stats.Collector(ageIdx).Reconstruct(ppdm.ReconstructConfig{
-			Noise: models[ageIdx], Epsilon: 1e-3,
-		}); err != nil {
+		if _, err := stats.Collector(ageIdx).Reconstruct(ppdm.ReconstructConfig{Epsilon: 1e-3}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,11 +32,6 @@ type Config struct {
 	ReconAlgorithm reconstruct.Algorithm
 	ReconMaxIters  int
 	ReconEpsilon   float64
-	// ReconTailMass bounds the noise mass the banded reconstruction kernel
-	// may discard per transition-matrix row for unbounded noise models; zero
-	// selects reconstruct.DefaultTailMass, negative disables banding (dense
-	// rows for every model).
-	ReconTailMass float64
 	// Smoothing is the Laplace pseudo-count (default DefaultSmoothing).
 	Smoothing float64
 }
@@ -140,7 +135,6 @@ func Train(train *dataset.Table, cfg Config) (*Classifier, error) {
 					Algorithm: cfg.ReconAlgorithm,
 					MaxIters:  cfg.ReconMaxIters,
 					Epsilon:   cfg.ReconEpsilon,
-					TailMass:  cfg.ReconTailMass,
 				})
 				if err != nil {
 					return nil, fmt.Errorf("bayes: reconstructing attribute %d class %d: %w", j, c, err)

@@ -61,7 +61,7 @@ func NewTrainStats(s *dataset.Schema, cfg Config) (*TrainStats, error) {
 	}
 	var stats *reconstruct.StreamStats
 	if len(reconParts) > 0 {
-		stats, err = reconstruct.NewStreamStats(s, reconParts)
+		stats, err = reconstruct.NewStreamStats(s, reconParts, cfg.Noise)
 		if err != nil {
 			return nil, err
 		}
@@ -177,11 +177,9 @@ func (t *TrainStats) Finalize() (*Classifier, error) {
 				col := t.stats.ClassCollector(j, c)
 				if col.N() > 0 {
 					res, err := col.Reconstruct(reconstruct.Config{
-						Noise:     cfg.Noise[j],
 						Algorithm: cfg.ReconAlgorithm,
 						MaxIters:  cfg.ReconMaxIters,
 						Epsilon:   cfg.ReconEpsilon,
-						TailMass:  cfg.ReconTailMass,
 					})
 					if err != nil {
 						return nil, fmt.Errorf("bayes: reconstructing attribute %d class %d: %w", j, c, err)
@@ -264,12 +262,12 @@ func NewTrainStatsFromState(s *dataset.Schema, cfg Config, state TrainStatsState
 		return nil, errors.New("bayes: state and config disagree on reconstruction collectors")
 	}
 	if state.Recon != nil {
-		stats, err := reconstruct.NewStreamStatsFromState(s, *state.Recon)
+		stats, err := reconstruct.NewStreamStatsFromState(s, t.cfg.Noise, *state.Recon)
 		if err != nil {
 			return nil, err
 		}
 		for j, recon := range t.useRecon {
-			if recon && stats.Collector(j) == nil {
+			if recon && stats.ClassCollector(j, 0) == nil {
 				return nil, fmt.Errorf("bayes: state lacks collectors for reconstructed attribute %d", j)
 			}
 		}

@@ -290,22 +290,3 @@ func TestGenToFileReportsCount(t *testing.T) {
 		t.Error("file content malformed")
 	}
 }
-
-// TestTailFlagHelpStatesDefault pins the -tail / -recon-tail help text to the
-// banded-kernel contract documented in internal/reconstruct/doc.go: the
-// implicit default is 1e-12 and a negative value selects dense rows.
-func TestTailFlagHelpStatesDefault(t *testing.T) {
-	for name, cmd := range map[string]func([]string, *bytes.Buffer, *bytes.Buffer) int{
-		"reconstruct": reconstructCmd, "train": trainCmd,
-	} {
-		_, errOut, code := runCmd(t, cmd, []string{"-h"})
-		if code != 2 {
-			t.Fatalf("%s -h: exit %d, want 2", name, code)
-		}
-		for _, want := range []string{"default 1e-12", "negative = dense rows"} {
-			if !strings.Contains(errOut, want) {
-				t.Errorf("%s -h output missing %q:\n%s", name, want, errOut)
-			}
-		}
-	}
-}

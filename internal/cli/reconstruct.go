@@ -18,7 +18,7 @@ import (
 //
 // Usage: ppdm-reconstruct [-shape plateau|triangles|uniform] [-n 100000]
 // [-family uniform|gaussian] [-privacy 1.0] [-k 20] [-algorithm bayes|em]
-// [-seed 1] [-tail 0] [-workers 0]
+// [-seed 1] [-workers 0]
 func Reconstruct(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ppdm-reconstruct", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -29,7 +29,6 @@ func Reconstruct(args []string, stdout, stderr io.Writer) int {
 	k := fs.Int("k", 20, "number of intervals")
 	algorithm := fs.String("algorithm", "bayes", "reconstruction algorithm: bayes|em")
 	seed := fs.Uint64("seed", 1, "seed")
-	tail := fs.Float64("tail", 0, "noise tail mass the banded kernel may discard per matrix row for unbounded noise (0 = default 1e-12, negative = dense rows)")
 	workers := fs.Int("workers", 0, "worker goroutines for the kernel precompute and iteration passes (0 = all cores); results are identical for any value")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -87,7 +86,7 @@ func Reconstruct(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	res, err := reconstruct.Reconstruct(perturbed, reconstruct.Config{Partition: part, Noise: m, Algorithm: alg, Epsilon: 1e-3, TailMass: *tail, Workers: *workers})
+	res, err := reconstruct.Reconstruct(perturbed, reconstruct.Config{Partition: part, Noise: m, Algorithm: alg, Epsilon: 1e-3, Workers: *workers})
 	if err != nil {
 		return fail(stderr, err)
 	}

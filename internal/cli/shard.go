@@ -36,7 +36,7 @@ func splitURLs(s string) []string {
 // a shard-worker request. shardConfigFromQuery on the worker resolves them
 // back to the identical bayes.Config (same flag vocabulary as ppdm-train),
 // so coordinator and workers accumulate statistics on the same grids.
-func shardQuery(mode, family string, privacy, conf float64, intervals int, algorithm string, reconTail float64) url.Values {
+func shardQuery(mode, family string, privacy, conf float64, intervals int, algorithm string) url.Values {
 	q := url.Values{}
 	q.Set("mode", mode)
 	q.Set("family", family)
@@ -44,7 +44,6 @@ func shardQuery(mode, family string, privacy, conf float64, intervals int, algor
 	q.Set("conf", strconv.FormatFloat(conf, 'g', -1, 64))
 	q.Set("intervals", strconv.Itoa(intervals))
 	q.Set("algorithm", algorithm)
-	q.Set("recon-tail", strconv.FormatFloat(reconTail, 'g', -1, 64))
 	return q
 }
 
@@ -83,10 +82,6 @@ func shardConfigFromQuery(q url.Values) (bayes.Config, error) {
 	if err != nil {
 		return bayes.Config{}, err
 	}
-	reconTail, err := queryFloat("recon-tail", 0)
-	if err != nil {
-		return bayes.Config{}, err
-	}
 	intervals := 0
 	if s := q.Get("intervals"); s != "" {
 		if intervals, err = strconv.Atoi(s); err != nil {
@@ -97,7 +92,6 @@ func shardConfigFromQuery(q url.Values) (bayes.Config, error) {
 		Mode:           mode,
 		Intervals:      intervals,
 		ReconAlgorithm: alg,
-		ReconTailMass:  reconTail,
 	}
 	if mode.NeedsNoise() {
 		family := q.Get("family")

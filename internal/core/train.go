@@ -47,12 +47,6 @@ type Config struct {
 	// values use the reconstruct package defaults.
 	ReconMaxIters int
 	ReconEpsilon  float64
-	// ReconTailMass bounds the noise mass the banded reconstruction kernel
-	// may discard per transition-matrix row for unbounded noise models; zero
-	// selects reconstruct.DefaultTailMass, negative disables banding for
-	// every model (dense rows). When banding is enabled, bounded noise
-	// (uniform) bands at its exact support, discarding zero mass.
-	ReconTailMass float64
 	// Tree configures the decision-tree learner.
 	Tree tree.Config
 	// LocalMinRecords is Local mode's re-reconstruction threshold (default
@@ -276,7 +270,6 @@ func reconCfg(cfg Config, part reconstruct.Partition, m noise.Model) reconstruct
 		Algorithm:          cfg.ReconAlgorithm,
 		MaxIters:           cfg.ReconMaxIters,
 		Epsilon:            cfg.ReconEpsilon,
-		TailMass:           cfg.ReconTailMass,
 		Workers:            1,
 		DisableWeightCache: cfg.DisableWeightCache,
 	}

@@ -186,12 +186,9 @@ func runClassify(c *ClassifySpec, cfg Config, workers int) (measured, error) {
 		}
 	}
 
-	alg, tailMass := reconstruct.Bayes, 0.0
-	if c.Noise != nil {
-		if c.Noise.Algorithm == "em" {
-			alg = reconstruct.EM
-		}
-		tailMass = c.Noise.TailMass
+	alg := reconstruct.Bayes
+	if c.Noise != nil && c.Noise.Algorithm == "em" {
+		alg = reconstruct.EM
 	}
 
 	start := time.Now()
@@ -199,7 +196,7 @@ func runClassify(c *ClassifySpec, cfg Config, workers int) (measured, error) {
 	if learner := c.Learner; learner == "nb" {
 		bcfg := bayes.Config{
 			Mode: mode, Intervals: c.Intervals, Noise: models,
-			ReconAlgorithm: alg, ReconTailMass: tailMass,
+			ReconAlgorithm: alg,
 		}
 		var model *bayes.Classifier
 		switch {
@@ -217,8 +214,7 @@ func runClassify(c *ClassifySpec, cfg Config, workers int) (measured, error) {
 	} else {
 		ccfg := core.Config{
 			Mode: mode, Intervals: c.Intervals, Noise: models,
-			ReconAlgorithm: alg, ReconTailMass: tailMass,
-			Workers: workers, ColumnCacheSegments: c.SpillCacheSegments,
+			ReconAlgorithm: alg, Workers: workers, ColumnCacheSegments: c.SpillCacheSegments,
 		}
 		var model *core.Classifier
 		switch {
@@ -295,9 +291,8 @@ func meanReconFidelity(clean, perturbed *dataset.Table, models map[int]noise.Mod
 		}
 		res, err := reconstruct.Reconstruct(perturbed.Column(j), reconstruct.Config{
 			Partition: part, Noise: models[j], Algorithm: alg,
-			Epsilon:  core.DefaultReconEpsilon,
-			TailMass: c.Noise.TailMass,
-			Workers:  1,
+			Epsilon: core.DefaultReconEpsilon,
+			Workers: 1,
 		})
 		if err != nil {
 			return 0, fmt.Errorf("attribute %q: %w", a.Name, err)

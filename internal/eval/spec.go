@@ -117,9 +117,6 @@ type NoiseSpec struct {
 	Confidence float64 `json:"confidence,omitempty"`
 	// Seed drives the perturbation.
 	Seed uint64 `json:"seed"`
-	// TailMass is the banded reconstruction kernel's per-row discardable
-	// noise mass (0 = default, negative = dense rows).
-	TailMass float64 `json:"tail_mass,omitempty"`
 	// Algorithm is the reconstruction update rule, "bayes" (default) or
 	// "em".
 	Algorithm string `json:"algorithm,omitempty"`

@@ -53,7 +53,7 @@ func (l Laplace) ConfidenceWidth(conf float64) float64 {
 	return -2 * l.B * math.Log(1-conf)
 }
 
-// Support implements Supporter: P(|Y| > R) = e^(−R/b) = tailMass gives
+// Support implements Model: P(|Y| > R) = e^(−R/b) = tailMass gives
 // R = −b·ln(tailMass). The support is unbounded, so tailMass <= 0 yields
 // +Inf.
 func (l Laplace) Support(tailMass float64) float64 {

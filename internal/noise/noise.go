@@ -25,18 +25,11 @@ type Model interface {
 	// ConfidenceWidth returns the width of the centered interval that
 	// contains a fraction conf of the noise mass.
 	ConfidenceWidth(conf float64) float64
-}
-
-// Supporter is an optional Model extension for band-limited consumers: a
-// model that can bound its support reports the radius beyond which (almost)
-// no noise mass lies. The reconstruction kernel uses it to store transition
-// matrices as narrow bands instead of dense rows; models that do not
-// implement it are treated as having unbounded support.
-type Supporter interface {
-	// Support returns a radius R such that at most tailMass of the noise
-	// probability mass lies outside [-R, R]. Models with genuinely bounded
-	// support return the exact radius even at tailMass = 0; unbounded models
-	// return +Inf when tailMass <= 0.
+	// Support returns a finite radius R such that at most tailMass of the
+	// noise probability mass lies outside [-R, R], for any tailMass in
+	// (0, 1). Models with genuinely bounded support return the exact
+	// radius. The reconstruction kernel stores its transition matrices as
+	// bands of this radius, and bounds its observation grids by it.
 	Support(tailMass float64) float64
 }
 
@@ -81,8 +74,8 @@ func (u Uniform) CDF(y float64) float64 {
 // fraction c of the mass, so the width is 2cα.
 func (u Uniform) ConfidenceWidth(conf float64) float64 { return 2 * conf * u.Alpha }
 
-// Support implements Supporter: the support is exactly [-α, +α] for any
-// tail mass, including 0.
+// Support implements Model: the support is exactly [-α, +α] for any tail
+// mass.
 func (u Uniform) Support(tailMass float64) float64 { return u.Alpha }
 
 // Gaussian is additive noise distributed N(0, Sigma²).
@@ -119,7 +112,7 @@ func (g Gaussian) ConfidenceWidth(conf float64) float64 {
 	return 2 * normalQuantile(conf) * g.Sigma
 }
 
-// Support implements Supporter: P(|Y| > z·σ) = tailMass at the two-sided
+// Support implements Model: P(|Y| > z·σ) = tailMass at the two-sided
 // quantile z = √2·erfinv(1−tailMass). The support is unbounded, so
 // tailMass <= 0 yields +Inf.
 func (g Gaussian) Support(tailMass float64) float64 {

@@ -181,7 +181,7 @@ func TestSampleMomentsMatchModel(t *testing.T) {
 	}
 }
 
-// TestSupportRadii pins the Supporter contract for all three models: the
+// TestSupportRadii pins the Support contract for all three models: the
 // uniform support is exact at any tail mass (including 0), unbounded models
 // return +Inf at tail mass 0, and the quantile radii really contain all but
 // tailMass of the mass (checked against the CDF).
@@ -193,12 +193,11 @@ func TestSupportRadii(t *testing.T) {
 	g := Gaussian{Sigma: 3}
 	l := Laplace{B: 2}
 	for _, m := range []Model{g, l} {
-		sup := m.(Supporter)
-		if !math.IsInf(sup.Support(0), 1) || !math.IsInf(sup.Support(-1), 1) {
+		if !math.IsInf(m.Support(0), 1) || !math.IsInf(m.Support(-1), 1) {
 			t.Errorf("%s: tailMass <= 0 should give +Inf", m.Name())
 		}
 		for _, tail := range []float64{1e-2, 1e-6, 1e-12} {
-			r := sup.Support(tail)
+			r := m.Support(tail)
 			if !(r > 0) || math.IsInf(r, 0) {
 				t.Fatalf("%s: Support(%g) = %v", m.Name(), tail, r)
 			}
@@ -223,7 +222,7 @@ func TestSupportRadii(t *testing.T) {
 
 // TestSupportMonotonic checks that smaller tail masses give wider radii.
 func TestSupportMonotonic(t *testing.T) {
-	for _, sup := range []Supporter{Gaussian{Sigma: 5}, Laplace{B: 5}} {
+	for _, sup := range []Model{Gaussian{Sigma: 5}, Laplace{B: 5}} {
 		prev := 0.0
 		for _, tail := range []float64{1e-1, 1e-3, 1e-6, 1e-9} {
 			r := sup.Support(tail)

@@ -28,14 +28,9 @@ func PerturbTable(t *dataset.Table, models map[int]Model, seed uint64) (*dataset
 // for records [c·PerturbChunk, (c+1)·PerturbChunk) always comes from the c-th
 // substream of the seed, regardless of which worker processes the chunk.
 func PerturbTableWorkers(t *dataset.Table, models map[int]Model, seed uint64, workers int) (*dataset.Table, error) {
-	nAttrs := t.Schema().NumAttrs()
-	for j, m := range models {
-		if j < 0 || j >= nAttrs {
-			return nil, fmt.Errorf("noise: model for attribute %d, table has %d attributes", j, nAttrs)
-		}
-		if m == nil {
-			return nil, fmt.Errorf("noise: nil model for attribute %d", j)
-		}
+	byAttr, err := modelsByAttr(models, t.Schema().NumAttrs(), "table")
+	if err != nil {
+		return nil, err
 	}
 	out := t.Clone()
 	srcs := prng.SplitN(seed, parallel.NumChunks(out.N(), PerturbChunk))
@@ -43,16 +38,31 @@ func PerturbTableWorkers(t *dataset.Table, models map[int]Model, seed uint64, wo
 		r := srcs[c]
 		for i := lo; i < hi; i++ {
 			row := out.Row(i)
-			for j := 0; j < nAttrs; j++ {
-				m, ok := models[j]
-				if !ok {
-					continue
+			for j, m := range byAttr {
+				if m != nil {
+					out.SetValue(i, j, row[j]+m.Sample(r))
 				}
-				out.SetValue(i, j, row[j]+m.Sample(r))
 			}
 		}
 	})
 	return out, nil
+}
+
+// modelsByAttr checks a model map against a source of nAttrs attributes and
+// resolves it into an attribute-indexed slice, nil meaning unperturbed, so
+// the per-value loops index a slice instead of looking up the map.
+func modelsByAttr(models map[int]Model, nAttrs int, source string) ([]Model, error) {
+	byAttr := make([]Model, nAttrs)
+	for j, m := range models {
+		if j < 0 || j >= nAttrs {
+			return nil, fmt.Errorf("noise: model for attribute %d, %s has %d attributes", j, source, nAttrs)
+		}
+		if m == nil {
+			return nil, fmt.Errorf("noise: nil model for attribute %d", j)
+		}
+		byAttr[j] = m
+	}
+	return byAttr, nil
 }
 
 // ModelsForAllAttrs builds the per-attribute model map used throughout the

@@ -11,10 +11,9 @@ import (
 // perturbStream perturbs record batches as they flow.
 type perturbStream struct {
 	src     stream.Source
-	models  map[int]Model
+	models  []Model // attribute-indexed; nil means unperturbed
 	cursor  *stream.ChunkCursor
 	workers int
-	nAttrs  int
 }
 
 // PerturbStream wraps a record stream so that every batch is perturbed in
@@ -27,21 +26,15 @@ type perturbStream struct {
 // any batch size. Batches are perturbed in place: the returned source yields
 // the upstream batches with their values modified.
 func PerturbStream(src stream.Source, models map[int]Model, seed uint64, workers int) (stream.Source, error) {
-	nAttrs := src.Schema().NumAttrs()
-	for j, m := range models {
-		if j < 0 || j >= nAttrs {
-			return nil, fmt.Errorf("noise: model for attribute %d, stream has %d attributes", j, nAttrs)
-		}
-		if m == nil {
-			return nil, fmt.Errorf("noise: nil model for attribute %d", j)
-		}
+	byAttr, err := modelsByAttr(models, src.Schema().NumAttrs(), "stream")
+	if err != nil {
+		return nil, err
 	}
 	return &perturbStream{
 		src:     src,
-		models:  models,
+		models:  byAttr,
 		cursor:  stream.NewChunkCursor(seed, PerturbChunk),
 		workers: workers,
-		nAttrs:  nAttrs,
 	}, nil
 }
 
@@ -70,12 +63,10 @@ func (p *perturbStream) Next() (*stream.Batch, error) {
 		r := sp.R
 		for i := sp.Lo; i < sp.Hi; i++ {
 			row := b.Row(i - b.Start)
-			for j := 0; j < p.nAttrs; j++ {
-				m, ok := p.models[j]
-				if !ok {
-					continue
+			for j, m := range p.models {
+				if m != nil {
+					row[j] += m.Sample(r)
 				}
-				row[j] += m.Sample(r)
 			}
 		}
 		return nil

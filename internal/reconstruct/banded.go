@@ -1,7 +1,6 @@
 package reconstruct
 
 import (
-	"math"
 	"sync"
 
 	"ppdm/internal/noise"
@@ -9,10 +8,10 @@ import (
 )
 
 // DefaultTailMass is the total per-row noise mass (both tails combined)
-// the banded kernel may discard for an unbounded model (Gaussian/Laplace)
-// when Config.TailMass is zero. It is far below the statistical noise floor of
-// any reconstruction, so the default band is numerically indistinguishable
-// from the dense matrix while still pruning genuinely negligible tails.
+// the banded kernel discards for an unbounded model (Gaussian/Laplace). It
+// is far below the statistical noise floor of any reconstruction, so the
+// band is numerically indistinguishable from the dense matrix while still
+// pruning genuinely negligible tails.
 const DefaultTailMass = 1e-12
 
 // bandedWeights is the transition-weight matrix A[s][t] between observation
@@ -28,8 +27,8 @@ const DefaultTailMass = 1e-12
 // Entries with |d| > radius are dropped; row s therefore stores only the
 // contiguous [bandLo(s), bandHi(s)) slice of its full k-wide row, packed
 // back to back in one data slab. radius is chosen from the noise model's
-// support (noise.Supporter) so dropped entries are exactly zero for bounded
-// noise and carry at most Config.TailMass total probability mass (both
+// support (supportRadius) so dropped entries are exactly zero for bounded
+// noise and carry at most DefaultTailMass total probability mass (both
 // tails combined) per row for unbounded noise; a radius covering every row
 // reproduces the dense matrix.
 //
@@ -103,35 +102,6 @@ func denseRadius(k, lowIdx, m int) int {
 	return r
 }
 
-// bandRadius resolves the band half-width for one reconstruction: the noise
-// model's support radius at the configured tail mass, in intervals, plus one
-// interval of slack for the EM half-interval edge offsets and floating-point
-// boundary rounding. Models that cannot bound their support, and
-// configurations with a negative TailMass, get the dense radius.
-func bandRadius(cfg Config, width float64, k, lowIdx, m int) int {
-	dense := denseRadius(k, lowIdx, m)
-	tail := cfg.TailMass
-	if tail == 0 {
-		tail = DefaultTailMass
-	}
-	if tail < 0 {
-		return dense
-	}
-	sup, ok := cfg.Noise.(noise.Supporter)
-	if !ok {
-		return dense
-	}
-	r := sup.Support(tail)
-	if math.IsInf(r, 1) || math.IsNaN(r) {
-		return dense
-	}
-	band := int(math.Ceil(r/width)) + 1
-	if band >= dense {
-		return dense
-	}
-	return band
-}
-
 // computeWeights builds the banded matrix for one geometry. The per-row
 // evaluations run in parallel bounded by workers; rows are index-addressed,
 // so the result is bitwise identical at any worker count. The transposed
@@ -201,8 +171,8 @@ func computeWeights(m noise.Model, alg Algorithm, width float64, k, lowIdx, nObs
 // vector that holds denominators, then update coefficients (length m).
 // Instances cycle through scratchPool so steady-state reconstruction — the
 // per-node Local-mode path and serving-adjacent callers — performs no
-// iteration-state allocation; only the observation histogram and the
-// returned estimate are fresh per call.
+// iteration-state allocation; only the observation grid and the returned
+// estimate are fresh per call.
 type iterScratch struct {
 	p, next []float64
 	q       []float64

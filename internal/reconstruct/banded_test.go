@@ -17,24 +17,6 @@ func bandedPerturbed(n int, m noise.Model, seed uint64) []float64 {
 	return perturbSamples(original, m, seed+1)
 }
 
-// reconstructPair runs one reconstruction banded (cfg.TailMass as given) and
-// once dense (TailMass = -1), both cache-bypassed so neither can shortcut
-// through the other's matrix.
-func reconstructPair(t *testing.T, vals []float64, cfg Config) (banded, dense Result) {
-	t.Helper()
-	cfg.DisableWeightCache = true
-	banded, err := Reconstruct(vals, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.TailMass = -1
-	dense, err = Reconstruct(vals, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return banded, dense
-}
-
 // TestBandedMatchesDenseUniform is the bounded-noise exactness property:
 // every entry the band drops is exactly zero for uniform noise, so the
 // banded kernel must reproduce the dense result bit for bit — same
@@ -59,8 +41,7 @@ func TestBandedMatchesDenseUniform(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cfg.TailMass = -1
-		dense, err := Reconstruct(vals, cfg)
+		dense, err := reconstructDense(vals, cfg)
 		if err != nil {
 			return false
 		}
@@ -79,10 +60,10 @@ func TestBandedMatchesDenseUniform(t *testing.T) {
 	}
 }
 
-// TestBandedWithinTailBound is the unbounded-noise accuracy contract: at
-// tail mass τ the banded result may differ from dense by at most the
-// documented tolerance Iters·k·τ in total variation — and at the default
-// τ = 1e-12 the two are indistinguishable at any practical precision.
+// TestBandedWithinTailBound is the unbounded-noise accuracy contract: a
+// band at tail mass τ may move the result away from dense rows by at most
+// Iters·k·τ in total variation — and at the kernel's DefaultTailMass of
+// 1e-12 the two are indistinguishable at any practical precision.
 func TestBandedWithinTailBound(t *testing.T) {
 	gauss, _ := noise.NewGaussian(6)
 	lap, _ := noise.NewLaplace(4)
@@ -92,8 +73,19 @@ func TestBandedWithinTailBound(t *testing.T) {
 		m    noise.Model
 	}{{"gaussian", gauss}, {"laplace", lap}} {
 		vals := bandedPerturbed(20000, tc.m, 42)
+		cfg := Config{Partition: part, Noise: tc.m, DisableWeightCache: true}
+		dense, err := reconstructDense(vals, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, tail := range []float64{1e-3, 1e-6, DefaultTailMass} {
-			banded, dense := reconstructPair(t, vals, Config{Partition: part, Noise: tc.m, TailMass: tail})
+			banded, err := reconstructWithRadius(vals, cfg, int(math.Ceil(tc.m.Support(tail)/part.Width()))+1)
+			if tail == DefaultTailMass {
+				banded, err = Reconstruct(vals, cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 			tv, err := stats.TotalVariation(banded.P, dense.P)
 			if err != nil {
 				t.Fatal(err)
@@ -116,13 +108,14 @@ func TestBandedActuallyBands(t *testing.T) {
 	m := noise.Uniform{Alpha: 5}
 	part, _ := NewPartition(0, 100, 100)
 	vals := bandedPerturbed(5000, m, 7)
-	obs := newObservationGrid(vals, part)
+	obs := newObservationGrid(vals, part, m)
 	banded := transitionWeights(Config{Partition: part, Noise: m, DisableWeightCache: true}, obs)
-	dense := transitionWeights(Config{Partition: part, Noise: m, TailMass: -1, DisableWeightCache: true}, obs)
+	dr := denseRadius(part.K, obs.lowIdx, len(obs.counts))
+	dense := computeWeights(m, Bayes, part.Width(), part.K, obs.lowIdx, len(obs.counts), dr, 1)
 	if got, limit := len(banded.data), len(dense.data)/4; got > limit {
 		t.Errorf("banded slab holds %d entries, dense %d — banding is not happening", got, len(dense.data))
 	}
-	if banded.radius >= denseRadius(part.K, obs.lowIdx, len(obs.counts)) {
+	if banded.radius >= dr {
 		t.Errorf("banded radius %d is the dense radius", banded.radius)
 	}
 }
@@ -136,13 +129,18 @@ func TestIterationWorkerDeterminism(t *testing.T) {
 	part, _ := NewPartition(0, 100, 300)
 	vals := bandedPerturbed(50000, m, 11)
 	for _, alg := range []Algorithm{Bayes, EM} {
-		for _, tail := range []float64{0, -1} {
+		for _, dense := range []bool{false, true} {
 			var ps [2][]float64
 			for i, workers := range []int{1, 8} {
-				res, err := Reconstruct(vals, Config{
-					Partition: part, Noise: m, Algorithm: alg, TailMass: tail,
+				cfg := Config{
+					Partition: part, Noise: m, Algorithm: alg,
 					Workers: workers, DisableWeightCache: true, MaxIters: 40,
-				})
+				}
+				run := Reconstruct
+				if dense {
+					run = reconstructDense
+				}
+				res, err := run(vals, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -150,47 +148,52 @@ func TestIterationWorkerDeterminism(t *testing.T) {
 			}
 			for b := range ps[0] {
 				if ps[0][b] != ps[1][b] {
-					t.Fatalf("alg %v tail %v: bin %d differs between Workers=1 and Workers=8", alg, tail, b)
+					t.Fatalf("alg %v dense %v: bin %d differs between Workers=1 and Workers=8", alg, dense, b)
 				}
 			}
 		}
 	}
 }
 
-// TestBandedCollectorMatchesReconstruct checks the second entry point into
-// reconstructGrid: a Collector over the same observations must produce the
-// identical banded estimate.
+// TestBandedCollectorMatchesReconstruct checks the bounded grid against the
+// unbounded oracle grid: with every observation inside the band, the
+// collector's window is the oracle grid, so the banded estimate is
+// identical.
 func TestBandedCollectorMatchesReconstruct(t *testing.T) {
 	m := noise.Uniform{Alpha: 10}
 	part, _ := NewPartition(0, 100, 30)
 	vals := bandedPerturbed(8000, m, 13)
-	direct, err := Reconstruct(vals, Config{Partition: part, Noise: m})
+	cfg := Config{Partition: part, Noise: m}
+	oracle, err := reconstructGrid(newObservationGrid(vals, part, m), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCollector(part)
+	c, err := NewCollector(part, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddAll(vals); err != nil {
 		t.Fatal(err)
 	}
-	collected, err := c.Reconstruct(Config{Partition: part, Noise: m})
+	collected, err := c.Reconstruct(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for b := range direct.P {
-		if direct.P[b] != collected.P[b] {
-			t.Fatalf("bin %d: collector path differs from direct path", b)
+	for b := range oracle.P {
+		if oracle.P[b] != collected.P[b] {
+			t.Fatalf("bin %d: collector path differs from the oracle grid", b)
 		}
 	}
 }
 
-// TestObservationGridEdgeFuzz drives newObservationGrid with adversarial
-// values — exact bucket edges, values far outside the domain, negative
-// offsets, single observations — and checks its invariants: every value is
-// counted exactly once, the grid covers the observed range, and the grid
-// stays aligned to the partition.
+// TestObservationGridEdgeFuzz drives the collector grid and the unbounded
+// oracle grid with adversarial values — exact bucket edges, values far
+// outside the domain, negative offsets, single observations — and checks
+// that every value is counted exactly once, that out-of-band values land
+// in the end row on their side, and that in-band values bin as the oracle
+// bins them. The oracle bins relative to the low edge of its own grid, so
+// a value that sits on an interval edge may round to either side of it in
+// either formula; there the two may differ by one interval.
 func TestObservationGridEdgeFuzz(t *testing.T) {
 	f := func(seed uint64, kRaw uint8, spreadRaw uint8) bool {
 		r := prng.New(seed)
@@ -212,57 +215,69 @@ func TestObservationGridEdgeFuzz(t *testing.T) {
 				vals[i] = r.Uniform(-spread, 100+spread)
 			}
 		}
-		g := newObservationGrid(vals, part)
+		m := noise.Uniform{Alpha: spread}
+		c, err := NewCollector(part, m)
+		if err != nil {
+			return false
+		}
+		if err := c.AddAll(vals); err != nil {
+			return false
+		}
+		g := newObservationGrid(vals, part, m)
+		lo, w := gridLo(g, part), part.Width()
+		rad := c.radius
+		for _, v := range vals {
+			want := g.lowIdx + min(max(int((v-lo)/w), 0), len(g.counts)-1)
+			want = min(max(want, -rad-1), k+rad) // the end rows
+			if got := c.cell(v) - rad - 1; got != want {
+				edge := part.Lo + float64(max(got, want))*w
+				if got-want > 1 || want-got > 1 || math.Abs(v-edge) > 1e-9*(1+math.Abs(v)+math.Abs(lo)) {
+					return false
+				}
+			}
+		}
 		total := 0
-		for _, c := range g.counts {
-			if c < 0 {
+		for _, cnt := range c.counts {
+			if cnt < 0 {
 				return false
 			}
-			total += c
+			total += cnt
 		}
-		if total != n {
-			return false
-		}
-		minV, maxV := vals[0], vals[0]
-		for _, v := range vals {
-			minV, maxV = math.Min(minV, v), math.Max(maxV, v)
-		}
-		if g.lo > minV {
-			return false
-		}
-		if g.lo+float64(len(g.counts))*g.width < maxV-1e-9 {
-			return false
-		}
-		// alignment: lo sits on the partition grid at offset lowIdx
-		if g.lo != part.Lo+float64(g.lowIdx)*part.Width() {
-			return false
-		}
-		return g.width == part.Width()
+		return total == n && c.N() == n && len(c.counts) == k+2*rad+2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestBandRadiusResolution pins the radius policy: dense for negative tail
-// mass and non-Supporter models, exact-support banding for uniform, and a
-// canonicalised dense radius for tails wider than the grid.
+// infiniteModel reports an unbounded support, which no grid can hold.
+type infiniteModel struct{ noise.Gaussian }
+
+func (infiniteModel) Support(float64) float64 { return math.Inf(1) }
+
+// TestBandRadiusResolution pins the radius policy: exact-support banding
+// for uniform, rejection of models without a finite support, and a
+// canonicalised dense radius for bands wider than the grid.
 func TestBandRadiusResolution(t *testing.T) {
 	part, _ := NewPartition(0, 100, 50)
 	w := part.Width()
-	dense := denseRadius(part.K, -5, 60)
-	if got := bandRadius(Config{Noise: noise.Uniform{Alpha: 8}, TailMass: -1}, w, part.K, -5, 60); got != dense {
-		t.Errorf("negative TailMass: radius %d, want dense %d", got, dense)
+	got, err := supportRadius(noise.Uniform{Alpha: 8}, w)
+	if want := int(math.Ceil(8/w)) + 1; err != nil || got != want {
+		t.Errorf("uniform alpha=8: radius %d (%v), want %d", got, err, want)
 	}
-	if got := bandRadius(Config{Noise: funcModel{base: noise.Gaussian{Sigma: 2}}}, w, part.K, -5, 60); got != dense {
-		t.Errorf("non-Supporter model: radius %d, want dense %d", got, dense)
+	for _, m := range []noise.Model{nil, infiniteModel{noise.Gaussian{Sigma: 2}}, noise.Gaussian{Sigma: 1e9}} {
+		if _, err := supportRadius(m, w); err == nil {
+			t.Errorf("%#v: radius accepted", m)
+		}
+		if _, err := NewCollector(part, m); err == nil {
+			t.Errorf("%#v: collector accepted", m)
+		}
 	}
-	got := bandRadius(Config{Noise: noise.Uniform{Alpha: 8}}, w, part.K, -5, 60)
-	if want := int(math.Ceil(8/w)) + 1; got != want {
-		t.Errorf("uniform alpha=8: radius %d, want %d", got, want)
-	}
-	// a gaussian so wide its tail radius exceeds the grid collapses to dense
-	if got := bandRadius(Config{Noise: noise.Gaussian{Sigma: 500}}, w, part.K, -5, 60); got != dense {
+	// a gaussian so wide its band exceeds the grid collapses to dense
+	m := noise.Gaussian{Sigma: 500}
+	obs := newObservationGrid([]float64{-10, 50, 120}, part, m)
+	if got, dense := transitionWeights(Config{Partition: part, Noise: m, DisableWeightCache: true}, obs).radius,
+		denseRadius(part.K, obs.lowIdx, len(obs.counts)); got != dense {
 		t.Errorf("wide gaussian: radius %d, want dense %d", got, dense)
 	}
 }

@@ -154,10 +154,10 @@ func cacheableModel(m noise.Model) bool {
 // observation intervals and domain intervals, computing it (in parallel,
 // bounded by cfg.Workers) on a cache miss. The returned matrix is shared and
 // must be treated as read-only.
-func transitionWeights(cfg Config, obs *observationGrid) *bandedWeights {
+func transitionWeights(cfg Config, obs observationGrid) *bandedWeights {
 	k := cfg.Partition.K
 	width := cfg.Partition.Width()
-	radius := bandRadius(cfg, width, k, obs.lowIdx, len(obs.counts))
+	radius := min(obs.band, denseRadius(k, obs.lowIdx, len(obs.counts)))
 
 	cache := cfg.Cache
 	if cache == nil {

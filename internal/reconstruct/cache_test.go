@@ -56,7 +56,7 @@ func TestWeightCacheHitAndBypass(t *testing.T) {
 	vals, m, part := cachePerturbed(t, 5000)
 	ResetSharedWeightCache()
 	cfg := Config{Partition: part, Noise: m}
-	obs := newObservationGrid(vals, part)
+	obs := newObservationGrid(vals, part, m)
 	w1 := transitionWeights(cfg, obs)
 	w2 := transitionWeights(cfg, obs)
 	if w1 != w2 {
@@ -170,8 +170,8 @@ func TestWeightCacheCanonicalTranslation(t *testing.T) {
 		shifted[i] = v - 40
 	}
 	cache := NewWeightCache(8)
-	obsA := newObservationGrid(vals, partA)
-	obsB := newObservationGrid(shifted, partB)
+	obsA := newObservationGrid(vals, partA, m)
+	obsB := newObservationGrid(shifted, partB, m)
 	if obsA.lowIdx != obsB.lowIdx || len(obsA.counts) != len(obsB.counts) {
 		t.Fatalf("translated grids disagree: lowIdx %d vs %d, len %d vs %d",
 			obsA.lowIdx, obsB.lowIdx, len(obsA.counts), len(obsB.counts))
@@ -216,3 +216,4 @@ func (m funcModel) Sample(r *prng.Source) float64        { return m.base.Sample(
 func (m funcModel) Density(y float64) float64            { return m.base.Density(y) }
 func (m funcModel) CDF(y float64) float64                { return m.base.CDF(y) }
 func (m funcModel) ConfidenceWidth(conf float64) float64 { return m.base.ConfidenceWidth(conf) }
+func (m funcModel) Support(tailMass float64) float64     { return m.base.Support(tailMass) }

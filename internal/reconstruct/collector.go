@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"ppdm/internal/noise"
 )
 
 // Collector accumulates perturbed observations incrementally, as a data
@@ -12,25 +14,67 @@ import (
 // stored — and the distribution can be reconstructed at any point during
 // collection.
 //
+// The counts live on one fixed dense grid, allocated at construction: the
+// partition's K intervals widened on each side by the noise model's band
+// radius r, so counts[i] holds grid index i−r−1 and the grid spans indices
+// [−r−1, K+r]. An observation beyond the band is clamped into the end cell
+// on its side. Those end cells' transition-matrix rows are empty, so, like
+// any observation the band cannot explain, they reach the estimate only
+// through the kernel's fallback coefficient. No observation value can grow
+// the grid.
+//
 // A Collector is not safe for concurrent use.
 type Collector struct {
-	part Partition
-
-	// counts maps grid index (relative to the partition grid, may be
-	// negative) to observation count. Kept sparse because gaussian noise
-	// has unbounded support.
-	counts map[int]int
+	part   Partition
+	model  noise.Model
+	width  float64
+	radius int
+	counts []int
 	n      int
-	minIdx int
-	maxIdx int
 }
 
-// NewCollector returns an empty collector over the given domain partition.
-func NewCollector(part Partition) (*Collector, error) {
-	if _, err := NewPartition(part.Lo, part.Hi, part.K); err != nil {
+// maxBandRadius bounds the band radius in intervals, and with it every
+// collector's K+2r+2 cells: a model whose support spans more intervals than
+// this is rejected rather than allocated for.
+const maxBandRadius = 1 << 20
+
+// supportRadius returns the kernel's band radius for model m at interval
+// width w: the model's support at DefaultTailMass in intervals, plus one
+// interval of slack for the EM half-interval edge offsets and floating-point
+// boundary rounding.
+func supportRadius(m noise.Model, w float64) (int, error) {
+	if m == nil {
+		return 0, errors.New("reconstruct: nil noise model")
+	}
+	sup := m.Support(DefaultTailMass)
+	r := math.Ceil(sup/w) + 1
+	if !(r >= 1 && r <= maxBandRadius) {
+		return 0, fmt.Errorf("reconstruct: noise support %v is not a finite radius within %d intervals of width %v", sup, maxBandRadius, w)
+	}
+	return int(r), nil
+}
+
+// NewCollector returns an empty collector over the given domain partition
+// for observations perturbed with model.
+func NewCollector(part Partition, model noise.Model) (*Collector, error) {
+	var c Collector
+	if err := c.reset(part, model); err != nil {
 		return nil, err
 	}
-	return &Collector{part: part, counts: make(map[int]int)}, nil
+	return &c, nil
+}
+
+// reset makes c an empty collector over part for model, with a new grid.
+func (c *Collector) reset(part Partition, model noise.Model) error {
+	if _, err := NewPartition(part.Lo, part.Hi, part.K); err != nil {
+		return err
+	}
+	r, err := supportRadius(model, part.Width())
+	if err != nil {
+		return err
+	}
+	*c = Collector{part: part, model: model, width: part.Width(), radius: r, counts: make([]int, part.K+2*r+2)}
+	return nil
 }
 
 // Partition returns the collector's domain partition.
@@ -44,16 +88,27 @@ func (c *Collector) Add(w float64) error {
 	if math.IsNaN(w) || math.IsInf(w, 0) {
 		return fmt.Errorf("reconstruct: non-finite observation %v", w)
 	}
-	idx := int(math.Floor((w - c.part.Lo) / c.part.Width()))
-	if c.n == 0 || idx < c.minIdx {
-		c.minIdx = idx
-	}
-	if c.n == 0 || idx > c.maxIdx {
-		c.maxIdx = idx
-	}
-	c.counts[idx]++
-	c.n++
+	c.add(w)
 	return nil
+}
+
+// add records one finite observation.
+func (c *Collector) add(w float64) {
+	c.counts[c.cell(w)]++
+	c.n++
+}
+
+// cell returns the index into counts of finite observation w: its grid
+// index ⌊(w−Lo)/width⌋ clamped into [−r−1, K+r], offset by r+1. The clamp
+// happens in float, so the int conversion never sees an out-of-range value.
+func (c *Collector) cell(w float64) int {
+	f := math.Floor((w - c.part.Lo) / c.width)
+	if lo := float64(-c.radius - 1); !(f >= lo) {
+		f = lo
+	} else if hi := float64(c.part.K + c.radius); f > hi {
+		f = hi
+	}
+	return int(f) + c.radius + 1
 }
 
 // AddAll records a batch of observations, stopping at the first bad value.
@@ -69,20 +124,19 @@ func (c *Collector) AddAll(ws []float64) error {
 // Reconstruct estimates the original distribution from the aggregated
 // counts. It can be called repeatedly as data keeps arriving; the paper's
 // reconstruction needs only the interval counts, so the result is identical
-// to running Reconstruct on the full list of observations.
+// to running Reconstruct on the full list of observations. The partition
+// and noise model are the collector's own; cfg supplies the rest.
 func (c *Collector) Reconstruct(cfg Config) (Result, error) {
 	if c.n == 0 {
 		return Result{}, errors.New("reconstruct: collector has no observations")
 	}
-	cfg.Partition = c.part
-	grid := &observationGrid{
-		lo:     c.part.Lo + float64(c.minIdx)*c.part.Width(),
-		width:  c.part.Width(),
-		counts: make([]int, c.maxIdx-c.minIdx+1),
-		lowIdx: c.minIdx,
+	cfg.Partition, cfg.Noise = c.part, c.model
+	first, last := 0, len(c.counts)-1
+	for c.counts[first] == 0 {
+		first++
 	}
-	for idx, cnt := range c.counts {
-		grid.counts[idx-c.minIdx] = cnt
+	for c.counts[last] == 0 {
+		last--
 	}
-	return reconstructGrid(grid, cfg)
+	return reconstructGrid(observationGrid{counts: c.counts[first : last+1], lowIdx: first - c.radius - 1, band: c.radius}, cfg)
 }

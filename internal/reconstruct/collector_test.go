@@ -11,11 +11,15 @@ import (
 )
 
 func TestNewCollectorValidation(t *testing.T) {
-	if _, err := NewCollector(Partition{Lo: 0, Hi: 0, K: 5}); err == nil {
+	m := noise.Uniform{Alpha: 1}
+	if _, err := NewCollector(Partition{Lo: 0, Hi: 0, K: 5}, m); err == nil {
 		t.Error("bad partition accepted")
 	}
 	part, _ := NewPartition(0, 10, 5)
-	c, err := NewCollector(part)
+	if _, err := NewCollector(part, nil); err == nil {
+		t.Error("nil model accepted")
+	}
+	c, err := NewCollector(part, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +33,8 @@ func TestNewCollectorValidation(t *testing.T) {
 
 func TestCollectorAddValidation(t *testing.T) {
 	part, _ := NewPartition(0, 10, 5)
-	c, _ := NewCollector(part)
+	m := noise.Uniform{Alpha: 1}
+	c, _ := NewCollector(part, m)
 	if err := c.Add(math.NaN()); err == nil {
 		t.Error("NaN accepted")
 	}
@@ -42,14 +47,15 @@ func TestCollectorAddValidation(t *testing.T) {
 	if c.N() != 1 {
 		t.Errorf("partial AddAll recorded %d observations, want 1", c.N())
 	}
-	empty, _ := NewCollector(part)
-	if _, err := empty.Reconstruct(Config{Noise: noise.Uniform{Alpha: 1}}); err == nil {
+	empty, _ := NewCollector(part, m)
+	if _, err := empty.Reconstruct(Config{}); err == nil {
 		t.Error("empty collector reconstructed")
 	}
 }
 
-// The collector must reproduce the batch reconstruction exactly: the
-// algorithm depends only on the interval counts.
+// The collector must reproduce the reconstruction on the unbounded oracle
+// grid exactly when every value lies inside the band: the algorithm
+// depends only on the interval counts.
 func TestCollectorMatchesBatchProperty(t *testing.T) {
 	part, _ := NewPartition(0, 100, 15)
 	f := func(seed uint64, nRaw uint16, gaussian bool) bool {
@@ -66,11 +72,11 @@ func TestCollectorMatchesBatchProperty(t *testing.T) {
 			values[i] = r.Uniform(0, 100) + m.Sample(r)
 		}
 		cfg := Config{Partition: part, Noise: m, MaxIters: 80}
-		batch, err := Reconstruct(values, cfg)
+		oracle, err := reconstructGrid(newObservationGrid(values, part, m), cfg)
 		if err != nil {
 			return false
 		}
-		col, err := NewCollector(part)
+		col, err := NewCollector(part, m)
 		if err != nil {
 			return false
 		}
@@ -81,11 +87,15 @@ func TestCollectorMatchesBatchProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if inc.Iters != batch.Iters || inc.Converged != batch.Converged {
+		batch, err := Reconstruct(values, cfg)
+		if err != nil {
 			return false
 		}
-		for i := range batch.P {
-			if batch.P[i] != inc.P[i] {
+		if inc.Iters != oracle.Iters || inc.Converged != oracle.Converged {
+			return false
+		}
+		for i := range oracle.P {
+			if oracle.P[i] != inc.P[i] || batch.P[i] != inc.P[i] {
 				return false
 			}
 		}
@@ -96,13 +106,55 @@ func TestCollectorMatchesBatchProperty(t *testing.T) {
 	}
 }
 
+// TestCollectorOutOfRangeValues adds values far beyond any float-to-int
+// range: each must land in the end row on its side, and the collector must
+// still reconstruct on its bounded grid.
+func TestCollectorOutOfRangeValues(t *testing.T) {
+	part, _ := NewPartition(0, 100, 20)
+	m := noise.Gaussian{Sigma: 10}
+	c, err := NewCollector(part, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddAll([]float64{-1e300, 50, 1e300, -math.MaxFloat64, math.MaxFloat64}); err != nil {
+		t.Fatal(err)
+	}
+	if c.counts[0] != 2 || c.counts[len(c.counts)-1] != 2 {
+		t.Errorf("end rows hold %d and %d, want 2 and 2", c.counts[0], c.counts[len(c.counts)-1])
+	}
+	if want := part.K + 2*c.radius + 2; len(c.counts) != want {
+		t.Errorf("grid has %d cells, want K+2r+2 = %d", len(c.counts), want)
+	}
+	res, err := c.Reconstruct(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.IsDistribution(res.P, 1e-9) {
+		t.Errorf("estimate is not a distribution: %v", res.P)
+	}
+}
+
+// TestCollectorGridSize pins the grid of the paper's 100%-privacy gaussian
+// at 50 intervals: 236 cells, whatever values arrive.
+func TestCollectorGridSize(t *testing.T) {
+	m, _ := noise.GaussianForPrivacy(1.0, 100, noise.DefaultConfidence)
+	part, _ := NewPartition(0, 100, 50)
+	c, err := NewCollector(part, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.counts) != 236 {
+		t.Errorf("grid has %d cells, want 236", len(c.counts))
+	}
+}
+
 func TestCollectorImprovesWithData(t *testing.T) {
 	// Reconstruction quality mid-collection should improve (or stay flat)
 	// as more responses arrive.
 	part, _ := NewPartition(0, 100, 20)
 	m := noise.Gaussian{Sigma: 10}
 	r := prng.New(5)
-	col, _ := NewCollector(part)
+	col, _ := NewCollector(part, m)
 	truth := make([]float64, 0, 50000)
 
 	var errAt = map[int]float64{}

@@ -34,22 +34,30 @@
 // Each iteration runs as two fused band-limited mat-vec passes over the
 // slab — q = A·p (per-row denominators), then next = p ⊙ Aᵀq — with
 // iteration state in pooled scratch buffers (sync.Pool) so steady-state
-// callers allocate only the observation histogram and the returned
-// estimate. On large grids both passes shard over fixed chunk grids on
+// callers allocate only the observation grid and the returned estimate. On
+// large grids both passes shard over fixed chunk grids on
 // internal/parallel; every per-interval fold runs in index order, so the
 // estimate is bit-identical at any worker count.
 //
 // # Band and tail semantics
 //
-// The band radius comes from the noise model's optional noise.Supporter
-// extension. Bounded noise (Uniform) reports its exact support: every
-// entry outside the band is exactly zero and the banded result is
-// bit-for-bit identical to the dense matrix. Unbounded noise
-// (Gaussian/Laplace) is truncated at the radius that keeps at most
-// Config.TailMass total probability mass in the two discarded tails
-// combined (quantile bound); the reconstruction then differs from the
-// dense result by at most that discarded mass per matrix row and iteration — at the
-// DefaultTailMass of 1e-12 the difference is far below the statistical
-// noise floor of any reconstruction. TailMass < 0 disables banding, and
-// models that do not implement noise.Supporter always get dense rows.
+// Every noise.Model reports a finite Support, and the band radius is that
+// support at DefaultTailMass, in intervals, plus one interval of slack.
+// Bounded noise (Uniform) reports its exact support: every entry outside
+// the band is exactly zero. Unbounded noise (Gaussian/Laplace) is truncated
+// at the radius that keeps at most DefaultTailMass = 1e-12 total
+// probability mass in the two discarded tails combined (quantile bound),
+// far below the statistical noise floor of any reconstruction. The band
+// comes from the model alone: no setting selects dense rows, which survive
+// only as the test oracle.
+//
+// The band also bounds every observation grid. A Collector counts on
+// grid indices [−r−1, K+r] for band radius r; an observation beyond the
+// band is clamped, in float before the int conversion, into the end cell
+// on its side (the fold rule). The end cells' bands are empty, so the
+// folded observations reach the estimate only through the fallback
+// coefficient, as they would on a grid grown to reach them; only the order
+// in which two or more distinct out-of-band cells on one side add into the
+// fallback sum can change its rounding. Batch Reconstruct counts on the
+// same grid, so no perturbed value can size an allocation.
 package reconstruct

@@ -2,8 +2,10 @@ package reconstruct
 
 import (
 	"fmt"
+	"slices"
 
 	"ppdm/internal/dataset"
+	"ppdm/internal/noise"
 )
 
 // This file holds the shard-merge algebra of the collector statistics: a
@@ -17,95 +19,77 @@ import (
 // ever leave a shard, never raw perturbed values.
 
 // CollectorState is the serializable form of a Collector: the domain
-// partition plus the sparse grid counts. JSON-encoding a map[int]int writes
-// the grid indices as string keys, which round-trips exactly.
+// partition plus the counts of its K+2r+2 grid cells, where r is the noise
+// model's band radius.
 type CollectorState struct {
-	Lo     float64     `json:"lo"`
-	Hi     float64     `json:"hi"`
-	K      int         `json:"k"`
-	Counts map[int]int `json:"counts,omitempty"`
-	N      int         `json:"n"`
-	MinIdx int         `json:"min_idx,omitempty"`
-	MaxIdx int         `json:"max_idx,omitempty"`
+	Lo     float64 `json:"lo"`
+	Hi     float64 `json:"hi"`
+	K      int     `json:"k"`
+	Counts []int   `json:"counts"`
+	N      int     `json:"n"`
 }
 
 // State captures the collector's current statistics for serialization. The
-// returned counts map is a copy; mutating it does not affect the collector.
+// returned counts are a copy; mutating them does not affect the collector.
 func (c *Collector) State() CollectorState {
-	counts := make(map[int]int, len(c.counts))
-	for idx, cnt := range c.counts {
-		counts[idx] = cnt
-	}
-	return CollectorState{
-		Lo:     c.part.Lo,
-		Hi:     c.part.Hi,
-		K:      c.part.K,
-		Counts: counts,
-		N:      c.n,
-		MinIdx: c.minIdx,
-		MaxIdx: c.maxIdx,
-	}
+	return CollectorState{Lo: c.part.Lo, Hi: c.part.Hi, K: c.part.K, Counts: slices.Clone(c.counts), N: c.n}
 }
 
-// NewCollectorFromState reconstitutes a collector from its wire state,
-// validating that the counts are internally consistent.
-func NewCollectorFromState(st CollectorState) (*Collector, error) {
-	c, err := NewCollector(Partition{Lo: st.Lo, Hi: st.Hi, K: st.K})
+// NewCollectorFromState reconstitutes a collector for observations
+// perturbed with model from its wire state. The state must hold exactly the
+// K+2r+2 cells of the model's grid, every cell non-negative and the cells
+// summing to N; it is checked before anything is allocated from it.
+func NewCollectorFromState(st CollectorState, model noise.Model) (*Collector, error) {
+	part, err := NewPartition(st.Lo, st.Hi, st.K)
 	if err != nil {
 		return nil, err
 	}
+	r, err := supportRadius(model, part.Width())
+	if err != nil {
+		return nil, err
+	}
+	if len(st.Counts)-2*r-2 != st.K {
+		return nil, fmt.Errorf("reconstruct: collector state has %d cells, want K+2r+2 with K=%d, r=%d", len(st.Counts), st.K, r)
+	}
 	total := 0
-	for idx, cnt := range st.Counts {
-		if cnt <= 0 {
-			return nil, fmt.Errorf("reconstruct: collector state has count %d at index %d", cnt, idx)
+	for i, cnt := range st.Counts {
+		// cnt > N−total also rules out a sum that overflows.
+		if cnt < 0 || cnt > st.N-total {
+			return nil, fmt.Errorf("reconstruct: collector state cell %d holds %d; cells must be non-negative and sum to n=%d", i, cnt, st.N)
 		}
-		if idx < st.MinIdx || idx > st.MaxIdx {
-			return nil, fmt.Errorf("reconstruct: collector state index %d outside [%d, %d]", idx, st.MinIdx, st.MaxIdx)
-		}
-		c.counts[idx] = cnt
 		total += cnt
 	}
 	if total != st.N {
 		return nil, fmt.Errorf("reconstruct: collector state n=%d but counts sum to %d", st.N, total)
 	}
-	c.n = st.N
-	c.minIdx = st.MinIdx
-	c.maxIdx = st.MaxIdx
-	return c, nil
+	return &Collector{part: part, model: model, width: part.Width(), radius: r, counts: slices.Clone(st.Counts), n: st.N}, nil
 }
 
 // Merge folds another collector's statistics into c. Both collectors must
-// share the same domain partition. Merging the collectors of a partitioned
-// stream yields exactly the collector of the whole stream, so Reconstruct
-// on the merged counts is bit-identical to single-pass collection.
+// share the same domain partition and band. Merging the collectors of a
+// partitioned stream yields exactly the collector of the whole stream, so
+// Reconstruct on the merged counts is bit-identical to single-pass
+// collection.
 func (c *Collector) Merge(o *Collector) error {
-	if c.part != o.part {
-		return fmt.Errorf("reconstruct: merging collectors over different partitions (%+v vs %+v)", c.part, o.part)
+	if c.part != o.part || len(c.counts) != len(o.counts) {
+		return fmt.Errorf("reconstruct: merging collectors over different grids (%+v with %d cells vs %+v with %d cells)",
+			c.part, len(c.counts), o.part, len(o.counts))
 	}
-	if o.n == 0 {
-		return nil
-	}
-	if c.n == 0 {
-		c.minIdx, c.maxIdx = o.minIdx, o.maxIdx
-	} else {
-		if o.minIdx < c.minIdx {
-			c.minIdx = o.minIdx
-		}
-		if o.maxIdx > c.maxIdx {
-			c.maxIdx = o.maxIdx
-		}
-	}
-	for idx, cnt := range o.counts {
-		c.counts[idx] += cnt
-	}
-	c.n += o.n
+	c.merge(o)
 	return nil
 }
 
+// merge adds the counts of o, a collector on the same grid.
+func (c *Collector) merge(o *Collector) {
+	for i, cnt := range o.counts {
+		c.counts[i] += cnt
+	}
+	c.n += o.n
+}
+
 // StreamStatsState is the serializable form of StreamStats: every
-// per-attribute and per-(attribute, class) collector plus the class counts.
+// per-(attribute, class) collector plus the class counts.
 type StreamStatsState struct {
-	All         map[int]CollectorState   `json:"all"`
 	ByClass     map[int][]CollectorState `json:"by_class"`
 	ClassCounts []int                    `json:"class_counts"`
 	N           int                      `json:"n"`
@@ -114,15 +98,14 @@ type StreamStatsState struct {
 // State captures the statistics for serialization.
 func (st *StreamStats) State() StreamStatsState {
 	out := StreamStatsState{
-		All:         make(map[int]CollectorState, len(st.all)),
-		ByClass:     make(map[int][]CollectorState, len(st.byClass)),
-		ClassCounts: append([]int(nil), st.classCounts...),
+		ByClass:     make(map[int][]CollectorState),
+		ClassCounts: slices.Clone(st.classCounts),
 		N:           st.n,
 	}
-	for j, c := range st.all {
-		out.All[j] = c.State()
-	}
 	for j, perClass := range st.byClass {
+		if perClass == nil {
+			continue
+		}
 		states := make([]CollectorState, len(perClass))
 		for cl, c := range perClass {
 			states[cl] = c.State()
@@ -133,45 +116,42 @@ func (st *StreamStats) State() StreamStatsState {
 }
 
 // NewStreamStatsFromState reconstitutes stream statistics from their wire
-// state against the given schema.
-func NewStreamStatsFromState(s *dataset.Schema, state StreamStatsState) (*StreamStats, error) {
+// state against the given schema, with models[j] the noise model of
+// attribute j. Every collector state is checked as NewCollectorFromState
+// checks it.
+func NewStreamStatsFromState(s *dataset.Schema, models map[int]noise.Model, state StreamStatsState) (*StreamStats, error) {
 	if len(state.ClassCounts) != s.NumClasses() {
 		return nil, fmt.Errorf("reconstruct: state has %d class counts, schema has %d classes", len(state.ClassCounts), s.NumClasses())
 	}
-	parts := make(map[int]Partition, len(state.All))
-	for j, cs := range state.All {
-		parts[j] = Partition{Lo: cs.Lo, Hi: cs.Hi, K: cs.K}
+	if len(state.ByClass) == 0 {
+		return nil, fmt.Errorf("reconstruct: state has no attribute collectors")
 	}
-	st, err := NewStreamStats(s, parts)
-	if err != nil {
-		return nil, err
+	st := &StreamStats{
+		schema:      s,
+		byClass:     make([][]*Collector, s.NumAttrs()),
+		classCounts: slices.Clone(state.ClassCounts),
+		n:           state.N,
 	}
-	for j, cs := range state.All {
-		c, err := NewCollectorFromState(cs)
-		if err != nil {
-			return nil, fmt.Errorf("reconstruct: attribute %d: %w", j, err)
+	for j, states := range state.ByClass {
+		if j < 0 || j >= s.NumAttrs() {
+			return nil, fmt.Errorf("reconstruct: state has collectors for attribute %d, schema has %d attributes", j, s.NumAttrs())
 		}
-		st.all[j] = c
-		perClass, ok := state.ByClass[j]
-		if !ok || len(perClass) != s.NumClasses() {
-			return nil, fmt.Errorf("reconstruct: attribute %d: state has %d per-class collectors, schema has %d classes", j, len(perClass), s.NumClasses())
+		if len(states) != s.NumClasses() {
+			return nil, fmt.Errorf("reconstruct: attribute %d: state has %d per-class collectors, schema has %d classes", j, len(states), s.NumClasses())
 		}
-		for cl, ccs := range perClass {
-			if (Partition{Lo: ccs.Lo, Hi: ccs.Hi, K: ccs.K}) != parts[j] {
-				return nil, fmt.Errorf("reconstruct: attribute %d class %d: partition differs from the attribute partition", j, cl)
-			}
-			cc, err := NewCollectorFromState(ccs)
+		perClass := make([]*Collector, len(states))
+		for cl, cs := range states {
+			c, err := NewCollectorFromState(cs, models[j])
 			if err != nil {
 				return nil, fmt.Errorf("reconstruct: attribute %d class %d: %w", j, cl, err)
 			}
-			st.byClass[j][cl] = cc
+			if cl > 0 && c.part != perClass[0].part {
+				return nil, fmt.Errorf("reconstruct: attribute %d class %d: partition differs from class 0's", j, cl)
+			}
+			perClass[cl] = c
 		}
+		st.byClass[j] = perClass
 	}
-	if len(state.ByClass) != len(state.All) {
-		return nil, fmt.Errorf("reconstruct: state has %d by-class attributes, %d all-class attributes", len(state.ByClass), len(state.All))
-	}
-	copy(st.classCounts, state.ClassCounts)
-	st.n = state.N
 	return st, nil
 }
 
@@ -183,19 +163,15 @@ func (st *StreamStats) Merge(o *StreamStats) error {
 	if len(st.classCounts) != len(o.classCounts) {
 		return fmt.Errorf("reconstruct: merging stats with %d vs %d classes", len(st.classCounts), len(o.classCounts))
 	}
-	if len(st.all) != len(o.all) {
-		return fmt.Errorf("reconstruct: merging stats over %d vs %d attributes", len(st.all), len(o.all))
+	if len(st.byClass) != len(o.byClass) {
+		return fmt.Errorf("reconstruct: merging stats over %d vs %d attributes", len(st.byClass), len(o.byClass))
 	}
-	for j := range st.all {
-		oc, ok := o.all[j]
-		if !ok {
-			return fmt.Errorf("reconstruct: merging stats: attribute %d missing from other", j)
+	for j, perClass := range st.byClass {
+		if (perClass == nil) != (o.byClass[j] == nil) {
+			return fmt.Errorf("reconstruct: merging stats: attribute %d collected on one side only", j)
 		}
-		if err := st.all[j].Merge(oc); err != nil {
-			return fmt.Errorf("reconstruct: attribute %d: %w", j, err)
-		}
-		for cl := range st.byClass[j] {
-			if err := st.byClass[j][cl].Merge(o.byClass[j][cl]); err != nil {
+		for cl, c := range perClass {
+			if err := c.Merge(o.byClass[j][cl]); err != nil {
 				return fmt.Errorf("reconstruct: attribute %d class %d: %w", j, cl, err)
 			}
 		}

@@ -19,6 +19,9 @@ func NewPartition(lo, hi float64, k int) (Partition, error) {
 	if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) || !(hi > lo) {
 		return Partition{}, fmt.Errorf("reconstruct: invalid partition bounds [%v, %v]", lo, hi)
 	}
+	if w := (hi - lo) / float64(k); !(w > 0) || math.IsInf(w, 0) {
+		return Partition{}, fmt.Errorf("reconstruct: partition [%v, %v] into %d intervals has width %v", lo, hi, k, w)
+	}
 	return Partition{Lo: lo, Hi: hi, K: k}, nil
 }
 

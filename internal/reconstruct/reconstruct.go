@@ -56,15 +56,6 @@ type Config struct {
 	// of a privacy-level series) cuts the iteration count without changing
 	// what the procedure converges towards.
 	Prior []float64
-	// TailMass bounds the total per-row probability mass (both noise tails
-	// combined) the banded kernel may discard when band-limiting the
-	// transition matrix of an unbounded model (Gaussian/Laplace). Zero selects
-	// DefaultTailMass; a negative value disables banding for every model
-	// and stores dense rows. Whenever banding is enabled, bounded models
-	// (Uniform) band at their exact support regardless of the tail value,
-	// discarding zero mass, so their banded results are bit-identical to
-	// dense rows.
-	TailMass float64
 	// Workers bounds the parallelism of the transition-weight precompute and
 	// of the fused iteration passes on large grids; 0 means all cores,
 	// negative values are rejected. The result is bit-identical for every
@@ -96,27 +87,64 @@ type Result struct {
 
 // Reconstruct estimates the distribution of the original values from their
 // perturbed versions. It never sees the originals: only the perturbed
-// values, the noise model, and the domain partition.
+// values, the noise model, and the domain partition. The values are counted
+// on the same bounded grid a Collector keeps, so one stray value cannot size
+// the reconstruction.
 func Reconstruct(perturbed []float64, cfg Config) (Result, error) {
 	if len(perturbed) == 0 {
 		return Result{}, errors.New("reconstruct: no perturbed values")
 	}
-	for _, w := range perturbed {
-		if math.IsNaN(w) || math.IsInf(w, 0) {
-			return Result{}, fmt.Errorf("reconstruct: non-finite perturbed value %v", w)
-		}
-	}
-	if _, err := NewPartition(cfg.Partition.Lo, cfg.Partition.Hi, cfg.Partition.K); err != nil {
+	// A local collector: a one-shot reconstruction allocates only its grid.
+	var c Collector
+	if err := c.reset(cfg.Partition, cfg.Noise); err != nil {
 		return Result{}, err
 	}
-	// Aggregate the perturbed observations into intervals on the partition's
-	// grid, extended to cover the observed range (perturbed values escape
-	// the original domain by up to the noise spread).
-	return reconstructGrid(newObservationGrid(perturbed, cfg.Partition), cfg)
+	if err := c.AddAll(perturbed); err != nil {
+		return Result{}, err
+	}
+	return c.Reconstruct(cfg)
 }
 
-// reconstructGrid runs the iterative estimate on pre-aggregated observation
-// counts; both Reconstruct and Collector.Reconstruct funnel here.
+// reconstructGrid runs the iterative estimate on a window of observation
+// counts; Collector.Reconstruct, and through it Reconstruct, funnel here. The
+// banded interaction weights between observation intervals and domain
+// intervals come from the cache when an identical geometry was already
+// computed (Global/ByClass training recompute the same matrices many times
+// over; Local-mode node geometries repeat across subtrees).
+func reconstructGrid(obs observationGrid, cfg Config) (Result, error) {
+	cfg, err := cfg.resolved()
+	if err != nil {
+		return Result{}, err
+	}
+	return iterate(obs, transitionWeights(cfg, obs), cfg)
+}
+
+// resolved validates the iteration settings of cfg and fills in the
+// defaults of MaxIters and Epsilon.
+func (cfg Config) resolved() (Config, error) {
+	if cfg.Algorithm != Bayes && cfg.Algorithm != EM {
+		return cfg, fmt.Errorf("reconstruct: unknown algorithm %d", int(cfg.Algorithm))
+	}
+	if cfg.MaxIters == 0 {
+		cfg.MaxIters = DefaultMaxIters
+	}
+	if cfg.MaxIters < 0 {
+		return cfg, fmt.Errorf("reconstruct: MaxIters %d must not be negative (0 selects the default %d)", cfg.MaxIters, DefaultMaxIters)
+	}
+	if cfg.Epsilon == 0 {
+		cfg.Epsilon = DefaultEpsilon
+	}
+	if cfg.Epsilon < 0 || math.IsNaN(cfg.Epsilon) {
+		return cfg, fmt.Errorf("reconstruct: Epsilon %v must not be negative (0 selects the default %v)", cfg.Epsilon, DefaultEpsilon)
+	}
+	if cfg.Workers < 0 {
+		return cfg, fmt.Errorf("reconstruct: Workers %d must not be negative (0 means all cores)", cfg.Workers)
+	}
+	return cfg, nil
+}
+
+// iterate runs the estimate on observation counts and their transition
+// weights, under a resolved config.
 //
 // Each iteration is two fused band-limited mat-vec passes over the flat
 // weight slab: denomPass computes q = A·p (the per-observation-interval
@@ -125,42 +153,9 @@ func Reconstruct(perturbed []float64, cfg Config) (Result, error) {
 // lives in pooled scratch buffers, and on large grids both passes shard
 // over fixed chunk grids on internal/parallel — the estimate is
 // bit-identical at every worker count.
-func reconstructGrid(obs *observationGrid, cfg Config) (Result, error) {
-	if cfg.Noise == nil {
-		return Result{}, errors.New("reconstruct: nil noise model")
-	}
-	if cfg.Algorithm != Bayes && cfg.Algorithm != EM {
-		return Result{}, fmt.Errorf("reconstruct: unknown algorithm %d", int(cfg.Algorithm))
-	}
-	maxIters := cfg.MaxIters
-	if maxIters == 0 {
-		maxIters = DefaultMaxIters
-	}
-	if maxIters < 0 {
-		return Result{}, fmt.Errorf("reconstruct: MaxIters %d must not be negative (0 selects the default %d)", maxIters, DefaultMaxIters)
-	}
-	eps := cfg.Epsilon
-	if eps == 0 {
-		eps = DefaultEpsilon
-	}
-	if eps < 0 || math.IsNaN(eps) {
-		return Result{}, fmt.Errorf("reconstruct: Epsilon %v must not be negative (0 selects the default %v)", eps, DefaultEpsilon)
-	}
-	if cfg.Workers < 0 {
-		return Result{}, fmt.Errorf("reconstruct: Workers %d must not be negative (0 means all cores)", cfg.Workers)
-	}
-	if math.IsNaN(cfg.TailMass) || cfg.TailMass >= 1 {
-		return Result{}, fmt.Errorf("reconstruct: TailMass %v must be below 1 (0 selects the default, negative disables banding)", cfg.TailMass)
-	}
-
+func iterate(obs observationGrid, weights *bandedWeights, cfg Config) (Result, error) {
 	k := cfg.Partition.K
 	m := len(obs.counts)
-
-	// Banded interaction weights between observation intervals and domain
-	// intervals, from the cache when an identical geometry was already
-	// computed (Global/ByClass training recompute the same matrices many
-	// times over; Local-mode node geometries repeat across subtrees).
-	weights := transitionWeights(cfg, obs)
 
 	sc := scratchPool.Get().(*iterScratch)
 	defer scratchPool.Put(sc)
@@ -195,7 +190,7 @@ func reconstructGrid(obs *observationGrid, cfg Config) (Result, error) {
 	n := float64(total)
 	workers := iterWorkers(cfg, len(weights.data))
 	res := Result{}
-	for iter := 1; iter <= maxIters; iter++ {
+	for iter := 1; iter <= cfg.MaxIters; iter++ {
 		// Pass 1: per-row denominators q = A·p.
 		denomPass(weights, obs.counts, p, q, workers)
 		// Serial index-ordered fold: q[s] becomes the row's update
@@ -226,7 +221,7 @@ func reconstructGrid(obs *observationGrid, cfg Config) (Result, error) {
 		copy(p, next)
 		res.Iters = iter
 		res.Delta = delta
-		if delta < eps {
+		if delta < cfg.Epsilon {
 			res.Converged = true
 			break
 		}
@@ -235,56 +230,16 @@ func reconstructGrid(obs *observationGrid, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// observationGrid buckets perturbed values into intervals of the same width
-// as the domain partition, aligned to its grid but extended on both sides to
-// cover every observation.
+// observationGrid is a window of observation counts on the partition's
+// grid, which reconstructGrid reads in place.
 type observationGrid struct {
-	lo     float64 // lower edge of bucket 0
-	width  float64
+	// counts[s] is the number of observations in grid interval lowIdx+s.
 	counts []int
-	// lowIdx is the offset of bucket 0 on the partition grid (may be
-	// negative): lo == Partition.Lo + lowIdx·width. Together with the
-	// partition, noise model, algorithm, and bucket count it fully determines
-	// the transition-weight matrix, which is what makes the matrix cacheable.
+	// lowIdx is the grid index of counts[0] (may be negative). Together
+	// with the partition, noise model, algorithm, band and length it fully
+	// determines the transition-weight matrix, which is what makes the
+	// matrix cacheable.
 	lowIdx int
+	// band is the noise model's band radius in intervals (supportRadius).
+	band int
 }
-
-func newObservationGrid(values []float64, part Partition) *observationGrid {
-	w := part.Width()
-	minV, maxV := values[0], values[0]
-	for _, v := range values[1:] {
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
-	// extend the partition grid to cover [minV, maxV]
-	lowIdx := int(math.Floor((minV - part.Lo) / w))
-	highIdx := int(math.Floor((maxV - part.Lo) / w))
-	if highIdx < lowIdx {
-		highIdx = lowIdx
-	}
-	g := &observationGrid{
-		lo:     part.Lo + float64(lowIdx)*w,
-		width:  w,
-		counts: make([]int, highIdx-lowIdx+1),
-		lowIdx: lowIdx,
-	}
-	for _, v := range values {
-		i := int((v - g.lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(g.counts) {
-			i = len(g.counts) - 1
-		}
-		g.counts[i]++
-	}
-	return g
-}
-
-func (g *observationGrid) midpoint(s int) float64 { return g.lo + (float64(s)+0.5)*g.width }
-func (g *observationGrid) loEdge(s int) float64   { return g.lo + float64(s)*g.width }
-func (g *observationGrid) hiEdge(s int) float64   { return g.lo + float64(s+1)*g.width }

@@ -104,16 +104,6 @@ func TestReconstructValidation(t *testing.T) {
 		t.Error("negative Workers accepted")
 	}
 	cfg = good
-	cfg.TailMass = 1
-	if _, err := Reconstruct([]float64{1}, cfg); err == nil {
-		t.Error("TailMass >= 1 accepted")
-	}
-	cfg = good
-	cfg.TailMass = math.NaN()
-	if _, err := Reconstruct([]float64{1}, cfg); err == nil {
-		t.Error("NaN TailMass accepted")
-	}
-	cfg = good
 	cfg.Prior = []float64{1, 2}
 	if _, err := Reconstruct([]float64{1}, cfg); err == nil {
 		t.Error("wrong-length prior accepted")
@@ -325,27 +315,30 @@ func TestReconstructWithPrior(t *testing.T) {
 	}
 }
 
+// TestObservationGridCoversRange checks that the collector grid holds each
+// in-band value in the interval that contains it, on the partition's grid.
 func TestObservationGridCoversRange(t *testing.T) {
 	part, _ := NewPartition(0, 10, 5)
-	g := newObservationGrid([]float64{-7.3, 0, 5, 22.9}, part)
-	if g.lo > -7.3 {
-		t.Errorf("grid lo %v does not cover min", g.lo)
+	c, err := NewCollector(part, noise.Uniform{Alpha: 15})
+	if err != nil {
+		t.Fatal(err)
 	}
-	last := g.lo + float64(len(g.counts))*g.width
-	if last < 22.9 {
-		t.Errorf("grid hi %v does not cover max", last)
+	vals := []float64{-7.3, 0, 5, 22.9}
+	if err := c.AddAll(vals); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vals {
+		idx := c.cell(v) - c.radius - 1
+		if lo, hi := part.LoEdge(idx), part.HiEdge(idx); v < lo || v >= hi {
+			t.Errorf("value %v counted in grid interval %d = [%v, %v)", v, idx, lo, hi)
+		}
 	}
 	total := 0
-	for _, c := range g.counts {
-		total += c
+	for _, cnt := range c.counts {
+		total += cnt
 	}
 	if total != 4 {
 		t.Errorf("grid holds %d observations, want 4", total)
-	}
-	// grid is aligned to the partition grid
-	offset := (g.lo - part.Lo) / part.Width()
-	if math.Abs(offset-math.Round(offset)) > 1e-9 {
-		t.Errorf("grid misaligned: offset %v bins", offset)
 	}
 }
 

@@ -3,32 +3,34 @@ package reconstruct
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"ppdm/internal/dataset"
+	"ppdm/internal/noise"
 	"ppdm/internal/stream"
 )
 
 // StreamStats holds the sufficient statistics of a record stream for
-// distribution reconstruction: one Collector per requested attribute over
-// all records, one per (attribute, class) pair, and the class counts. Memory
-// is O(attributes × classes × intervals) regardless of how many records
-// flowed through — the bounded-memory counterpart of calling Reconstruct on
+// distribution reconstruction: one Collector per (attribute, class) pair of
+// the requested attributes, and the class counts. Memory is
+// O(attributes × classes × intervals) regardless of how many records flowed
+// through — the bounded-memory counterpart of calling Reconstruct on
 // materialized columns, with bit-identical results (the reconstruction
 // depends only on the interval counts; see Collector).
 type StreamStats struct {
-	schema      *dataset.Schema
-	parts       map[int]Partition
-	all         map[int]*Collector
-	byClass     map[int][]*Collector
+	schema *dataset.Schema
+	// byClass[j][c] collects attribute j over the records of class c; nil
+	// for attributes that were not requested.
+	byClass     [][]*Collector
 	classCounts []int
 	n           int
 }
 
 // CollectStream drains a record stream in one pass, accumulating collectors
-// for every attribute listed in parts (attribute index → domain partition).
-func CollectStream(src stream.Source, parts map[int]Partition) (*StreamStats, error) {
-	s := src.Schema()
-	st, err := NewStreamStats(s, parts)
+// for every attribute listed in parts (attribute index → domain partition),
+// each under that attribute's noise model in models.
+func CollectStream(src stream.Source, parts map[int]Partition, models map[int]noise.Model) (*StreamStats, error) {
+	st, err := NewStreamStats(src.Schema(), parts, models)
 	if err != nil {
 		return nil, err
 	}
@@ -46,43 +48,40 @@ func CollectStream(src stream.Source, parts map[int]Partition) (*StreamStats, er
 	}
 }
 
-// NewStreamStats returns empty statistics over the given schema and
-// attribute partitions, ready for AddBatch.
-func NewStreamStats(s *dataset.Schema, parts map[int]Partition) (*StreamStats, error) {
+// NewStreamStats returns empty statistics over the given schema, attribute
+// partitions and noise models, ready for AddBatch. Every attribute in parts
+// needs a model.
+func NewStreamStats(s *dataset.Schema, parts map[int]Partition, models map[int]noise.Model) (*StreamStats, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("reconstruct: no attribute partitions to collect")
 	}
-	k := s.NumClasses()
 	st := &StreamStats{
 		schema:      s,
-		parts:       parts,
-		all:         make(map[int]*Collector, len(parts)),
-		byClass:     make(map[int][]*Collector, len(parts)),
-		classCounts: make([]int, k),
+		byClass:     make([][]*Collector, s.NumAttrs()),
+		classCounts: make([]int, s.NumClasses()),
 	}
 	for j, part := range parts {
 		if j < 0 || j >= s.NumAttrs() {
 			return nil, fmt.Errorf("reconstruct: partition for attribute %d, schema has %d attributes", j, s.NumAttrs())
 		}
-		c, err := NewCollector(part)
-		if err != nil {
-			return nil, fmt.Errorf("reconstruct: attribute %q: %w", s.Attrs[j].Name, err)
-		}
-		st.all[j] = c
-		perClass := make([]*Collector, k)
+		perClass := make([]*Collector, s.NumClasses())
 		for cl := range perClass {
-			perClass[cl], err = NewCollector(part)
+			c, err := NewCollector(part, models[j])
 			if err != nil {
 				return nil, fmt.Errorf("reconstruct: attribute %q: %w", s.Attrs[j].Name, err)
 			}
+			perClass[cl] = c
 		}
 		st.byClass[j] = perClass
 	}
 	return st, nil
 }
 
-// AddBatch folds one record batch into the statistics.
+// AddBatch folds one record batch into the statistics. Each value is binned
+// once, into the collector of its attribute and its record's class.
 func (st *StreamStats) AddBatch(b *stream.Batch) error {
+	// CheckBatch rejects non-finite values, so the collectors can skip
+	// that check.
 	if err := stream.CheckBatch(st.schema, b); err != nil {
 		return err
 	}
@@ -90,12 +89,9 @@ func (st *StreamStats) AddBatch(b *stream.Batch) error {
 		row := b.Row(i)
 		label := b.Labels[i]
 		st.classCounts[label]++
-		for j, c := range st.all {
-			if err := c.Add(row[j]); err != nil {
-				return err
-			}
-			if err := st.byClass[j][label].Add(row[j]); err != nil {
-				return err
+		for j, perClass := range st.byClass {
+			if perClass != nil {
+				perClass[label].add(row[j])
 			}
 		}
 	}
@@ -113,16 +109,27 @@ func (st *StreamStats) N() int { return st.n }
 // slice aliases the statistics' storage; callers must not modify it.
 func (st *StreamStats) ClassCounts() []int { return st.classCounts }
 
-// Collector returns the all-classes collector of the given attribute, or
-// nil if the attribute was not requested.
-func (st *StreamStats) Collector(attr int) *Collector { return st.all[attr] }
+// Collector returns a new collector of the given attribute over all
+// records, the sum of its per-class collectors, or nil if the attribute was
+// not requested.
+func (st *StreamStats) Collector(attr int) *Collector {
+	if attr < 0 || attr >= len(st.byClass) || st.byClass[attr] == nil {
+		return nil
+	}
+	perClass := st.byClass[attr]
+	all := *perClass[0]
+	all.counts = slices.Clone(all.counts)
+	for _, c := range perClass[1:] {
+		all.merge(c)
+	}
+	return &all
+}
 
 // ClassCollector returns the collector of the given attribute restricted to
 // records of one class, or nil if the attribute was not requested.
 func (st *StreamStats) ClassCollector(attr, class int) *Collector {
-	perClass, ok := st.byClass[attr]
-	if !ok || class < 0 || class >= len(perClass) {
+	if attr < 0 || attr >= len(st.byClass) || class < 0 || class >= len(st.byClass[attr]) {
 		return nil
 	}
-	return perClass[class]
+	return st.byClass[attr][class]
 }

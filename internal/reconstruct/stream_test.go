@@ -39,8 +39,10 @@ func TestCollectStreamMatchesColumns(t *testing.T) {
 	part0, _ := NewPartition(0, 100, 12)
 	part1, _ := NewPartition(0, 10, 8)
 	parts := map[int]Partition{0: part0, 1: part1}
+	m := noise.Uniform{Alpha: 30}
+	models := map[int]noise.Model{0: m, 1: m}
 
-	st, err := CollectStream(stream.FromTable(tb, 300), parts)
+	st, err := CollectStream(stream.FromTable(tb, 300), parts, models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +56,13 @@ func TestCollectStreamMatchesColumns(t *testing.T) {
 		}
 	}
 
-	m := noise.Uniform{Alpha: 30}
 	for j, part := range parts {
 		// All-classes estimate vs Reconstruct on the materialized column.
 		want, err := Reconstruct(tb.Column(j), Config{Partition: part, Noise: m})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := st.Collector(j).Reconstruct(Config{Noise: m})
+		got, err := st.Collector(j).Reconstruct(Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +86,7 @@ func TestCollectStreamMatchesColumns(t *testing.T) {
 			if col.N() != len(values) {
 				t.Fatalf("attr %d class %d: collector has %d, want %d", j, c, col.N(), len(values))
 			}
-			gotC, err := col.Reconstruct(Config{Noise: m})
+			gotC, err := col.Reconstruct(Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,17 +101,21 @@ func TestCollectStreamMatchesColumns(t *testing.T) {
 
 func TestStreamStatsValidation(t *testing.T) {
 	tb := streamStatsTable(t, 10)
-	if _, err := CollectStream(stream.FromTable(tb, 0), nil); err == nil {
+	models := map[int]noise.Model{0: noise.Uniform{Alpha: 30}, 9: noise.Uniform{Alpha: 30}}
+	if _, err := CollectStream(stream.FromTable(tb, 0), nil, models); err == nil {
 		t.Error("empty partition map accepted")
 	}
 	part, _ := NewPartition(0, 100, 5)
-	if _, err := NewStreamStats(tb.Schema(), map[int]Partition{9: part}); err == nil {
+	if _, err := NewStreamStats(tb.Schema(), map[int]Partition{9: part}, models); err == nil {
 		t.Error("out-of-range attribute accepted")
 	}
-	if _, err := NewStreamStats(tb.Schema(), map[int]Partition{0: {Lo: 1, Hi: 0, K: 5}}); err == nil {
+	if _, err := NewStreamStats(tb.Schema(), map[int]Partition{0: {Lo: 1, Hi: 0, K: 5}}, models); err == nil {
 		t.Error("invalid partition accepted")
 	}
-	st, err := NewStreamStats(tb.Schema(), map[int]Partition{0: part})
+	if _, err := NewStreamStats(tb.Schema(), map[int]Partition{1: part}, models); err == nil {
+		t.Error("attribute without a noise model accepted")
+	}
+	st, err := NewStreamStats(tb.Schema(), map[int]Partition{0: part}, models)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,11 +144,6 @@ type (
 	WeightCacheStats = reconstruct.CacheStats
 )
 
-// DefaultTailMass is the noise mass the banded reconstruction kernel may
-// discard per transition-matrix row for unbounded noise models when
-// ReconstructConfig.TailMass is zero.
-const DefaultTailMass = reconstruct.DefaultTailMass
-
 // NewWeightCache returns a bounded LRU transition-matrix cache (capacity
 // < 1 uses the package default).
 func NewWeightCache(capacity int) *WeightCache { return reconstruct.NewWeightCache(capacity) }
@@ -375,16 +370,23 @@ func Reconstruct(perturbed []float64, cfg ReconstructConfig) (ReconstructResult,
 }
 
 // NewCollector returns an incremental observation collector over the given
-// partition: it keeps only O(intervals) aggregated counts, never the raw
-// perturbed values, and can reconstruct at any point during collection.
-func NewCollector(part Partition) (*Collector, error) { return reconstruct.NewCollector(part) }
+// partition for values perturbed with model: it keeps only O(intervals)
+// aggregated counts, never the raw perturbed values, and can reconstruct at
+// any point during collection. Its grid is fixed at construction by the
+// partition and the model's noise band; a value beyond the band is counted
+// in the grid's end cell on its side.
+func NewCollector(part Partition, model NoiseModel) (*Collector, error) {
+	return reconstruct.NewCollector(part, model)
+}
 
 // CollectStreamStats drains a record source in one bounded-memory pass,
-// accumulating per-attribute and per-(attribute, class) collectors for
-// every attribute listed in parts; reconstruction from the collected
-// statistics is bit-identical to reconstructing from materialized columns.
-func CollectStreamStats(src RecordSource, parts map[int]Partition) (*StreamStats, error) {
-	return reconstruct.CollectStream(src, parts)
+// accumulating per-(attribute, class) collectors for every attribute listed
+// in parts, each under that attribute's model in models;
+// StreamStats.Collector sums an attribute's classes. Reconstruction from
+// the collected statistics is bit-identical to reconstructing from
+// materialized columns.
+func CollectStreamStats(src RecordSource, parts map[int]Partition, models map[int]NoiseModel) (*StreamStats, error) {
+	return reconstruct.CollectStream(src, parts, models)
 }
 
 // Train builds a privacy-preserving decision-tree classifier (paper §4).

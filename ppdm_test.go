@@ -162,3 +162,39 @@ func TestPublicCustomSchema(t *testing.T) {
 		t.Errorf("custom-schema accuracy = %v, want > 0.85", ev.Accuracy)
 	}
 }
+
+// TestOutlierRecordTrains appends one record with salary 1e17 to 1,999
+// perturbed F2 records. The value lies far beyond the noise band, so every
+// training path counts it in its grid's end cell instead of sizing a grid
+// from it.
+func TestOutlierRecordTrains(t *testing.T) {
+	clean, err := ppdm.Generate(ppdm.GenConfig{Function: ppdm.F2, N: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	models, err := ppdm.ModelsForAllAttrs(clean.Schema(), "gaussian", 1.0, ppdm.DefaultConfidence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, err := ppdm.PerturbTable(clean, models, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	salaryIdx, ok := train.Schema().AttrIndex("salary")
+	if !ok {
+		t.Fatal("no salary attribute")
+	}
+	train.SetValue(train.N()-1, salaryIdx, 1e17)
+
+	cfg := ppdm.TrainConfig{Mode: ppdm.ByClass, Noise: models, SpillDir: t.TempDir()}
+	if _, err := ppdm.Train(train, cfg); err != nil {
+		t.Errorf("Train: %v", err)
+	}
+	if _, err := ppdm.TrainStream(ppdm.StreamTable(train, 0), cfg); err != nil {
+		t.Errorf("TrainStream: %v", err)
+	}
+	nbCfg := ppdm.NaiveBayesConfig{Mode: ppdm.ByClass, Noise: models}
+	if _, err := ppdm.TrainNaiveBayesStream(ppdm.StreamTable(train, 0), nbCfg); err != nil {
+		t.Errorf("TrainNaiveBayesStream: %v", err)
+	}
+}

@@ -139,13 +139,11 @@ func TestStreamReconstructionGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := ppdm.CollectStreamStats(psrc, map[int]ppdm.Partition{ageIdx: part})
+		stats, err := ppdm.CollectStreamStats(psrc, map[int]ppdm.Partition{ageIdx: part}, models)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := stats.Collector(ageIdx).Reconstruct(ppdm.ReconstructConfig{
-			Noise: models[ageIdx], Workers: workers,
-		})
+		got, err := stats.Collector(ageIdx).Reconstruct(ppdm.ReconstructConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
