@@ -3,6 +3,7 @@ package bayes
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"ppdm/internal/core"
 	"ppdm/internal/dataset"
@@ -233,7 +234,11 @@ func (t *TrainStats) State() TrainStatsState {
 }
 
 // NewTrainStatsFromState reconstitutes shard statistics from their wire
-// state, validating them against the schema and config.
+// state, validating them against the schema and config. A state that no
+// honest shard could have produced is rejected: class counts must be
+// non-negative and sum to N, and every direct-binned histogram row must hold
+// non-negative whole counts summing to its class's count, since AddBatch
+// adds exactly one count per record to each such row.
 func NewTrainStatsFromState(s *dataset.Schema, cfg Config, state TrainStatsState) (*TrainStats, error) {
 	t, err := NewTrainStats(s, cfg)
 	if err != nil {
@@ -242,6 +247,16 @@ func NewTrainStatsFromState(s *dataset.Schema, cfg Config, state TrainStatsState
 	if len(state.Hist) != len(t.hist) || len(state.ClassCounts) != len(t.classCounts) {
 		return nil, fmt.Errorf("bayes: state has %d classes in hist, %d in class counts, schema has %d",
 			len(state.Hist), len(state.ClassCounts), len(t.classCounts))
+	}
+	n := 0
+	for c, cnt := range state.ClassCounts {
+		if cnt < 0 {
+			return nil, fmt.Errorf("bayes: state class %d has negative count %d", c, cnt)
+		}
+		n += cnt
+	}
+	if n != state.N {
+		return nil, fmt.Errorf("bayes: state N is %d but its class counts sum to %d", state.N, n)
 	}
 	for c := range state.Hist {
 		if len(state.Hist[c]) != len(t.parts) {
@@ -254,6 +269,16 @@ func NewTrainStatsFromState(s *dataset.Schema, cfg Config, state TrainStatsState
 			}
 			if len(state.Hist[c][j]) != want {
 				return nil, fmt.Errorf("bayes: state class %d attribute %d has %d intervals, want %d", c, j, len(state.Hist[c][j]), want)
+			}
+			var sum float64
+			for b, v := range state.Hist[c][j] {
+				if !(v >= 0) || v != math.Trunc(v) || math.IsInf(v, 0) {
+					return nil, fmt.Errorf("bayes: state class %d attribute %d interval %d holds %v, not a count", c, j, b, v)
+				}
+				sum += v
+			}
+			if want > 0 && sum != float64(state.ClassCounts[c]) {
+				return nil, fmt.Errorf("bayes: state class %d attribute %d counts sum to %v, class count is %d", c, j, sum, state.ClassCounts[c])
 			}
 			copy(t.hist[c][j], state.Hist[c][j])
 		}
@@ -274,6 +299,6 @@ func NewTrainStatsFromState(s *dataset.Schema, cfg Config, state TrainStatsState
 		t.stats = stats
 	}
 	copy(t.classCounts, state.ClassCounts)
-	t.n = state.N
+	t.n = n
 	return t, nil
 }

@@ -2,6 +2,7 @@ package bayes
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"ppdm/internal/core"
@@ -11,9 +12,10 @@ import (
 )
 
 // TestTrainStatsStateRejectsBadCollectors feeds NewTrainStatsFromState a
-// shard state whose collector counts are corrupt in each way a remote
-// worker could send them: the wrong length, a negative cell, and cells
-// that do not sum to n.
+// shard state corrupted in each way a remote worker could send it: collector
+// counts of the wrong length, with a negative cell, or not summing to n;
+// direct-binned histogram cells that are not counts or do not sum to their
+// class count; and class counts that are negative or do not sum to N.
 func TestTrainStatsStateRejectsBadCollectors(t *testing.T) {
 	clean, err := synth.Generate(synth.Config{Function: synth.F2, N: 2000, Seed: 3})
 	if err != nil {
@@ -27,6 +29,9 @@ func TestTrainStatsStateRejectsBadCollectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Age stays unreconstructed, so the state carries direct-binned
+	// histogram rows next to the collectors.
+	delete(models, synth.AttrAge)
 	cfg := Config{Mode: core.ByClass, Noise: models}
 	st, err := NewTrainStats(perturbed.Schema(), cfg)
 	if err != nil {
@@ -54,15 +59,56 @@ func TestTrainStatsStateRejectsBadCollectors(t *testing.T) {
 	if _, err := NewTrainStatsFromState(perturbed.Schema(), cfg, decode()); err != nil {
 		t.Fatalf("valid state rejected: %v", err)
 	}
-	for name, corrupt := range map[string]func(counts *[]int, n *int){
-		"one cell too many": func(counts *[]int, n *int) { *counts = append(*counts, 0) },
-		"one cell too few":  func(counts *[]int, n *int) { *counts = (*counts)[1:] },
-		"negative cell":     func(counts *[]int, n *int) { (*counts)[0] = -1; *n-- },
-		"sum not n":         func(counts *[]int, n *int) { *n++ },
+	// ageRow returns class 1's age histogram row and the index of a cell
+	// holding at least one count.
+	ageRow := func(state *TrainStatsState) ([]float64, int) {
+		row := state.Hist[1][synth.AttrAge]
+		for b, v := range row {
+			if v >= 1 {
+				return row, b
+			}
+		}
+		t.Fatal("class 1 has an empty age histogram")
+		return nil, 0
+	}
+	for name, corrupt := range map[string]func(state *TrainStatsState){
+		"collector one cell too many": func(state *TrainStatsState) {
+			cs := &state.Recon.ByClass[synth.AttrSalary][1]
+			cs.Counts = append(cs.Counts, 0)
+		},
+		"collector one cell too few": func(state *TrainStatsState) {
+			cs := &state.Recon.ByClass[synth.AttrSalary][1]
+			cs.Counts = cs.Counts[1:]
+		},
+		"collector negative cell": func(state *TrainStatsState) {
+			cs := &state.Recon.ByClass[synth.AttrSalary][1]
+			cs.Counts[0] = -1
+			cs.N--
+		},
+		"collector sum not n": func(state *TrainStatsState) { state.Recon.ByClass[synth.AttrSalary][1].N++ },
+		"hist NaN cell":       func(state *TrainStatsState) { row, b := ageRow(state); row[b] = math.NaN() },
+		"hist +Inf cell":      func(state *TrainStatsState) { row, b := ageRow(state); row[b] = math.Inf(1) },
+		"hist -Inf cell":      func(state *TrainStatsState) { row, b := ageRow(state); row[b] = math.Inf(-1) },
+		"hist negative cell": func(state *TrainStatsState) {
+			row, b := ageRow(state)
+			other := (b + 1) % len(row)
+			row[other] += row[b] + 1
+			row[b] = -1
+		},
+		"hist non-integral cell": func(state *TrainStatsState) {
+			row, b := ageRow(state)
+			row[(b+1)%len(row)] += 0.5
+			row[b] -= 0.5
+		},
+		"hist row sum not class count": func(state *TrainStatsState) { row, b := ageRow(state); row[b]++ },
+		"negative class count": func(state *TrainStatsState) {
+			state.N -= state.ClassCounts[0] + 1
+			state.ClassCounts[0] = -1
+		},
+		"n not the class count sum": func(state *TrainStatsState) { state.N++ },
 	} {
 		state := decode()
-		cs := &state.Recon.ByClass[synth.AttrSalary][1]
-		corrupt(&cs.Counts, &cs.N)
+		corrupt(&state)
 		if _, err := NewTrainStatsFromState(perturbed.Schema(), cfg, state); err == nil {
 			t.Errorf("%s: corrupt state accepted", name)
 		}

@@ -2,9 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -171,6 +174,42 @@ func TestRemoteWorkerFailure(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "worker exploded") {
 		t.Errorf("error %q does not carry the worker's message", err)
+	}
+}
+
+// TestRemoteWorkerOversizedReply checks that a worker whose decompressed
+// reply outgrows the reply cap fails the shard with an error naming the cap,
+// instead of being decoded into the coordinator's memory without bound.
+func TestRemoteWorkerOversizedReply(t *testing.T) {
+	perturbed, models := clusterData(t, 2000, 7)
+	cfg := bayes.Config{Mode: core.ByClass, Noise: models}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/gzip")
+		gz, _ := gzip.NewWriterLevel(w, gzip.BestSpeed)
+		defer gz.Close()
+		// A JSON prefix that stays well-formed for longer than the cap.
+		if _, err := io.WriteString(gz, `{"hist": [`); err != nil {
+			return
+		}
+		pad := bytes.Repeat([]byte(" "), 1<<16)
+		for n := 0; n <= maxShardReply; n += len(pad) {
+			if _, err := gz.Write(pad); err != nil {
+				return
+			}
+		}
+		_, _ = io.WriteString(gz, "]}")
+	}))
+	defer srv.Close()
+	_, err := TrainNaiveBayes(stream.FromTable(perturbed, 0), cfg, Options{
+		Shards:     1,
+		WorkerURLs: []string{srv.URL},
+	})
+	if err == nil {
+		t.Fatal("oversized worker reply accepted")
+	}
+	if !strings.Contains(err.Error(), strconv.Itoa(maxShardReply)) {
+		t.Errorf("error %q does not name the %d-byte cap", err, maxShardReply)
 	}
 }
 

@@ -19,6 +19,13 @@ import (
 // stream and returns its accumulated statistics.
 const ShardTrainPath = "/train-shard"
 
+// maxShardReply caps the decompressed size of one worker's statistics reply.
+// An honest reply holds one count per histogram or collector cell: for F2
+// at 100-200% privacy it is 9-14 kB at the default 50 intervals and under
+// 200 kB at 1,000. The cap only stops a worker (or a gzip bomb) from
+// exhausting the coordinator's memory.
+const maxShardReply = 32 << 20
+
 // NewWorkerHandler serves the naïve-Bayes shard-training protocol:
 //
 //   - POST /train-shard — the request body is the shard's record units as a
@@ -136,8 +143,12 @@ func trainShardRemote(base string, s *dataset.Schema, cfg bayes.Config, query ur
 		return nil, fmt.Errorf("cluster: worker %s response: %w", base, err)
 	}
 	defer gz.Close()
+	body := &io.LimitedReader{R: gz, N: maxShardReply + 1}
 	var state bayes.TrainStatsState
-	if err := json.NewDecoder(gz).Decode(&state); err != nil {
+	if err := json.NewDecoder(body).Decode(&state); err != nil {
+		if body.N == 0 {
+			return nil, fmt.Errorf("cluster: worker %s response exceeds the %d-byte reply cap", base, maxShardReply)
+		}
 		return nil, fmt.Errorf("cluster: worker %s response: %w", base, err)
 	}
 	stats, err := bayes.NewTrainStatsFromState(s, cfg, state)

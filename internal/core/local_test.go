@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"ppdm/internal/noise"
@@ -37,7 +38,7 @@ func buildLocalSource(t *testing.T, n int) (*localSource, map[int]noise.Model) {
 		}
 		parts[j] = p
 	}
-	fallback, err := byClassColumns(perturbed, parts, cfg)
+	cols, err := byClassColumns(perturbed, parts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,35 +46,58 @@ func buildLocalSource(t *testing.T, n int) (*localSource, map[int]noise.Model) {
 	for i := range labels {
 		labels[i] = perturbed.Label(i)
 	}
+	static, err := staticSource(cols, parts, labels, s.NumClasses())
+	if err != nil {
+		t.Fatal(err)
+	}
 	return &localSource{
-		table:    perturbed,
-		labels:   labels,
-		parts:    parts,
-		cfg:      cfg,
-		fallback: fallback,
-		classes:  s.NumClasses(),
-		wcache:   reconstruct.NewWeightCache(localWeightCacheEntries),
+		StaticSource: static,
+		table:        perturbed,
+		parts:        parts,
+		cfg:          cfg,
+		wcache:       reconstruct.NewWeightCache(localWeightCacheEntries),
 	}, models
 }
 
-func TestLocalValuesRespectSpan(t *testing.T) {
-	src, _ := buildLocalSource(t, 3000)
-	rows := make([]int, src.Len())
-	for i := range rows {
-		rows[i] = i
+// TestLocalRoutesLikeByClass trains Local with LocalMinRecords above the
+// table size, so NodeDistributions declines at every node. Local then has
+// nothing but the ByClass assignment it routes on, and must grow ByClass's
+// tree split for split, with bit-identical Importance.
+func TestLocalRoutesLikeByClass(t *testing.T) {
+	train, err := synth.Generate(synth.Config{Function: synth.F2, N: 4000, Seed: 63})
+	if err != nil {
+		t.Fatal(err)
 	}
-	span := tree.Span{Lo: 3, Hi: 17}
-	vals := src.Values(synth.AttrAge, rows, span, nil)
-	for i, v := range vals {
-		if v < span.Lo || v > span.Hi {
-			t.Fatalf("row %d assigned bin %d outside span [%d,%d]", i, v, span.Lo, span.Hi)
-		}
+	models, err := noise.ModelsForAllAttrs(train.Schema(), "uniform", 1.0, noise.DefaultConfidence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perturbed, err := noise.PerturbTable(train, models, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byClass, err := Train(perturbed, Config{Mode: ByClass, Noise: models})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := Train(perturbed, Config{Mode: Local, Noise: models, LocalMinRecords: perturbed.N() + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if byClass.Tree.NodeCount() < 3 {
+		t.Fatalf("ByClass grew %d nodes; the comparison needs splits", byClass.Tree.NodeCount())
+	}
+	if local.Tree.String() != byClass.Tree.String() {
+		t.Errorf("Local tree differs from ByClass:\n%s\nvs\n%s", local.Tree, byClass.Tree)
+	}
+	if !reflect.DeepEqual(local.Tree.Importance, byClass.Tree.Importance) {
+		t.Errorf("Local Importance %v, ByClass %v", local.Tree.Importance, byClass.Tree.Importance)
 	}
 }
 
 func TestLocalNodeDistributionsRespectSpan(t *testing.T) {
 	src, _ := buildLocalSource(t, 3000)
-	rows := make([]int, src.Len())
+	rows := make([]int, len(src.Labels()))
 	for i := range rows {
 		rows[i] = i
 	}
@@ -113,7 +137,7 @@ func TestLocalNodeDistributionsDeclines(t *testing.T) {
 		t.Error("tiny node accepted for reconstruction")
 	}
 	// single-bin span cannot be reconstructed
-	all := make([]int, src.Len())
+	all := make([]int, len(src.Labels()))
 	for i := range all {
 		all[i] = i
 	}
@@ -124,22 +148,6 @@ func TestLocalNodeDistributionsDeclines(t *testing.T) {
 	delete(src.cfg.Noise, synth.AttrCar)
 	if _, ok := src.NodeDistributions(synth.AttrCar, all, tree.Span{Lo: 0, Hi: 10}); ok {
 		t.Error("unperturbed attribute accepted")
-	}
-}
-
-func TestLocalDeterministicValues(t *testing.T) {
-	src, _ := buildLocalSource(t, 2000)
-	rows := make([]int, 1200)
-	for i := range rows {
-		rows[i] = i
-	}
-	span := tree.Span{Lo: 0, Hi: src.Bins(synth.AttrAge) - 1}
-	a := append([]int(nil), src.Values(synth.AttrAge, rows, span, nil)...)
-	b := src.Values(synth.AttrAge, rows, span, nil)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("local Values not deterministic")
-		}
 	}
 }
 
@@ -209,7 +217,7 @@ func TestTrainSingleClassData(t *testing.T) {
 // their transition matrices at every node.
 func TestLocalNodeCacheReHit(t *testing.T) {
 	src, _ := buildLocalSource(t, 3000)
-	rows := make([]int, src.Len())
+	rows := make([]int, len(src.Labels()))
 	for i := range rows {
 		rows[i] = i
 	}

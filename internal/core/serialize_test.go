@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -75,15 +76,17 @@ func TestSaveIncomplete(t *testing.T) {
 	}
 }
 
+// garbageModels are model documents Load must reject.
+var garbageModels = []struct{ name, doc string }{
+	{"not json", "hello"},
+	{"wrong format", `{"format":"other/9","mode":"byclass","attrs":[],"classes":[],"partitions":[],"tree":null}`},
+	{"unknown field", `{"format":"ppdm-classifier/1","bogus":1}`},
+	{"bad mode", `{"format":"ppdm-classifier/1","mode":"nope","attrs":[{"Name":"x","Kind":0,"Lo":0,"Hi":1,"Cardinality":0,"Step":0}],"classes":["a","b"],"partitions":[{"Lo":0,"Hi":1,"K":2}],"tree":null}`},
+	{"no tree", `{"format":"ppdm-classifier/1","mode":"byclass","attrs":[{"Name":"x","Kind":0,"Lo":0,"Hi":1,"Cardinality":0,"Step":0}],"classes":["a","b"],"partitions":[{"Lo":0,"Hi":1,"K":2}],"tree":null}`},
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
-	cases := []struct{ name, doc string }{
-		{"not json", "hello"},
-		{"wrong format", `{"format":"other/9","mode":"byclass","attrs":[],"classes":[],"partitions":[],"tree":null}`},
-		{"unknown field", `{"format":"ppdm-classifier/1","bogus":1}`},
-		{"bad mode", `{"format":"ppdm-classifier/1","mode":"nope","attrs":[{"Name":"x","Kind":0,"Lo":0,"Hi":1,"Cardinality":0,"Step":0}],"classes":["a","b"],"partitions":[{"Lo":0,"Hi":1,"K":2}],"tree":null}`},
-		{"no tree", `{"format":"ppdm-classifier/1","mode":"byclass","attrs":[{"Name":"x","Kind":0,"Lo":0,"Hi":1,"Cardinality":0,"Step":0}],"classes":["a","b"],"partitions":[{"Lo":0,"Hi":1,"K":2}],"tree":null}`},
-	}
-	for _, c := range cases {
+	for _, c := range garbageModels {
 		if _, err := Load(strings.NewReader(c.doc)); err == nil {
 			t.Errorf("%s: Load succeeded", c.name)
 		}
@@ -118,4 +121,54 @@ func TestLoadRejectsPartitionMismatch(t *testing.T) {
 	if _, err := Load(strings.NewReader(bad)); err == nil {
 		t.Error("partition mismatch loaded")
 	}
+}
+
+// FuzzLoadClassifier feeds Load arbitrary documents, seeded with a saved
+// model, the same model with a split attribute or a partition corrupted, and
+// the documents TestLoadRejectsGarbage rejects. Load must never panic, and a
+// document it accepts must round-trip: Save → Load → Save reproduces the
+// first Save byte for byte.
+func FuzzLoadClassifier(f *testing.F) {
+	// A few hundred records keep the seed model to a handful of nodes, so
+	// the fuzzer mutates and minimizes a document of a few kilobytes.
+	train, err := synth.Generate(synth.Config{Function: synth.F1, N: 400, Seed: 84})
+	if err != nil {
+		f.Fatal(err)
+	}
+	clf, err := Train(train, Config{Mode: Original})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := clf.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	saved := buf.String()
+	f.Add([]byte(saved))
+	// The root is the first node in the document, so this corrupts its split.
+	f.Add([]byte(strings.Replace(saved, fmt.Sprintf(`"Attr": %d`, clf.Tree.Root.Attr), `"Attr": 99`, 1)))
+	f.Add([]byte(strings.Replace(saved, `"K": 50`, `"K": 1`, 1)))
+	for _, c := range garbageModels {
+		f.Add([]byte(c.doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		clf, err := Load(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := clf.Save(&first); err != nil {
+			t.Fatalf("accepted model does not save: %v", err)
+		}
+		again, err := Load(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("saved model does not load again: %v", err)
+		}
+		if err := again.Save(&second); err != nil {
+			t.Fatalf("reloaded model does not save: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("Save -> Load -> Save changed the document:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

@@ -113,48 +113,31 @@ func Train(train *dataset.Table, cfg Config) (*Classifier, error) {
 		labels[i] = train.Label(i)
 	}
 
-	var src tree.Source
+	// Local routes and falls back on the ByClass assignment; it only adds
+	// per-node reconstruction on top of it.
+	columns := byClassColumns
 	switch cfg.Mode {
 	case Original, Randomized:
-		cols, err := directColumns(train, parts, cfg)
-		if err != nil {
-			return nil, err
-		}
-		src, err = staticSource(cols, parts, labels, s.NumClasses())
-		if err != nil {
-			return nil, err
-		}
+		columns = directColumns
 	case Global:
-		cols, err := globalColumns(train, parts, cfg)
-		if err != nil {
-			return nil, err
-		}
-		src, err = staticSource(cols, parts, labels, s.NumClasses())
-		if err != nil {
-			return nil, err
-		}
-	case ByClass:
-		cols, err := byClassColumns(train, parts, cfg)
-		if err != nil {
-			return nil, err
-		}
-		src, err = staticSource(cols, parts, labels, s.NumClasses())
-		if err != nil {
-			return nil, err
-		}
-	case Local:
-		fallback, err := byClassColumns(train, parts, cfg)
-		if err != nil {
-			return nil, err
-		}
+		columns = globalColumns
+	}
+	cols, err := columns(train, parts, cfg)
+	if err != nil {
+		return nil, err
+	}
+	static, err := staticSource(cols, parts, labels, s.NumClasses())
+	if err != nil {
+		return nil, err
+	}
+	var src tree.Source = static
+	if cfg.Mode == Local {
 		src = &localSource{
-			table:    train,
-			labels:   labels,
-			parts:    parts,
-			cfg:      cfg,
-			fallback: fallback,
-			classes:  s.NumClasses(),
-			wcache:   reconstruct.NewWeightCache(localWeightCacheEntries),
+			StaticSource: static,
+			table:        train,
+			parts:        parts,
+			cfg:          cfg,
+			wcache:       reconstruct.NewWeightCache(localWeightCacheEntries),
 		}
 	}
 
@@ -240,7 +223,7 @@ func adaptiveMinLeaf(n int) int {
 func effectiveIntervals(a dataset.Attribute, k int) int { return a.Intervals(k) }
 
 // staticSource wraps assignment columns in a tree.StaticSource.
-func staticSource(cols [][]int, parts []reconstruct.Partition, labels []int, classes int) (tree.Source, error) {
+func staticSource(cols [][]int, parts []reconstruct.Partition, labels []int, classes int) (*tree.StaticSource, error) {
 	bins := make([]int, len(parts))
 	for j, p := range parts {
 		bins[j] = p.K

@@ -58,7 +58,7 @@ func NumChunks(n, chunk int) int {
 // never overlap.
 func ForEachChunk(n, chunk, workers int, fn func(c, lo, hi int)) {
 	chunks := NumChunks(n, chunk)
-	run(chunks, workers, func(_, c int) bool {
+	run(chunks, workers, func(c int) bool {
 		lo := c * chunk
 		hi := lo + chunk
 		if hi > n {
@@ -76,24 +76,15 @@ func ForEachChunk(n, chunk, workers int, fn func(c, lo, hi int)) {
 // concurrency the specific error may come from a different index than a
 // serial run would report first.
 func ForEach(n, workers int, fn func(i int) error) error {
-	return ForEachSlot(n, workers, func(_, i int) error { return fn(i) })
-}
-
-// ForEachSlot is ForEach with the executing worker slot exposed: slot is in
-// [0, resolved worker count) and is stable for the lifetime of one worker
-// goroutine, so callers can maintain per-slot scratch state without locking.
-// Slot assignment is a scheduling detail — deterministic callers must keep
-// results independent of it (scratch buffers yes, accumulators no).
-func ForEachSlot(n, workers int, fn func(slot, i int) error) error {
 	var mu sync.Mutex
 	errIdx := -1
 	var firstErr error
 	var failed atomic.Bool
-	run(n, workers, func(slot, i int) bool {
+	run(n, workers, func(i int) bool {
 		if failed.Load() {
 			return false
 		}
-		if err := fn(slot, i); err != nil {
+		if err := fn(i); err != nil {
 			failed.Store(true)
 			mu.Lock()
 			if errIdx == -1 || i < errIdx {
@@ -139,12 +130,12 @@ func MapReduce[T, A any](n, workers int, acc A, mapFn func(i int) (T, error), re
 	return acc, nil
 }
 
-// run executes fn(slot, i) for i in [0, n) on up to workers goroutines, each
-// identified by a stable slot index. Tasks are claimed from an atomic
-// counter, so scheduling is dynamic but the set of tasks (and therefore any
-// index-keyed output) is fixed. fn returning false stops the claim loops
-// early (fail-fast); already-started invocations still finish.
-func run(n, workers int, fn func(slot, i int) bool) {
+// run executes fn(i) for i in [0, n) on up to workers goroutines. Tasks are
+// claimed from an atomic counter, so scheduling is dynamic but the set of
+// tasks (and therefore any index-keyed output) is fixed. fn returning false
+// stops the claim loops early (fail-fast); already-started invocations still
+// finish.
+func run(n, workers int, fn func(i int) bool) {
 	if n <= 0 {
 		return
 	}
@@ -154,7 +145,7 @@ func run(n, workers int, fn func(slot, i int) bool) {
 	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			if !fn(0, i) {
+			if !fn(i) {
 				return
 			}
 		}
@@ -163,19 +154,19 @@ func run(n, workers int, fn func(slot, i int) bool) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func(slot int) {
+	for range w {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				if !fn(slot, i) {
+				if !fn(i) {
 					return
 				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 }

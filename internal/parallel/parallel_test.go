@@ -156,17 +156,14 @@ func TestZeroAndNegativeN(t *testing.T) {
 	}
 }
 
-func TestForEachSlotBoundsAndFailFast(t *testing.T) {
+func TestForEachFailFast(t *testing.T) {
 	const n, workers = 400, 4
 	var started atomic.Int64
 	// Succeeding tasks block until the failing task (index 0, always the
 	// first claim) has run, so no worker can race through the work list
 	// before the failure is observable.
 	failed := make(chan struct{})
-	err := ForEachSlot(n, workers, func(slot, i int) error {
-		if slot < 0 || slot >= workers {
-			t.Errorf("slot %d outside [0,%d)", slot, workers)
-		}
+	err := ForEach(n, workers, func(i int) error {
 		started.Add(1)
 		if i == 0 {
 			close(failed)

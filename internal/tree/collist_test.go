@@ -10,22 +10,6 @@ import (
 	"ppdm/internal/stream"
 )
 
-// valuesOnlySource hides a StaticSource's columnar interface, forcing the
-// legacy row-pull (Values) engine — the reference the columnar engine must
-// reproduce exactly.
-type valuesOnlySource struct {
-	s *StaticSource
-}
-
-func (v *valuesOnlySource) Len() int          { return v.s.Len() }
-func (v *valuesOnlySource) NumAttrs() int     { return v.s.NumAttrs() }
-func (v *valuesOnlySource) Bins(attr int) int { return v.s.Bins(attr) }
-func (v *valuesOnlySource) NumClasses() int   { return v.s.NumClasses() }
-func (v *valuesOnlySource) Label(row int) int { return v.s.Label(row) }
-func (v *valuesOnlySource) Values(attr int, rows []int, span Span, dst []int) []int {
-	return v.s.Values(attr, rows, span, dst)
-}
-
 // randomCols draws a noisy multi-attribute dataset big enough to split
 // repeatedly and to cross several SegLen segments.
 func randomCols(seed uint64, n, attrs, bins, classes int) (cols [][]int, labels []int) {
@@ -65,8 +49,8 @@ func treesEqual(t *testing.T, a, b *Tree) {
 }
 
 // TestColumnarMatchesValuesEngine grows the same data through the columnar
-// engine (StaticSource) and the legacy row-pull path and demands identical
-// trees — structure, counts, and bit-identical Importance.
+// engine (StaticSource) and the row-pull oracle referenceGrow and demands
+// identical trees — structure, counts, and bit-identical Importance.
 func TestColumnarMatchesValuesEngine(t *testing.T) {
 	const n, attrs, bins, classes = 30000, 4, 12, 3
 	cols, labels := randomCols(11, n, attrs, bins, classes)
@@ -84,11 +68,7 @@ func TestColumnarMatchesValuesEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		valTree, err := Grow(&valuesOnlySource{s: static}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		treesEqual(t, colTree, valTree)
+		treesEqual(t, colTree, referenceGrow(cols, binsV, labels, classes, cfg))
 	}
 }
 

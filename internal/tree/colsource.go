@@ -14,7 +14,7 @@ import (
 // set is.
 const DefaultCacheSegments = 256
 
-// SpillSource is a ColumnSource whose attribute lists reside in on-disk
+// SpillSource is a Source whose attribute lists reside in on-disk
 // segment files of checksummed 4-byte interval indices (written by
 // stream.SegmentWriter on the SegLen grid). Segments decode on demand into a
 // bounded, shared LRU cache, so tree growth over an arbitrarily large
@@ -84,9 +84,6 @@ func NewSpillSource(readers []*stream.SegmentReader, bins []int, labels []int, n
 	return s, nil
 }
 
-// Len implements Source.
-func (s *SpillSource) Len() int { return len(s.labels) }
-
 // NumAttrs implements Source.
 func (s *SpillSource) NumAttrs() int { return len(s.lists) }
 
@@ -96,42 +93,11 @@ func (s *SpillSource) Bins(attr int) int { return s.bins[attr] }
 // NumClasses implements Source.
 func (s *SpillSource) NumClasses() int { return s.k }
 
-// Label implements Source.
-func (s *SpillSource) Label(row int) int { return s.labels[row] }
-
-// AttrList implements ColumnSource.
-func (s *SpillSource) AttrList(attr int) AttrList { return s.lists[attr] }
-
-// Labels implements ColumnSource.
+// Labels implements Source.
 func (s *SpillSource) Labels() []int { return s.labels }
 
-// Values implements Source for interface completeness only: the columnar
-// engine never routes a ColumnSource through the row-pull path. It reads
-// through the same segment cache and panics on storage failure, since the
-// signature has no error channel; any caller hitting this path with a
-// failing disk has already lost the training run.
-func (s *SpillSource) Values(attr int, rows []int, span Span, dst []int) []int {
-	if cap(dst) < len(rows) {
-		dst = make([]int, len(rows))
-	}
-	out := dst[:len(rows)]
-	list := s.lists[attr]
-	for i, r := range rows {
-		seg, err := list.Segment(r / SegLen)
-		if err != nil {
-			panic(fmt.Sprintf("tree: reading spilled column %d: %v", attr, err))
-		}
-		v := int(seg[r%SegLen])
-		if v < span.Lo {
-			v = span.Lo
-		}
-		if v > span.Hi {
-			v = span.Hi
-		}
-		out[i] = v
-	}
-	return out
-}
+// AttrList implements Source.
+func (s *SpillSource) AttrList(attr int) AttrList { return s.lists[attr] }
 
 // spillList is the AttrList view of one spilled column.
 type spillList struct {

@@ -27,15 +27,16 @@
 //
 // # The Source contract and the paper's Local mode
 //
-// The generic Source interface (row-pull Values calls) remains the
-// universal contract, because the paper's Local mode cannot be columnar: at
-// every node it re-derives the interval distribution of each candidate
-// attribute by running distribution reconstruction over just that node's
-// perturbed values (DistribSource), exactly as §4 of the paper prescribes,
-// and routes records through span-clamped fallback assignments. Sources
-// that additionally implement ColumnSource — all static assignments:
-// Original/Randomized baselines and the Global/ByClass reconstruction
-// modes — are served by the columnar engine instead.
+// There is one engine. Every Source is columnar: it hands the grower its
+// attribute lists and class list, and StaticSource and SpillSource are the
+// two storage layouts. The paper's Local mode is a StaticSource plus the
+// optional DistribSource refinement: at every node it re-derives the
+// interval distribution of each candidate attribute by running distribution
+// reconstruction over just that node's perturbed values, exactly as §4 of
+// the paper prescribes, while the StaticSource's root ByClass assignment
+// routes records and supplies the counts of every node the refinement
+// declines. Local therefore grows through the same split search and the
+// same bitmap partitioning as every other mode.
 //
 // # Parallelism and determinism
 //
@@ -45,8 +46,9 @@
 // tie-breaking), and across the tree, left/right subtrees above the
 // Config.SubtreeMinRows cutoff grow as independent fork-join tasks on
 // internal/parallel (the per-node fan-out shrinks as subtree tasks occupy
-// workers, so the axes compose instead of multiplying). Grown trees are bit-identical for every worker count:
-// subtrees are data-independent, and Importance — the only cross-subtree
-// accumulation — is folded by a deterministic pre-order walk after growth,
-// reproducing the serial recursion's floating-point addition order exactly.
+// workers, so the axes compose instead of multiplying). Grown trees are
+// bit-identical for every worker count: subtrees are data-independent, and
+// Importance — the only cross-subtree accumulation — is folded by a
+// deterministic pre-order walk after growth, reproducing the serial
+// recursion's floating-point addition order exactly.
 package tree

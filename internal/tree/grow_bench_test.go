@@ -9,11 +9,11 @@ import (
 	"ppdm/internal/stream"
 )
 
-// Engine-level pairs for BENCH_tree.json: identical growth workload through
-// the legacy row-pull (Values) engine, the columnar in-memory engine, and
-// the disk-spilled columnar engine. Outputs are identical by
+// Engine-level rows for BENCH_tree.json: an identical growth workload
+// through the row-pull test oracle referenceGrow, the columnar in-memory
+// engine, and the disk-spilled columnar engine. Outputs are identical by
 // TestColumnarMatchesValuesEngine / TestSpillSourceMatchesStatic, so the
-// deltas measure pure data-access cost.
+// deltas measure data access and partitioning cost.
 
 const benchGrowN = 100000
 
@@ -33,13 +33,16 @@ func benchGrowCfg() Config {
 	return Config{MinLeaf: 50, DisablePruning: true, Workers: 1, SubtreeMinRows: -1}
 }
 
+// benchTree keeps the oracle's result live so the compiler cannot drop the
+// call.
+var benchTree *Tree
+
 func BenchmarkGrowValuesEngine(b *testing.B) {
-	src, _, _ := benchGrowSource(b)
+	_, cols, labels := benchGrowSource(b)
+	bins := []int{20, 20, 20, 20, 20, 20}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Grow(&valuesOnlySource{s: src}, benchGrowCfg()); err != nil {
-			b.Fatal(err)
-		}
+		benchTree = referenceGrow(cols, bins, labels, 3, benchGrowCfg())
 	}
 }
 

@@ -18,12 +18,9 @@ type split struct {
 // per-attribute winners reduced in ascending attribute order with a
 // strictly-greater comparison — the same tie-breaking (lowest attribute,
 // then lowest cut) as a serial attr-major/cut-minor scan, so the chosen
-// split is independent of the worker count.
-// slotScratch holds one reusable Values buffer per worker slot (its length
-// must cover parallel.Workers(workers)); the caller owns it across calls so
-// the buffers amortize over a subtree. Errors can only originate from
+// split is independent of the worker count. Errors can only originate from
 // columnar storage (disk reads of a spilled attribute list).
-func findBestSplit(src Source, rows []int, spans []Span, parentCounts []int, minLeaf, workers int, slotScratch [][]int) (split, error) {
+func findBestSplit(src Source, rows []int, spans []Span, parentCounts []int, minLeaf, workers int) (split, error) {
 	k := src.NumClasses()
 	n := len(rows)
 	parent := make([]float64, k)
@@ -42,8 +39,8 @@ func findBestSplit(src Source, rows []int, spans []Span, parentCounts []int, min
 		workers = 1
 	}
 	results := make([]split, src.NumAttrs())
-	err := parallel.ForEachSlot(src.NumAttrs(), workers, func(slot, attr int) error {
-		s, err := bestSplitForAttr(src, attr, rows, spans[attr], parentGini, minLeaf, &slotScratch[slot])
+	err := parallel.ForEach(src.NumAttrs(), workers, func(attr int) error {
+		s, err := bestSplitForAttr(src, attr, rows, spans[attr], parentGini, minLeaf)
 		results[attr] = s
 		return err
 	})
@@ -65,16 +62,12 @@ func findBestSplit(src Source, rows []int, spans []Span, parentCounts []int, min
 
 // bestSplitForAttr finds the best boundary of one attribute.
 //
-// Per-interval class masses are fractional: they come from walking the
-// attribute's columnar list (ColumnSource), from counting Values (one pass
-// over the rows, for row-pull sources), or, when the source implements
-// DistribSource, from the source's own per-node distribution estimate (the
-// paper's Local mode). The best boundary is then found by a prefix scan, so
-// the cost per attribute is O(rows + bins·classes). All three fills produce
-// identical masses for identical assignments — integer unit increments are
-// exact in float64 — so promoting a source to ColumnSource never changes
-// the tree.
-func bestSplitForAttr(src Source, attr int, rows []int, span Span, parentGini float64, minLeaf int, valsBuf *[]int) (split, error) {
+// Per-interval class masses come from walking the attribute's columnar list
+// over the node's rows or, when the source implements DistribSource and
+// accepts the node, from the source's own fractional per-node distribution
+// estimate (the paper's Local mode). The best boundary is then found by a
+// prefix scan, so the cost per attribute is O(rows + bins·classes).
+func bestSplitForAttr(src Source, attr int, rows []int, span Span, parentGini float64, minLeaf int) (split, error) {
 	best := split{attr: -1}
 	if span.Count() < 2 {
 		return best, nil
@@ -95,16 +88,8 @@ func bestSplitForAttr(src Source, attr int, rows []int, span Span, parentGini fl
 		}
 	}
 	if !filled {
-		if cs, isColumnar := src.(ColumnSource); isColumnar {
-			if err := colCounts(cs.AttrList(attr), rows, cs.Labels(), k, counts); err != nil {
-				return best, err
-			}
-		} else {
-			vals := src.Values(attr, rows, span, *valsBuf)
-			*valsBuf = vals
-			for i, r := range rows {
-				counts[vals[i]*k+src.Label(r)]++
-			}
+		if err := colCounts(src.AttrList(attr), rows, src.Labels(), k, counts); err != nil {
+			return best, err
 		}
 	}
 	// total mass and per-class totals of this attribute's estimate (may
