@@ -23,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"ppdm"
 	"ppdm/internal/serve"
@@ -250,7 +249,7 @@ func benchServeClassify(b *testing.B, n int) {
 	if err := f.Close(); err != nil {
 		b.Fatal(err)
 	}
-	s, err := serve.New(serve.Config{ModelPath: path, MaxBatch: 1, FlushDelay: time.Nanosecond})
+	s, err := serve.New(serve.Config{ModelPath: path, MaxBatch: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -129,14 +129,13 @@ func BenchmarkServeSerialSingle(b *testing.B) {
 }
 
 // BenchmarkServeMicroBatched serves the identical single-record requests
-// from concurrent clients through the micro-batcher (flush on size or
-// deadline); the dispatcher coalesces them into multi-record ClassifyBatch
+// from concurrent clients through the micro-batcher; the dispatcher
+// coalesces whatever queued during the previous flush into multi-record
 // flushes at Workers = all cores. Distinct records defeat the cache, so
 // the speedup over SerialSingle is pure request overlap + coalescing.
 func BenchmarkServeMicroBatched(b *testing.B) {
 	ts, records := newBenchServer(b, serve.Config{
 		MaxBatch:   64,
-		FlushDelay: 500 * time.Microsecond,
 		QueueDepth: 1024,
 		CacheSize:  -1,
 	})
@@ -162,7 +161,6 @@ func BenchmarkServeMicroBatched(b *testing.B) {
 func BenchmarkServeMicroBatchedGroups(b *testing.B) {
 	ts, records := newBenchServer(b, serve.Config{
 		MaxBatch:   64,
-		FlushDelay: 500 * time.Microsecond,
 		QueueDepth: 1024,
 		CacheSize:  -1,
 	})
@@ -188,7 +186,6 @@ func BenchmarkServeMicroBatchedGroups(b *testing.B) {
 func BenchmarkServeMicroBatchedCached(b *testing.B) {
 	ts, records := newBenchServer(b, serve.Config{
 		MaxBatch:   64,
-		FlushDelay: 500 * time.Microsecond,
 		QueueDepth: 1024,
 	})
 	client := benchClient()

@@ -86,7 +86,7 @@ func main() {
 
 	// 2. Stand the daemon up (in-process here; `ppdm-serve -model model.json`
 	//    is the same server behind a real listener).
-	srv, err := serve.New(serve.Config{ModelPath: modelPath, FlushDelay: 500 * time.Microsecond})
+	srv, err := serve.New(serve.Config{ModelPath: modelPath})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 // SIGHUP hot-reloads the model file without dropping in-flight requests.
 //
 // Usage: ppdm-serve -model model.json [-addr 127.0.0.1:8080] [-workers 0]
-// [-microbatch 64] [-flush 2ms] [-queue 256] [-cache 4096] [-batch 8192]
+// [-microbatch 64] [-queue 256] [-cache 4096] [-batch 8192]
 // [-rate 0] [-burst 0] [-max-queue 0] [-default-deadline 0]
 func Serve(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ppdm-serve", flag.ContinueOnError)
@@ -30,7 +30,6 @@ func Serve(args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	workers := fs.Int("workers", 0, "worker goroutines per micro-batch flush (0 = all cores)")
 	microbatch := fs.Int("microbatch", 0, fmt.Sprintf("micro-batch flush size in records (0 = %d)", serve.DefaultMaxBatch))
-	flush := fs.Duration("flush", 0, fmt.Sprintf("micro-batch flush deadline (0 = %v)", serve.DefaultFlushDelay))
 	queue := fs.Int("queue", 0, fmt.Sprintf("bounded request-queue depth in groups (0 = %d); beyond it /classify answers 503", serve.DefaultQueueDepth))
 	cache := fs.Int("cache", 0, fmt.Sprintf("prediction-cache entries per model snapshot (0 = %d, negative disables)", serve.DefaultCacheSize))
 	batch := fs.Int("batch", 0, fmt.Sprintf("records per batch for gzipped-CSV request bodies (0 = %d)", stream.DefaultBatchSize))
@@ -49,7 +48,6 @@ func Serve(args []string, stdout, stderr io.Writer) int {
 		ModelPath:   *modelPath,
 		Workers:     *workers,
 		MaxBatch:    *microbatch,
-		FlushDelay:  *flush,
 		QueueDepth:  *queue,
 		CacheSize:   *cache,
 		StreamBatch: *batch,

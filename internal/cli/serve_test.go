@@ -90,7 +90,7 @@ func TestServeEndToEnd(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	done := make(chan int, 1)
 	go func() {
-		done <- Serve([]string{"-model", model, "-addr", addr, "-flush", "1ms"}, &stdout, &stderr)
+		done <- Serve([]string{"-model", model, "-addr", addr}, &stdout, &stderr)
 	}()
 
 	base := "http://" + addr

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"ppdm/internal/synth"
 )
@@ -48,13 +47,13 @@ func (w *nullResponseWriter) Write(p []byte) (int, error) {
 }
 
 // newAllocServer boots a server for allocation measurement: a real trained
-// tree model, MaxBatch 1 so no flush ever waits on the coalescing timer.
+// tree model, MaxBatch 1 so every request flushes alone.
 func newAllocServer(t *testing.T) *Server {
 	t.Helper()
 	_, modelBytes := trainTree(t, synth.F2, 1)
 	path := filepath.Join(t.TempDir(), "model.json")
 	writeModelAtomic(t, path, modelBytes)
-	s, err := New(Config{ModelPath: path, MaxBatch: 1, FlushDelay: time.Nanosecond})
+	s, err := New(Config{ModelPath: path, MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestSubmitAllocs(t *testing.T) {
 		if cacheSize > 0 {
 			m.cache = newLRU(cacheSize)
 		}
-		b := NewBatcher(func() *Model { return m }, 1, 0, 0, 1)
+		b := NewBatcher(func() *Model { return m }, 1, 0, 1)
 		for i := 0; i < 10; i++ {
 			if _, _, err := b.Submit(records, out); err != nil {
 				t.Fatal(err)

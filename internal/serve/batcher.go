@@ -9,12 +9,9 @@ import (
 
 // Batcher defaults, used when the corresponding Config field is zero.
 const (
-	// DefaultMaxBatch is the record count at which a micro-batch flushes
-	// without waiting for the deadline.
+	// DefaultMaxBatch is the record count at which the dispatcher stops
+	// collecting queued groups into one micro-batch.
 	DefaultMaxBatch = 64
-	// DefaultFlushDelay is how long the dispatcher holds an incomplete
-	// micro-batch open for more requests to coalesce.
-	DefaultFlushDelay = 2 * time.Millisecond
 	// DefaultQueueDepth is the bounded-queue capacity in request groups;
 	// submissions beyond it are rejected immediately (ErrQueueFull) rather
 	// than buffered without limit.
@@ -27,13 +24,6 @@ const (
 // micro-batch sizes, faster than paying the worker-engine dispatch; bigger
 // flushes (bulk cold batches) still get the parallel engine.
 const serialMissMax = 128
-
-// deadlineSlack is how far ahead of the earliest member deadline the
-// dispatcher cuts a coalescing wait short: waking exactly at the
-// deadline would leave no time to classify, expiring the very request
-// the wake-up was for. Requests with less than this much budget left
-// flush immediately instead of waiting for company.
-const deadlineSlack = 5 * time.Millisecond
 
 // ErrQueueFull is returned by Submit when the bounded request queue is at
 // capacity — the server is saturated and the client should back off.
@@ -89,11 +79,11 @@ type missSlot struct {
 
 // Batcher coalesces concurrent classification requests into micro-batches:
 // request groups land in a bounded queue, a single dispatcher goroutine
-// collects them until the batch reaches maxBatch records or the flush
-// deadline passes, and each flush classifies the whole batch against one
-// model snapshot. Under load the queue naturally back-fills while a flush
-// is running, so batches grow with pressure (classic adaptive
-// micro-batching); when idle a lone request waits at most the flush delay.
+// takes the first group plus whatever else is already queued (up to
+// maxBatch records), and each flush classifies the whole batch against one
+// model snapshot. Under load the queue back-fills while a flush is
+// running, so batches grow with pressure (classic adaptive
+// micro-batching).
 //
 // The scratch fields below the counters belong exclusively to the
 // dispatcher goroutine and persist across flushes, so the steady-state
@@ -101,7 +91,6 @@ type missSlot struct {
 type Batcher struct {
 	queue    chan *group
 	maxBatch int
-	delay    time.Duration
 	workers  int
 	model    func() *Model
 	stop     chan struct{}
@@ -127,19 +116,15 @@ type Batcher struct {
 	missRecs  [][]float64
 	keyBuf    []byte
 	bins      []int
-	timer     *time.Timer
 }
 
 // NewBatcher starts the dispatcher. model returns the current snapshot
-// (typically an atomic.Pointer load); maxBatch, delay, and queueDepth fall
-// back to the package defaults when zero; workers bounds each flush's
+// (typically an atomic.Pointer load); maxBatch and queueDepth fall back to
+// the package defaults when zero; workers bounds each flush's
 // classification parallelism (0 = all cores).
-func NewBatcher(model func() *Model, maxBatch int, delay time.Duration, queueDepth, workers int) *Batcher {
+func NewBatcher(model func() *Model, maxBatch, queueDepth, workers int) *Batcher {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
-	}
-	if delay <= 0 {
-		delay = DefaultFlushDelay
 	}
 	if queueDepth <= 0 {
 		queueDepth = DefaultQueueDepth
@@ -147,7 +132,6 @@ func NewBatcher(model func() *Model, maxBatch int, delay time.Duration, queueDep
 	b := &Batcher{
 		queue:    make(chan *group, queueDepth),
 		maxBatch: maxBatch,
-		delay:    delay,
 		workers:  workers,
 		model:    model,
 		stop:     make(chan struct{}),
@@ -169,10 +153,9 @@ func (b *Batcher) Submit(records [][]float64, out []int) (int, *Model, error) {
 }
 
 // SubmitDeadline is Submit with an absolute deadline threaded through
-// the micro-batcher: the dispatcher never holds a batch open past the
-// earliest member's deadline, and a group whose deadline passes while
-// queued is answered ErrDeadlineExceeded without reaching the model.
-// A zero deadline means none.
+// the micro-batcher: a group whose deadline passes while queued is
+// answered ErrDeadlineExceeded without reaching the model. A zero
+// deadline means none.
 func (b *Batcher) SubmitDeadline(records [][]float64, out []int, deadline time.Time) (int, *Model, error) {
 	return b.submit(records, out, deadline, false)
 }
@@ -348,75 +331,21 @@ func (b *Batcher) run() {
 	}
 }
 
-// waitDelay parks the dispatcher on the reusable flush timer until a group
-// arrives, d passes, or the batcher stops; it returns the group (or
-// nil) with the timer fully quiesced either way.
-func (b *Batcher) waitDelay(d time.Duration) *group {
-	if b.timer == nil {
-		b.timer = time.NewTimer(d)
-	} else {
-		b.timer.Reset(d)
-	}
-	fired := false
-	var g *group
-	select {
-	case g = <-b.queue:
-	case <-b.timer.C:
-		fired = true
-	case <-b.stop:
-	}
-	if !fired && !b.timer.Stop() {
-		// Lost the race: the timer fired between the select and Stop. Drain
-		// the channel so the next Reset starts clean.
-		select {
-		case <-b.timer.C:
-		default:
-		}
-	}
-	return g
-}
-
 // collectAndFlush forms one micro-batch behind the first group and
-// classifies it. Collection is greedy: everything already queued joins the
-// batch (up to maxBatch records) without waiting, so under load batches
-// grow to whatever piled up during the previous flush and the dispatcher
-// never idles. Only when the queue goes momentarily empty does an
-// incomplete batch wait — once, for at most the flush delay — for company
-// before flushing, which bounds the latency a solitary request can pay at
-// delay and costs the saturated path nothing. The wait is additionally
-// capped by the earliest member deadline, so a batch never idles past
-// the moment one of its requests would expire.
+// classifies it: the batch is the first group plus every group already
+// queued, up to maxBatch records, so under load it grows to whatever
+// piled up during the previous flush.
 func (b *Batcher) collectAndFlush(first *group) {
 	pending := append(b.pending[:0], first)
 	n := len(first.records)
-	earliest := first.deadline
-	waited := false
+collect:
 	for n < b.maxBatch {
 		select {
 		case g := <-b.queue:
 			pending = append(pending, g)
 			n += len(g.records)
-			earliest = earlierDeadline(earliest, g.deadline)
-			continue
 		default:
-		}
-		if waited || b.delay <= 0 {
-			break
-		}
-		wait := b.delay
-		if !earliest.IsZero() {
-			if rem := time.Until(earliest) - deadlineSlack; rem < wait {
-				wait = rem
-			}
-		}
-		if wait <= 0 {
-			break
-		}
-		waited = true
-		if g := b.waitDelay(wait); g != nil {
-			pending = append(pending, g)
-			n += len(g.records)
-			earliest = earlierDeadline(earliest, g.deadline)
+			break collect
 		}
 	}
 	b.flush(pending, n)
@@ -424,37 +353,16 @@ func (b *Batcher) collectAndFlush(first *group) {
 	b.pending = pending[:0]
 }
 
-// earlierDeadline returns the earlier of two deadlines, treating the
-// zero time as "none".
-func earlierDeadline(a, b time.Time) time.Time {
-	if a.IsZero() || (!b.IsZero() && b.Before(a)) {
-		return b
-	}
-	return a
-}
-
 // drain flushes every group still in the queue at shutdown, in maxBatch-
 // record batches.
 func (b *Batcher) drain() {
 	for {
-		pending := b.pending[:0]
-		n := 0
-		for n < b.maxBatch {
-			select {
-			case g := <-b.queue:
-				pending = append(pending, g)
-				n += len(g.records)
-				continue
-			default:
-			}
-			break
-		}
-		if len(pending) == 0 {
+		select {
+		case g := <-b.queue:
+			b.collectAndFlush(g)
+		default:
 			return
 		}
-		b.flush(pending, n)
-		clear(pending)
-		b.pending = pending[:0]
 	}
 }
 

@@ -56,7 +56,7 @@ func record(v float64) []float64 {
 // groups — i.e. genuinely coalesced into micro-batches.
 func TestBatcherCoalesces(t *testing.T) {
 	p := &fakePredictor{gate: make(chan struct{})}
-	b := NewBatcher(func() *Model { return fakeModel(p, 0) }, 64, time.Millisecond, 0, 1)
+	b := NewBatcher(func() *Model { return fakeModel(p, 0) }, 64, 0, 1)
 	defer b.Close()
 
 	const groups = 20
@@ -92,7 +92,7 @@ func TestBatcherCoalesces(t *testing.T) {
 // checks the overflow submission is rejected, not buffered.
 func TestBatcherQueueFull(t *testing.T) {
 	p := &fakePredictor{gate: make(chan struct{})}
-	b := NewBatcher(func() *Model { return fakeModel(p, 0) }, 1, time.Millisecond, 2, 1)
+	b := NewBatcher(func() *Model { return fakeModel(p, 0) }, 1, 2, 1)
 	var gateOnce sync.Once
 	openGate := func() { gateOnce.Do(func() { close(p.gate) }) }
 	defer b.Close()
@@ -141,7 +141,7 @@ func TestBatcherQueueFull(t *testing.T) {
 func TestBatcherCache(t *testing.T) {
 	p := &fakePredictor{}
 	m := fakeModel(p, 16)
-	b := NewBatcher(func() *Model { return m }, 0, 0, 0, 1)
+	b := NewBatcher(func() *Model { return m }, 0, 0, 1)
 	defer b.Close()
 
 	rec := record(5)
@@ -161,16 +161,25 @@ func TestBatcherCache(t *testing.T) {
 	}
 }
 
-// TestBatcherInvalidGroupFailsAlone submits a malformed group and a valid
-// one; only the malformed group errors.
+// TestBatcherInvalidGroupFailsAlone queues a malformed group and a valid
+// one behind a gated flush, so both land in the next flush together; only
+// the malformed group errors, and its record never reaches the model.
 func TestBatcherInvalidGroupFailsAlone(t *testing.T) {
-	p := &fakePredictor{}
-	b := NewBatcher(func() *Model { return fakeModel(p, 0) }, 0, 10*time.Millisecond, 0, 1)
+	p := &fakePredictor{gate: make(chan struct{})}
+	b := NewBatcher(func() *Model { return fakeModel(p, 0) }, 0, 0, 1)
+	var gateOnce sync.Once
+	openGate := func() { gateOnce.Do(func() { close(p.gate) }) }
 	defer b.Close()
+	defer openGate() // must run before b.Close, or Close waits on the gated flush forever
 
 	var wg sync.WaitGroup
-	wg.Add(2)
-	var badErr, goodErr error
+	wg.Add(3)
+	var holdErr, badErr, goodErr error
+	go func() {
+		defer wg.Done()
+		_, _, holdErr = b.Submit([][]float64{record(0)}, make([]int, 1))
+	}()
+	waitFor(t, "the first flush to block in the gate", func() bool { return p.calls.Load() == 1 })
 	go func() {
 		defer wg.Done()
 		_, _, badErr = b.Submit([][]float64{{1, 2}}, make([]int, 1)) // wrong width
@@ -179,12 +188,24 @@ func TestBatcherInvalidGroupFailsAlone(t *testing.T) {
 		defer wg.Done()
 		_, _, goodErr = b.Submit([][]float64{record(1)}, make([]int, 1))
 	}()
+	waitFor(t, "both groups to queue", func() bool { return b.Stats().QueueDepth == 2 })
+	openGate()
 	wg.Wait()
+
+	if holdErr != nil {
+		t.Fatalf("gated group failed: %v", holdErr)
+	}
 	if badErr == nil {
 		t.Fatal("malformed group was accepted")
 	}
 	if goodErr != nil {
 		t.Fatalf("valid group failed: %v", goodErr)
+	}
+	if st := b.Stats(); st.Batches != 2 || st.LargestBatch != 2 {
+		t.Fatalf("stats %+v: want the two queued groups in one flush after the gated one", st)
+	}
+	if got := p.records.Load(); got != 2 {
+		t.Fatalf("predictor saw %d records, want 2 (the malformed one withheld)", got)
 	}
 }
 

@@ -61,7 +61,6 @@ func (p *slowPredictor) ClassifyBatch(records [][]float64, workers int) ([]int, 
 func benchOverloadServer(b *testing.B, cfg Config) (*Server, string) {
 	b.Helper()
 	cfg.MaxBatch = 1 // one record per flush: capacity = 1/serviceTime
-	cfg.FlushDelay = 50 * time.Microsecond
 	cfg.Workers = 1
 	s, ts, _ := newTestServer(b, cfg)
 	s.model.Store(fakeModel(&slowPredictor{serviceTime: time.Millisecond}, 0))

@@ -30,7 +30,8 @@
 //     cache and chain gauges.
 //
 // Architecture of the hot path: concurrent /classify requests are coalesced
-// by a micro-batcher (bounded queue; flush on size or deadline) and
+// by a micro-batcher (bounded queue; each flush takes the first queued
+// group plus whatever else is already queued, up to a record cap) and
 // dispatched as one batch onto the internal/parallel worker engine via
 // ClassifyBatch, fronted by a bounded per-model LRU cache keyed by the
 // discretized record. The model lives behind an atomic.Pointer: hot reload

@@ -63,7 +63,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // request still completes once the model unblocks, and /healthz stays
 // admitted throughout (the always-admit budget).
 func TestShedBeforeTimeout(t *testing.T) {
-	s, ts, _ := newTestServer(t, Config{MaxBatch: 1, FlushDelay: time.Millisecond, QueueDepth: 2})
+	s, ts, _ := newTestServer(t, Config{MaxBatch: 1, QueueDepth: 2})
 	gate := make(chan struct{})
 	gated := &fakePredictor{gate: gate}
 	s.model.Store(fakeModel(gated, 0))
@@ -174,7 +174,7 @@ func TestRateLimit429Isolation(t *testing.T) {
 // a gated flush, lets the deadline lapse, and asserts the request is
 // answered 504 without its records ever reaching the predictor.
 func TestDeadlineExpiredNeverReachesModel(t *testing.T) {
-	s, ts, _ := newTestServer(t, Config{MaxBatch: 1, FlushDelay: time.Millisecond, QueueDepth: 8})
+	s, ts, _ := newTestServer(t, Config{MaxBatch: 1, QueueDepth: 8})
 	gate := make(chan struct{})
 	gated := &fakePredictor{gate: gate}
 	s.model.Store(fakeModel(gated, 0))
@@ -231,23 +231,29 @@ func TestDeadlineExpiredNeverReachesModel(t *testing.T) {
 	}
 }
 
-// TestBatcherWaitCappedByDeadline submits a lone deadlined request into
-// a batcher with a very long flush delay: the dispatcher must cut its
-// coalescing wait short and answer within the budget instead of holding
-// the batch open for the full delay.
-func TestBatcherWaitCappedByDeadline(t *testing.T) {
+// TestBatcherLoneSubmitNeverWaits pins the greedy flush: with nothing else
+// queued, a lone submission is its own flush. 200 sequential deadlined
+// submissions against an instant model must all be classified — a live
+// deadline is no reason to reject — and finish far inside the time even a
+// millisecond-scale wait per request would take.
+func TestBatcherLoneSubmitNeverWaits(t *testing.T) {
 	p := &fakePredictor{}
-	b := NewBatcher(func() *Model { return fakeModel(p, 0) }, 64, 2*time.Second, 0, 1)
+	b := NewBatcher(func() *Model { return fakeModel(p, 0) }, 64, 0, 1)
 	defer b.Close()
 	out := make([]int, 1)
+	recs := [][]float64{record(1)}
+	const submits = 200
 	start := time.Now()
-	_, _, err := b.SubmitDeadline([][]float64{record(1)}, out, time.Now().Add(100*time.Millisecond))
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("deadlined submit failed: %v (after %v)", err, elapsed)
+	for i := 0; i < submits; i++ {
+		if _, _, err := b.SubmitDeadline(recs, out, time.Now().Add(time.Second)); err != nil {
+			t.Fatalf("submit %d with a live deadline: %v", i, err)
+		}
 	}
-	if elapsed >= time.Second {
-		t.Fatalf("submit took %v — the batch waited the full flush delay past the deadline", elapsed)
+	if elapsed := time.Since(start); elapsed >= 100*time.Millisecond {
+		t.Fatalf("%d lone submits took %v — each waited before its flush", submits, elapsed)
+	}
+	if st := b.Stats(); st.Batches != submits {
+		t.Fatalf("%d flushes for %d lone submits, want one each", st.Batches, submits)
 	}
 }
 
@@ -258,7 +264,7 @@ func TestBatcherWaitCappedByDeadline(t *testing.T) {
 func TestSubmitWaitQueuesIntoTimeout(t *testing.T) {
 	gate := make(chan struct{})
 	p := &fakePredictor{gate: gate}
-	b := NewBatcher(func() *Model { return fakeModel(p, 0) }, 1, time.Millisecond, 1, 1)
+	b := NewBatcher(func() *Model { return fakeModel(p, 0) }, 1, 1, 1)
 	defer b.Close()
 
 	var wg sync.WaitGroup

@@ -2,8 +2,11 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
+	"strings"
 	"unsafe"
 )
 
@@ -14,8 +17,14 @@ import (
 // record, and per encoder state, which would dominate a steady-state
 // request. The parser below lands every float in a reusable arena and the
 // renderer appends into a reusable buffer, so a warmed-up request touches
-// the heap zero times. The cold paths (malformed input, exotic strings)
+// the heap zero times. The cold paths (malformed input, exotic spellings)
 // fall back to fmt/encoding-json freely.
+
+// maxNestingDepth is encoding/json's nesting limit, counting the top-level
+// object as depth 1. A body nested deeper is rejected, as the decoder
+// rejects it, so skipping an unknown field recurses a bounded number of
+// times however the body is built.
+const maxNestingDepth = 10000
 
 // recSeg is one parsed record's span inside the classifyScratch value
 // arena; off < 0 marks a JSON null (a nil record).
@@ -32,9 +41,12 @@ type classifyParser struct {
 // {"record": [...], "records": [[...], ...]} into sc.records. Float values
 // land in the sc.values arena and record headers are rebuilt over it after
 // parsing completes (the arena may move while growing), so the steady
-// state allocates nothing. Unknown fields are skipped and, as with
-// encoding/json, the last occurrence of a duplicated field wins. A present
+// state allocates nothing. As with encoding/json, keys match field names
+// under Unicode case folding (strings.EqualFold), unknown fields are
+// skipped and the last occurrence of a duplicated field wins. A present
 // "record" becomes records[0], matching the documented prepend semantics.
+// Unlike encoding/json, which leaves the slot unchanged, a null inside a
+// record is an error: the client left a feature out.
 func (sc *classifyScratch) parseClassifyRequest(data []byte) error {
 	sc.values = sc.values[:0]
 	sc.segs = sc.segs[:0]
@@ -50,9 +62,19 @@ func (sc *classifyScratch) parseClassifyRequest(data []byte) error {
 	if !p.consume('}') {
 		for {
 			p.skipSpace()
-			key, simple, err := p.parseKey()
+			keyStart := p.pos
+			key, escaped, err := p.parseString()
 			if err != nil {
 				return err
+			}
+			if escaped {
+				// No real client escapes a key, so this cold path may
+				// allocate; parseString has already validated the escapes.
+				var k string
+				if err := json.Unmarshal(p.data[keyStart:p.pos], &k); err != nil {
+					return fmt.Errorf("decoding request: %w", err)
+				}
+				key = []byte(k)
 			}
 			p.skipSpace()
 			if !p.consume(':') {
@@ -60,13 +82,13 @@ func (sc *classifyScratch) parseClassifyRequest(data []byte) error {
 			}
 			p.skipSpace()
 			switch {
-			case simple && string(key) == "record":
+			case strings.EqualFold(bytesAsString(key), "record"):
 				single, err = p.parseNumberArray()
-			case simple && string(key) == "records":
+			case strings.EqualFold(bytesAsString(key), "records"):
 				sc.segs = sc.segs[:0]
 				err = p.parseRecords()
 			default:
-				err = p.skipValue()
+				err = p.skipValue(1)
 			}
 			if err != nil {
 				return err
@@ -131,26 +153,30 @@ func (p *classifyParser) consumeLit(lit string) bool {
 	return false
 }
 
-// parseKey scans one object key, returning the raw bytes between the
-// quotes and whether they contain no escapes (only then is a direct
-// comparison against a field name sound; escaped spellings of known keys
-// are treated as unknown fields, a corner encoding/json handles but no
-// real client produces).
-func (p *classifyParser) parseKey() ([]byte, bool, error) {
+// parseString scans one string, returning the raw bytes between the
+// quotes and whether they contain escapes (only an unescaped key can be
+// compared against a field name directly). It rejects what encoding/json
+// rejects: raw control bytes below 0x20 and escapes other than \" \\ \/
+// \b \f \n \r \t and \uXXXX.
+func (p *classifyParser) parseString() ([]byte, bool, error) {
 	if !p.consume('"') {
-		return nil, false, p.syntaxErr("expected a string key")
+		return nil, false, p.syntaxErr("expected a string")
 	}
 	start := p.pos
-	simple := true
+	escaped := false
 	for p.pos < len(p.data) {
-		switch p.data[p.pos] {
-		case '\\':
-			simple = false
-			p.pos += 2
-		case '"':
-			key := p.data[start:p.pos]
+		switch c := p.data[p.pos]; {
+		case c == '"':
+			s := p.data[start:p.pos]
 			p.pos++
-			return key, simple, nil
+			return s, escaped, nil
+		case c == '\\':
+			escaped = true
+			if !p.skipEscape() {
+				return nil, false, p.syntaxErr("invalid escape in string")
+			}
+		case c < 0x20:
+			return nil, false, p.syntaxErr("control character in string")
 		default:
 			p.pos++
 		}
@@ -158,22 +184,48 @@ func (p *classifyParser) parseKey() ([]byte, bool, error) {
 	return nil, false, p.syntaxErr("unterminated string")
 }
 
-// skipString advances past one string value.
-func (p *classifyParser) skipString() error {
-	_, _, err := p.parseKey()
-	return err
+// skipEscape advances past the backslash escape at p.pos, reporting
+// whether it is one JSON allows.
+func (p *classifyParser) skipEscape() bool {
+	if p.pos+1 >= len(p.data) {
+		return false
+	}
+	switch p.data[p.pos+1] {
+	case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+		p.pos += 2
+		return true
+	case 'u':
+		if p.pos+6 > len(p.data) {
+			return false
+		}
+		for _, c := range p.data[p.pos+2 : p.pos+6] {
+			if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
+				return false
+			}
+		}
+		p.pos += 6
+		return true
+	}
+	return false
 }
 
 // skipValue advances past one JSON value of any type — the unknown-field
-// path.
-func (p *classifyParser) skipValue() error {
+// path. depth is the nesting level of the container holding the value
+// (the top-level object is 1); opening a container past maxNestingDepth
+// is an error.
+func (p *classifyParser) skipValue(depth int) error {
 	p.skipSpace()
 	if p.pos >= len(p.data) {
 		return p.syntaxErr("unexpected end of body")
 	}
-	switch p.data[p.pos] {
+	c := p.data[p.pos]
+	if (c == '{' || c == '[') && depth >= maxNestingDepth {
+		return p.syntaxErr("exceeded max nesting depth")
+	}
+	switch c {
 	case '"':
-		return p.skipString()
+		_, _, err := p.parseString()
+		return err
 	case '{':
 		p.pos++
 		p.skipSpace()
@@ -182,14 +234,14 @@ func (p *classifyParser) skipValue() error {
 		}
 		for {
 			p.skipSpace()
-			if err := p.skipString(); err != nil {
+			if _, _, err := p.parseString(); err != nil {
 				return err
 			}
 			p.skipSpace()
 			if !p.consume(':') {
 				return p.syntaxErr("expected ':' after object key")
 			}
-			if err := p.skipValue(); err != nil {
+			if err := p.skipValue(depth + 1); err != nil {
 				return err
 			}
 			p.skipSpace()
@@ -208,7 +260,7 @@ func (p *classifyParser) skipValue() error {
 			return nil
 		}
 		for {
-			if err := p.skipValue(); err != nil {
+			if err := p.skipValue(depth + 1); err != nil {
 				return err
 			}
 			p.skipSpace()
@@ -260,6 +312,9 @@ func (p *classifyParser) parseNumberArray() (recSeg, error) {
 		v, err := p.parseFloat()
 		if err != nil {
 			return recSeg{}, err
+		}
+		if math.IsInf(v, 0) {
+			return recSeg{}, p.syntaxErr("number out of float64 range")
 		}
 		p.sc.values = append(p.sc.values, v)
 		p.skipSpace()
@@ -317,7 +372,9 @@ var pow10tab = [23]float64{
 // power of ten is exactly representable, and one IEEE multiply or divide
 // is then correctly rounded, bit-identical to strconv. Everything else
 // (huge mantissas, extreme exponents) falls back to strconv.ParseFloat
-// over the scanned bytes.
+// over the scanned bytes. Only bad syntax is an error: a number beyond
+// float64's range comes back as ±Inf, for the callers that store it to
+// reject (encoding/json skips such a number in an unknown field).
 func (p *classifyParser) parseFloat() (float64, error) {
 	d := p.data
 	start := p.pos
@@ -403,15 +460,15 @@ func (p *classifyParser) parseFloat() (float64, error) {
 	}
 slow:
 	f, err := strconv.ParseFloat(bytesAsString(d[start:p.pos]), 64)
-	if err != nil {
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
 		return 0, p.syntaxErr("invalid number")
 	}
 	return f, nil
 }
 
 // bytesAsString views b as a string without copying. It is only handed to
-// strconv.ParseFloat, which does not retain its argument, so aliasing a
-// reusable request buffer is safe.
+// strconv.ParseFloat and strings.EqualFold, which do not retain their
+// arguments, so aliasing a reusable request buffer is safe.
 func bytesAsString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }

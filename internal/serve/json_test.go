@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -13,11 +15,13 @@ import (
 )
 
 // decodeReference is the encoding/json semantics the hand parser must
-// match: decode the struct, then prepend a non-nil "record".
-func decodeReference(t *testing.T, body []byte) ([][]float64, error) {
+// match: decode one value into the struct, as a json.Decoder reading the
+// request body would (bytes after it are ignored), then prepend a non-nil
+// "record".
+func decodeReference(t testing.TB, body []byte) ([][]float64, error) {
 	t.Helper()
 	var req classifyRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		return nil, err
 	}
 	records := req.Records
@@ -28,7 +32,7 @@ func decodeReference(t *testing.T, body []byte) ([][]float64, error) {
 }
 
 // checkParserAgainstReference parses body both ways and compares outcomes.
-func checkParserAgainstReference(t *testing.T, sc *classifyScratch, body []byte) bool {
+func checkParserAgainstReference(t testing.TB, sc *classifyScratch, body []byte) bool {
 	t.Helper()
 	want, refErr := decodeReference(t, body)
 	gotErr := sc.parseClassifyRequest(body)
@@ -126,46 +130,179 @@ func TestParseClassifyRequestMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestParseClassifyRequestEdgeCases pins the corner spellings: null and
-// empty fields, duplicate keys (last wins), unknown fields of every JSON
-// type, and a malformed-body sample that must all be rejected.
-func TestParseClassifyRequestEdgeCases(t *testing.T) {
-	sc := new(classifyScratch)
-	valid := []string{
-		`{}`,
-		`{ }`,
-		`{"record": null}`,
-		`{"record": []}`,
-		`{"records": null}`,
-		`{"records": []}`,
-		`{"record": [1, 2.5, -3e2]}`,
-		`{"records": [[1], [2]], "record": [0]}`,
-		`{"records": [[1]], "records": [[2], [3]]}`,
-		`{"x": {"deep": [{"a": "b"}]}, "record": [1e-30], "y": false}`,
-		"{\n\t\"record\": [ 0.1 , 2 ]\n}",
-		`{"record": [1]} trailing ignored like a json.Decoder would`,
+// classifyBodiesValid are corner spellings encoding/json accepts and the
+// parser must read identically: null and empty fields, null records,
+// duplicate keys (last wins), keys matched case-insensitively or spelled
+// with escapes, unknown fields of every JSON type, every string escape,
+// out-of-range numbers in an unknown field, nesting at the depth limit,
+// and trailing bytes, which a json.Decoder never reads.
+var classifyBodiesValid = []string{
+	`{}`,
+	`{ }`,
+	`{"record": null}`,
+	`{"record": []}`,
+	`{"records": null}`,
+	`{"records": []}`,
+	`{"record": [1, 2.5, -3e2]}`,
+	`{"records": [[1], [2]], "record": [0]}`,
+	`{"records": [[1]], "records": [[2], [3]]}`,
+	`{"records": [[1, 2]], "records": [null, [3]]}`,
+	`{"x": {"deep": [{"a": "b"}]}, "record": [1e-30], "y": false}`,
+	"{\n\t\"record\": [ 0.1 , 2 ]\n}",
+	`{"record": [1]} trailing ignored like a json.Decoder would`,
+	`{"Record": [1]}`,
+	`{"RECORDS": [[1], [2]]}`,
+	`{"recordſ": [[3]]}`,
+	`{"rEcOrD": [4], "records": [[5]]}`,
+	`{"re\u0063ord": [6]}`,
+	`{"\u0052ECORDS": [[7]], "x": 1}`,
+	`{"x": "a\"b\\c\/d\b\f\n\r\t\u00e9\uD83D\uDE00", "record": [8]}`,
+	"{\"x\": \"caf\xc3\xa9 \xff\", \"record\": [9]}",
+	`{"x": [1e400, -1e999], "record": [1e-400]}`,
+	string(nestedBody(maxNestingDepth - 1)),
+}
+
+// classifyBodiesMalformed are bodies encoding/json rejects: broken syntax,
+// numbers JSON forbids, fields of the wrong type, raw control bytes and
+// invalid escapes in strings, and nesting one level past the limit.
+var classifyBodiesMalformed = []string{
+	``, `[1]`, `"s"`, `{`, `{"record": [1}`, `{"record": [01]}`,
+	`{"record": [1.]}`, `{"record": [.5]}`, `{"record": [+1]}`,
+	`{"record": [1e]}`, `{"record": [NaN]}`, `{"record": 5}`,
+	`{"records": [5]}`, `{"record" [1]}`, `{"record": [1] "x": 2}`,
+	`{"record": ["1"]}`, `{"unterminated": "st`, `{"record": [1, nul]}`,
+	`{"record": [1e400]}`, `{"Records": [[1]], "RECORD": {}}`,
+	"{\"x\": \"a\x01b\", \"record\": [1]}", "{\"rec\x1ford\": [1]}",
+	`{"x": "\q", "record": [1]}`, `{"x": "\u12", "record": [1]}`,
+	`{"x": "\u12G4", "record": [1]}`, `{"x": "\`, `{"re\u0063ord": [1}`,
+	string(nestedBody(maxNestingDepth)),
+}
+
+// classifyBodiesNullNumber are bodies with a null inside a record, which
+// encoding/json accepts (leaving the slot as it was) and the parser
+// rejects.
+var classifyBodiesNullNumber = []string{
+	`{"record": [1, null, 2]}`,
+	`{"record": [1, 2, 3], "record": [null]}`,
+	`{"record": [null], "record": [1]}`,
+	`{"records": [[1, 2]], "records": [[null, null], null]}`,
+	`{"Records": [[1], [2, null]]}`,
+	`{"\u0072ecord": [null]}`,
+	`{"x": [1e400], "record": [null]}`,
+}
+
+// hasNullNumber reports whether body is an object one of whose "record" or
+// "records" fields — matched as encoding/json matches keys, at any
+// occurrence of a duplicated key — holds a null inside a record.
+func hasNullNumber(body []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber() // an out-of-range number in an unknown field is no error
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return false
 	}
-	for _, body := range valid {
-		if !checkParserAgainstReference(t, sc, []byte(body)) {
-			// Trailing data is the one intentional divergence: Decode reads a
-			// single value, Unmarshal rejects the extra bytes. Check directly.
-			if err := sc.parseClassifyRequest([]byte(body)); err != nil {
-				t.Errorf("body %q: %v", body, err)
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		key, _ := tok.(string)
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			return false
+		}
+		arr, _ := v.([]any)
+		switch {
+		case strings.EqualFold(key, "record"):
+			if slices.Contains(arr, nil) {
+				return true
+			}
+		case strings.EqualFold(key, "records"):
+			for _, rec := range arr {
+				if inner, _ := rec.([]any); slices.Contains(inner, nil) {
+					return true
+				}
 			}
 		}
 	}
-	malformed := []string{
-		``, `[1]`, `"s"`, `{`, `{"record": [1}`, `{"record": [01]}`,
-		`{"record": [1.]}`, `{"record": [.5]}`, `{"record": [+1]}`,
-		`{"record": [1e]}`, `{"record": [NaN]}`, `{"record": 5}`,
-		`{"records": [5]}`, `{"record" [1]}`, `{"record": [1] "x": 2}`,
-		`{"record": ["1"]}`, `{"unterminated": "st`,
+	return false
+}
+
+// nestedBody returns {"x": <depth> nested arrays, "record": <a valid-width
+// record>}: nesting depth+1 counting the top-level object, as encoding/json
+// counts it. Only the nesting decides whether a server answers it.
+func nestedBody(depth int) []byte {
+	body := []byte(`{"x": `)
+	body = append(body, bytes.Repeat([]byte("["), depth)...)
+	body = append(body, bytes.Repeat([]byte("]"), depth)...)
+	rec, _ := json.Marshal(record(1)) // a []float64 of finite values always marshals
+	body = append(body, `, "record": `...)
+	body = append(body, rec...)
+	return append(body, '}')
+}
+
+// TestParseClassifyRequestEdgeCases pins the corner spellings against
+// encoding/json, and rejects every malformed body and every null inside a
+// record.
+func TestParseClassifyRequestEdgeCases(t *testing.T) {
+	sc := new(classifyScratch)
+	for _, body := range classifyBodiesValid {
+		if _, err := decodeReference(t, []byte(body)); err != nil {
+			t.Errorf("reference rejects valid body %q: %v", body, err)
+		}
+		if !checkParserAgainstReference(t, sc, []byte(body)) {
+			t.Errorf("body %q: parser and encoding/json disagree", body)
+		}
 	}
-	for _, body := range malformed {
+	for _, body := range classifyBodiesMalformed {
+		if _, err := decodeReference(t, []byte(body)); err == nil {
+			t.Errorf("reference accepts malformed body %q", body)
+		}
 		if err := sc.parseClassifyRequest([]byte(body)); err == nil {
 			t.Errorf("body %q parsed without error", body)
 		}
 	}
+	for _, body := range classifyBodiesNullNumber {
+		if _, err := decodeReference(t, []byte(body)); err != nil || !hasNullNumber([]byte(body)) {
+			t.Errorf("body %q: reference err %v, hasNullNumber %v; want an accepted null number", body, err, hasNullNumber([]byte(body)))
+		}
+		if err := sc.parseClassifyRequest([]byte(body)); err == nil {
+			t.Errorf("body %q with a null number parsed without error", body)
+		}
+	}
+}
+
+// FuzzClassifyJSON checks the hand parser differentially against
+// encoding/json: it errors exactly when a json.Decoder does, and otherwise
+// yields bit-identical records after the prepend of "record". Two
+// divergences are allowed, in each of which the parser must reject a body
+// the decoder accepts (the handler answers 400 either way): a top-level
+// non-object such as null, which the decoder reads as no records, and a
+// null inside a record, which the decoder leaves as the slot was.
+func FuzzClassifyJSON(f *testing.F) {
+	for _, list := range [][]string{classifyBodiesValid, classifyBodiesMalformed, classifyBodiesNullNumber} {
+		for _, body := range list {
+			f.Add([]byte(body))
+		}
+	}
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sc := new(classifyScratch)
+		if trimmed := bytes.TrimLeft(body, " \t\r\n"); len(trimmed) > 0 && trimmed[0] != '{' {
+			if err := sc.parseClassifyRequest(body); err == nil {
+				t.Fatalf("top-level non-object %q parsed without error", body)
+			}
+			return
+		}
+		if hasNullNumber(body) {
+			if err := sc.parseClassifyRequest(body); err == nil {
+				t.Fatalf("null inside a record in %q parsed without error", body)
+			}
+			return
+		}
+		if !checkParserAgainstReference(t, sc, body) {
+			t.Fatalf("body %q: parser and encoding/json disagree", body)
+		}
+	})
 }
 
 // TestParseFloatMatchesStrconv hammers the number scanner alone: for

@@ -41,7 +41,7 @@ func TestConcurrentClassifyDuringReload(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "model.json")
 	writeModelAtomic(t, path, bytesA)
-	s, err := New(Config{ModelPath: path, Workers: 2, FlushDelay: 1})
+	s, err := New(Config{ModelPath: path, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,6 +95,21 @@ func TestClassifyRejectsMalformed(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/classify", map[string]any{"record": []float64{1, 2}}, nil); code != http.StatusBadRequest {
 		t.Fatalf("short record: status %d, want 400", code)
 	}
+	// A body nested one level past encoding/json's limit is refused, and
+	// the server goes on answering.
+	client := &http.Client{}
+	if code, _, err := rawPost(client, ts.URL+"/classify", nestedBody(maxNestingDepth), nil); err != nil || code != http.StatusBadRequest {
+		t.Fatalf("%d-deep body: status %d err %v, want 400", maxNestingDepth+1, code, err)
+	}
+	if code, _, err := rawPost(client, ts.URL+"/classify", classifyBody(t, record(1)), nil); err != nil || code != http.StatusOK {
+		t.Fatalf("classify after the deep body: status %d err %v, want 200", code, err)
+	}
+	// A full-width record with a feature left null is refused, not
+	// classified as if the feature were 0.
+	withNull := bytes.Replace(classifyBody(t, record(1)), []byte(",0"), []byte(",null"), 1)
+	if code, _, err := rawPost(client, ts.URL+"/classify", withNull, nil); err != nil || code != http.StatusBadRequest {
+		t.Fatalf("record with a null feature %s: status %d err %v, want 400", withNull, code, err)
+	}
 	resp, err := http.Get(ts.URL + "/classify")
 	if err != nil {
 		t.Fatal(err)

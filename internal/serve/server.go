@@ -32,9 +32,6 @@ type Config struct {
 	// MaxBatch is the micro-batch flush size in records (0 =
 	// DefaultMaxBatch).
 	MaxBatch int
-	// FlushDelay is how long an incomplete micro-batch waits for more
-	// requests (0 = DefaultFlushDelay).
-	FlushDelay time.Duration
 	// QueueDepth bounds the request queue in groups (0 =
 	// DefaultQueueDepth); beyond it /classify answers 503.
 	QueueDepth int
@@ -99,7 +96,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	m.Generation = s.generation.Add(1)
 	s.model.Store(m)
-	s.batcher = NewBatcher(s.Current, cfg.MaxBatch, cfg.FlushDelay, cfg.QueueDepth, cfg.Workers)
+	s.batcher = NewBatcher(s.Current, cfg.MaxBatch, cfg.QueueDepth, cfg.Workers)
 
 	// The traffic-hardening chain, outermost first: Prometheus metrics on
 	// every endpoint, then per-client rate limiting, load shedding, and
