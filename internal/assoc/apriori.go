@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"ppdm/internal/parallel"
 )
 
 // Itemset is a frequent itemset with its (exact or estimated) support.
@@ -18,11 +20,15 @@ type Itemset struct {
 // string — render s.Items for humans.
 func (s Itemset) Key() string {
 	var arr [80]byte // 16 items of up to 5 varint bytes stay allocation-free
-	b := arr[:0]
-	for _, it := range s.Items {
+	return string(appendKey(arr[:0], s.Items))
+}
+
+// appendKey appends the Key bytes of items to b.
+func appendKey(b []byte, items []int) []byte {
+	for _, it := range items {
 		b = binary.AppendUvarint(b, uint64(it))
 	}
-	return string(b)
+	return b
 }
 
 // MiningConfig bounds the Apriori search.
@@ -54,9 +60,6 @@ func (c MiningConfig) withDefaults() (MiningConfig, error) {
 	return c, nil
 }
 
-// supportFn estimates the support of an itemset.
-type supportFn func(items []int) (float64, error)
-
 // Frequent mines all frequent itemsets of the clean dataset with exact
 // support counting, sorted by size then lexicographically. Mining runs as a
 // depth-first walk of prefix equivalence classes that reuses each
@@ -79,20 +82,22 @@ func Frequent(d *Dataset, cfg MiningConfig) ([]Itemset, error) {
 // counts. Inverted estimates are NOT anti-monotone (a superset's estimate
 // can exceed a subset's), so — unlike exact mining — the full
 // all-(k-1)-subsets-frequent prune is load-bearing here, and estimated
-// mining runs the level-wise apriori walk rather than the prefix DFS. The
-// pattern counts are exact integers, so estimates — and the mined set —
-// are byte-identical at every worker count.
+// mining walks level by level rather than depth-first (see mineRandomized).
+// The pattern counts are exact integers, so estimates — and the mined set —
+// are byte-identical at every worker count. A flip probability that
+// NewBitFlip rejects is an error.
 func FrequentFromRandomized(randomized *Dataset, bf BitFlip, cfg MiningConfig) ([]Itemset, error) {
 	if randomized == nil || randomized.N() == 0 {
 		return nil, fmt.Errorf("assoc: empty dataset")
+	}
+	if err := bf.validate(); err != nil {
+		return nil, err
 	}
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	return apriori(randomized.NumItems(), cfg, func(items []int) (float64, error) {
-		return bf.EstimateSupportWorkers(randomized, items, cfg.Workers)
-	})
+	return mineRandomized(randomized, bf, cfg), nil
 }
 
 // vMember is one frequent extension of the DFS prefix: the itemset
@@ -174,41 +179,84 @@ func mineVertical(d *Dataset, cfg MiningConfig) ([]Itemset, error) {
 	return all, nil
 }
 
-// apriori runs level-wise candidate generation over the item universe with
-// Apriori's all-(k-1)-subsets-frequent prune — the walk estimated mining
-// needs, since channel-inversion estimates are not anti-monotone.
-func apriori(numItems int, cfg MiningConfig, support supportFn) ([]Itemset, error) {
-	// Level 1: frequent single items.
-	var level []Itemset
-	for it := 0; it < numItems; it++ {
-		s, err := support([]int{it})
-		if err != nil {
-			return nil, err
-		}
-		if s >= cfg.MinSupport {
-			level = append(level, Itemset{Items: []int{it}, Support: s})
-		}
+// mineRandomized is the level-wise walk behind FrequentFromRandomized. It
+// keeps each frequent itemset's observed contains-all count — how many
+// randomized transactions hold all of its items — keyed by Key. Apriori's
+// prune admits a size-k candidate only when every (k-1)-subset is frequent,
+// so by induction every non-empty proper subset of a candidate was a
+// frequent candidate of an earlier level, and the empty set is contained in
+// every transaction. A candidate's 2^k contains-all table therefore needs
+// one new count, its own: one read-only AND+popcount of its k columns. The
+// Möbius pass then turns the table into the exact-pattern counts that
+// estimateFromCounts inverts. A level's candidates are counted and
+// estimated on the worker pool into index-addressed slots, so the result is
+// the same at every worker count.
+func mineRandomized(d *Dataset, bf BitFlip, cfg MiningConfig) []Itemset {
+	observed := make(map[string]int)
+	singles := make([]int, d.numItems)
+	cands := make([][]int, d.numItems)
+	for it := range singles {
+		singles[it] = it
+		cands[it] = singles[it : it+1 : it+1]
 	}
-	all := append([]Itemset(nil), level...)
-
-	for size := 2; size <= cfg.MaxSize && len(level) >= 2; size++ {
-		candidates := generateCandidates(level)
-		var next []Itemset
-		for _, cand := range candidates {
-			s, err := support(cand)
-			if err != nil {
-				return nil, err
-			}
-			if s >= cfg.MinSupport {
-				next = append(next, Itemset{Items: cand, Support: s})
+	var all []Itemset
+	for size := 1; ; size++ {
+		counts := make([]int, len(cands))
+		sups := make([]float64, len(cands))
+		// The function never fails, so ForEach returns nil.
+		_ = parallel.ForEach(len(cands), cfg.Workers, func(i int) error {
+			counts[i], sups[i] = d.estimateCandidate(bf, cands[i], observed)
+			return nil
+		})
+		var level []Itemset
+		var key [80]byte
+		for i, cand := range cands {
+			if sups[i] >= cfg.MinSupport {
+				level = append(level, Itemset{Items: cand, Support: sups[i]})
+				observed[string(appendKey(key[:0], cand))] = counts[i]
 			}
 		}
-		level = next
 		all = append(all, level...)
+		if size == cfg.MaxSize {
+			break
+		}
+		if cands = generateCandidates(level); len(cands) == 0 {
+			break
+		}
 	}
-
 	sortItemsets(all)
-	return all, nil
+	return all
+}
+
+// estimateCandidate returns cand's observed contains-all count and its
+// estimated true support. Every non-empty proper subset of cand must be in
+// observed (mineRandomized's walk guarantees it); observed is only read.
+func (d *Dataset) estimateCandidate(bf BitFlip, cand []int, observed map[string]int) (int, float64) {
+	k := len(cand)
+	var colArr [16][]uint64 // MiningConfig caps itemsets at 16 items
+	cols := colArr[:k]
+	for b, it := range cand {
+		cols[b] = d.cols[it]
+	}
+	count := andPopcountCols(cols)
+
+	// table[m] counts the transactions holding every cand[b] with bit b set
+	// in m, as PatternCountsWorkers lays it out before its Möbius pass.
+	table := make([]int, 1<<uint(k))
+	table[0], table[len(table)-1] = d.n, count
+	var subArr [16]int
+	var key [80]byte
+	for m := 1; m < len(table)-1; m++ {
+		sub := subArr[:0]
+		for b, it := range cand {
+			if m&(1<<uint(b)) != 0 {
+				sub = append(sub, it)
+			}
+		}
+		table[m] = observed[string(appendKey(key[:0], sub))]
+	}
+	mobius(table, k)
+	return count, bf.estimateFromCounts(table, d.n, k)
 }
 
 // sortItemsets orders mined itemsets by size, then lexicographically — the

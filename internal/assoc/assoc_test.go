@@ -85,6 +85,54 @@ func TestNewBitFlipValidation(t *testing.T) {
 	}
 }
 
+// TestBitFlipRejectsInvalidF builds BitFlip literals that skip
+// NewBitFlip: every method that randomizes or inverts with F must return
+// NewBitFlip's error instead of a NaN estimate, an all-frequent mine or a
+// flip probability outside [0, 0.5).
+func TestBitFlipRejectsInvalidF(t *testing.T) {
+	d, err := NewDataset(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := prng.New(5)
+	for i := 0; i < 200; i++ {
+		var tx []int
+		for it := 0; it < 10; it++ {
+			if r.Bernoulli(0.3) {
+				tx = append(tx, it)
+			}
+		}
+		if err := d.Add(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := MiningConfig{MinSupport: 0.1, MaxSize: 3, Workers: 1}
+	for _, f := range []float64{0.5, 0.7, 1.5, -0.1, math.NaN(), math.Inf(1)} {
+		bf := BitFlip{F: f}
+		_, want := NewBitFlip(f)
+		if want == nil {
+			t.Fatalf("NewBitFlip(%v) accepted", f)
+		}
+		for _, c := range []struct {
+			name string
+			call func() error
+		}{
+			{"Randomize", func() error { _, err := bf.Randomize(d, 1); return err }},
+			{"EstimateSupport", func() error { _, err := bf.EstimateSupport(d, []int{0, 1}); return err }},
+			{"EstimateSupportWorkers", func() error { _, err := bf.EstimateSupportWorkers(d, []int{2}, 1); return err }},
+			{"FrequentFromRandomized", func() error { _, err := FrequentFromRandomized(d, bf, cfg); return err }},
+		} {
+			if err := c.call(); err == nil || err.Error() != want.Error() {
+				t.Errorf("F=%v: %s returned %v, want %v", f, c.name, err, want)
+			}
+		}
+	}
+	// F = 0 is a valid channel: nothing flips and the estimates are exact.
+	if _, err := (BitFlip{}).Randomize(d, 1); err != nil {
+		t.Errorf("F=0 rejected: %v", err)
+	}
+}
+
 func TestRandomizeFlipRate(t *testing.T) {
 	d, _ := NewDataset(50)
 	r := prng.New(1)

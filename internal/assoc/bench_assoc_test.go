@@ -4,10 +4,10 @@ import "testing"
 
 // The mining pairs run the E12-style 100k-transaction, 40-item workload
 // through the row-scan oracle (the *Dense100k baselines: the tests'
-// horizontal support and pattern counts under the same apriori walk) and
-// through the item columns. Results are byte-identical
+// horizontal support and pattern counts under the reference apriori walk)
+// and through production on the item columns. Results are byte-identical
 // (TestMiningEngineEquivalence, TestRandomizedMiningEngineProperty), so each
-// pair isolates pure counting cost.
+// pair isolates the cost of counting and of what the walk reuses.
 
 func benchWorkload(b *testing.B) *Dataset {
 	b.Helper()

@@ -163,17 +163,19 @@ func (d *Dataset) PatternCounts(items []int) ([]int, error) {
 // PatternCountsWorkers is PatternCounts with an explicit worker count
 // (0 = all cores). A masked-subset DFS first collects allSup[m] =
 // #transactions containing every item of submask m (each include edge is
-// one column AND, reused by the whole subtree below it), then a superset
-// inclusion–exclusion (Möbius) pass turns the "contains at least" counts
-// into exact-pattern counts. Everything is integer arithmetic, so the
-// table — and any estimate derived from it — is identical at every worker
-// count.
+// one column AND, reused by the whole subtree below it), then mobius turns
+// the "contains at least" counts into exact-pattern counts. Everything is
+// integer arithmetic, so the table — and any estimate derived from it — is
+// identical at every worker count. It serves EstimateSupport, which counts
+// one itemset with no earlier counts to reuse; FrequentFromRandomized
+// builds its tables from the counts of earlier levels instead.
 //
 // The DFS visits all 2^k subsets, so its cost grows as 2^k column ANDs; a
 // row scan costs k bit tests per row instead. On 100k randomized rows at
 // one worker the DFS beats a row scan up to k=10 (3.0 ms against 5.9 ms)
-// and loses from k=11 on (266 ms against 10.8 ms at k=16). Every caller
-// mines at most size 4, so one algorithm serves all k.
+// and loses from k=11 on (266 ms against 10.8 ms at k=16). Every
+// EstimateSupport caller estimates itemsets of at most 4 items, so one
+// algorithm serves all k.
 func (d *Dataset) PatternCountsWorkers(items []int, workers int) ([]int, error) {
 	k := len(items)
 	if k == 0 || k > 20 {
@@ -205,6 +207,16 @@ func (d *Dataset) PatternCountsWorkers(items []int, workers int) ([]int, error) 
 		rec(i+1, mask|1<<uint(i), buf, andIntoWorkers(buf, cur, col, workers))
 	}
 	rec(0, 0, nil, d.n)
+	mobius(all, k)
+	return all, nil
+}
+
+// mobius turns a table of contains-all counts over k items, all[m] =
+// #transactions holding every item of submask m, into exact-pattern counts
+// in place: all[m] becomes #transactions whose presence pattern over the k
+// items is exactly m. It is the superset inclusion–exclusion (Möbius) pass,
+// one bit axis at a time, in exact integer arithmetic.
+func mobius(all []int, k int) {
 	for b := 0; b < k; b++ {
 		bit := 1 << uint(b)
 		for m := range all {
@@ -213,5 +225,4 @@ func (d *Dataset) PatternCountsWorkers(items []int, workers int) ([]int, error) 
 			}
 		}
 	}
-	return all, nil
 }

@@ -29,13 +29,19 @@
 // deep levels cost one column AND apiece; skipping Apriori's subset prune
 // there is safe because exact supports are anti-monotone.
 // Channel-inversion estimates are not anti-monotone, so estimated mining
-// keeps the level-wise walk with its subset prune, and each candidate's
-// exact 2^k presence/absence pattern table comes from a masked-subset DFS
-// over the columns (contains-all counts) and an integer Möbius pass.
+// keeps the level-wise walk with its subset prune. It keeps the observed
+// contains-all count of every frequent itemset; the prune makes every
+// proper subset of a candidate a frequent itemset of an earlier level, so a
+// candidate costs one read-only AND+popcount of its k columns, and its
+// exact 2^k presence/absence pattern table is its subsets' counts and its
+// own through an integer Möbius pass. EstimateSupport, which has no earlier
+// counts to reuse, builds the same table with a masked-subset DFS over the
+// columns.
 //
 // A row-by-row scan through Contains survives only in the tests, as the
 // oracle that support, pattern counts and both mining walks are checked
-// against.
+// against, under a reference level-wise walk that estimates every
+// candidate from scratch.
 //
 // # Determinism
 //

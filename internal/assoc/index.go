@@ -83,6 +83,36 @@ func andInto(dst, a, b []uint64) int {
 	return c
 }
 
+// andBlock is the word length of andPopcountCols' stack buffer: 2 KiB,
+// small enough to stay in L1 while the columns stream through it.
+const andBlock = 256
+
+// andPopcountCols counts the set bits of the AND of the columns without
+// writing to them or to the heap: from three columns on, the intersection is
+// built block by block in a fixed stack buffer. Every column must be at
+// least as long as cols[0].
+func andPopcountCols(cols [][]uint64) int {
+	switch len(cols) {
+	case 1:
+		return popcountWords(cols[0])
+	case 2:
+		return andPopcount(cols[0], cols[1])
+	}
+	var buf [andBlock]uint64
+	last := cols[len(cols)-1]
+	c := 0
+	for lo := 0; lo < len(cols[0]); lo += andBlock {
+		hi := min(lo+andBlock, len(cols[0]))
+		b := buf[:hi-lo]
+		andInto(b, cols[0][lo:hi], cols[1][lo:hi])
+		for _, col := range cols[2 : len(cols)-1] {
+			andInto(b, b, col[lo:hi])
+		}
+		c += andPopcount(b, last[lo:hi])
+	}
+	return c
+}
+
 // --- worker-pool wrappers: word-chunked, index-ordered integer folds ---
 
 // chunkBounds returns chunk c's word range within a length-words column.

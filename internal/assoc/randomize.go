@@ -21,11 +21,22 @@ func NewBitFlip(f float64) (BitFlip, error) {
 	return BitFlip{F: f}, nil
 }
 
+// validate returns NewBitFlip's error for an F it would reject: F is
+// exported, so a struct literal can skip the constructor.
+func (bf BitFlip) validate() error {
+	_, err := NewBitFlip(bf.F)
+	return err
+}
+
 // Randomize returns a new dataset in which every bit of every transaction
 // has been independently flipped with probability F. Deterministic in seed.
+// A flip probability that NewBitFlip rejects is an error.
 func (bf BitFlip) Randomize(d *Dataset, seed uint64) (*Dataset, error) {
 	if d == nil || d.n == 0 {
 		return nil, fmt.Errorf("assoc: empty dataset")
+	}
+	if err := bf.validate(); err != nil {
+		return nil, err
 	}
 	out, err := NewDataset(d.numItems)
 	if err != nil {
@@ -77,8 +88,12 @@ func (bf BitFlip) EstimateSupport(randomized *Dataset, items []int) (float64, er
 
 // EstimateSupportWorkers is EstimateSupport with an explicit bound on the
 // pattern-counting parallelism (0 = all cores); the pattern counts are
-// exact integers, so the estimate is identical for every worker count.
+// exact integers, so the estimate is identical for every worker count. A
+// flip probability that NewBitFlip rejects is an error.
 func (bf BitFlip) EstimateSupportWorkers(randomized *Dataset, items []int, workers int) (float64, error) {
+	if err := bf.validate(); err != nil {
+		return 0, err
+	}
 	counts, err := randomized.PatternCountsWorkers(items, workers)
 	if err != nil {
 		return 0, err

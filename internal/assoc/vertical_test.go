@@ -1,9 +1,11 @@
 package assoc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -49,6 +51,47 @@ func rowPatternCounts(d *Dataset, items []int) []int {
 		counts[mask]++
 	}
 	return counts
+}
+
+// supportFn estimates the support of an itemset.
+type supportFn func(items []int) (float64, error)
+
+// apriori is the reference level-wise walk the oracles share: candidate
+// generation over the item universe with Apriori's
+// all-(k-1)-subsets-frequent prune, each candidate's support taken from
+// support alone, with nothing carried between candidates.
+func apriori(numItems int, cfg MiningConfig, support supportFn) ([]Itemset, error) {
+	// Level 1: frequent single items.
+	var level []Itemset
+	for it := 0; it < numItems; it++ {
+		s, err := support([]int{it})
+		if err != nil {
+			return nil, err
+		}
+		if s >= cfg.MinSupport {
+			level = append(level, Itemset{Items: []int{it}, Support: s})
+		}
+	}
+	all := append([]Itemset(nil), level...)
+
+	for size := 2; size <= cfg.MaxSize && len(level) >= 2; size++ {
+		candidates := generateCandidates(level)
+		var next []Itemset
+		for _, cand := range candidates {
+			s, err := support(cand)
+			if err != nil {
+				return nil, err
+			}
+			if s >= cfg.MinSupport {
+				next = append(next, Itemset{Items: cand, Support: s})
+			}
+		}
+		level = next
+		all = append(all, level...)
+	}
+
+	sortItemsets(all)
+	return all, nil
 }
 
 // oracleFrequent mines exact supports level-wise over the row scan: the
@@ -377,12 +420,12 @@ func TestMiningEngineEquivalence(t *testing.T) {
 // noisyEstimationDataset draws a small, dense dataset: few transactions and
 // a near-0.5 flip probability make the channel-inversion estimates noisy
 // enough that a superset's estimate regularly exceeds a subset's.
-func noisyEstimationDataset(t *testing.T, r *rand.Rand) *Dataset {
+func noisyEstimationDataset(tb testing.TB, r *rand.Rand) *Dataset {
 	numItems := 8 + r.Intn(16)
 	n := 30 + r.Intn(100)
 	d, err := NewDataset(numItems)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
 		var tx []int
@@ -392,7 +435,7 @@ func noisyEstimationDataset(t *testing.T, r *rand.Rand) *Dataset {
 			}
 		}
 		if err := d.Add(tx); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return d
@@ -429,6 +472,199 @@ func TestRandomizedMiningEngineProperty(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("seed %d: production and oracle mined different sets:\nrow scan:\n%scolumns:\n%s",
 				seed, renderItemsets(want), renderItemsets(got))
+		}
+	}
+}
+
+// Layout of a FuzzRandomizedMining input: a 7-byte header, then rows of
+// ⌈items/8⌉ bytes each, bit it of a row (little-endian) holding item it.
+const (
+	fuzzMaxItems = 24
+	fuzzMaxRows  = 200
+	fuzzHeader   = 7
+)
+
+// fuzzBatchSizes are the AddBatch sizes a fuzz input picks from: 1, 63 and
+// 65 start and end batches inside 64-row column words.
+var fuzzBatchSizes = [4]int{1, 63, 65, fuzzMaxRows}
+
+// encodeMiningInput writes a FuzzRandomizedMining input: byte 0 is the item
+// count − 1, bytes 1–2 the flip probability in units of 2^-17, bytes 3–4 the
+// minimum support in units of 2^-16, less one unit, byte 5 the maximum
+// itemset size − 1, and 2-bit fields of byte 6 pick each AddBatch size from
+// fuzzBatchSizes in turn.
+func encodeMiningInput(d *Dataset, f, minSupport float64, maxSize int, batches byte) []byte {
+	rowBytes := (d.NumItems() + 7) / 8
+	out := make([]byte, fuzzHeader, fuzzHeader+d.N()*rowBytes)
+	out[0] = byte(d.NumItems() - 1)
+	binary.LittleEndian.PutUint16(out[1:], uint16(f*(1<<17)))
+	binary.LittleEndian.PutUint16(out[3:], uint16(minSupport*(1<<16)-1))
+	out[5] = byte(maxSize - 1)
+	out[6] = batches
+	for i := 0; i < d.N(); i++ {
+		row := make([]byte, rowBytes)
+		for it := 0; it < d.NumItems(); it++ {
+			if d.Contains(i, it) {
+				row[it/8] |= 1 << (it % 8)
+			}
+		}
+		out = append(out, row...)
+	}
+	return out
+}
+
+// decodeMiningInput reads what encodeMiningInput writes, for any bytes: at
+// most fuzzMaxItems items and fuzzMaxRows rows, ingested through AddBatch
+// in the sizes byte 6 picks. ok is false when the header is short.
+func decodeMiningInput(tb testing.TB, data []byte) (d *Dataset, bf BitFlip, cfg MiningConfig, ok bool) {
+	if len(data) < fuzzHeader {
+		return nil, bf, cfg, false
+	}
+	numItems := 1 + int(data[0])%fuzzMaxItems
+	bf = BitFlip{F: float64(binary.LittleEndian.Uint16(data[1:])) / (1 << 17)}
+	cfg = MiningConfig{
+		MinSupport: (float64(binary.LittleEndian.Uint16(data[3:])) + 1) / (1 << 16),
+		MaxSize:    1 + int(data[5])%4,
+	}
+	rowBytes := (numItems + 7) / 8
+	rows := data[fuzzHeader:]
+	txs := make([][]int, min(len(rows)/rowBytes, fuzzMaxRows))
+	for i := range txs {
+		row := rows[i*rowBytes : (i+1)*rowBytes]
+		for it := 0; it < numItems; it++ {
+			if row[it/8]&(1<<(it%8)) != 0 {
+				txs[i] = append(txs[i], it)
+			}
+		}
+	}
+	d, err := NewDataset(numItems)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for j := 0; len(txs) > 0; j++ {
+		size := min(fuzzBatchSizes[data[6]>>(2*(j%4))&3], len(txs))
+		if err := d.AddBatch(txs[:size]); err != nil {
+			tb.Fatal(err)
+		}
+		txs = txs[size:]
+	}
+	return d, bf, cfg, true
+}
+
+// FuzzRandomizedMining checks FrequentFromRandomized against the row-scan
+// oracle on any small dataset, flip probability, threshold and size bound:
+// at Workers 1 and 2 the mined set must deeply equal the oracle's. The
+// seeds are the noisy shapes of TestRandomizedMiningEngineProperty on which
+// Apriori's subset prune removes a candidate whose own estimate passes the
+// threshold.
+func FuzzRandomizedMining(f *testing.F) {
+	for i, seed := range []int64{8, 12, 16, 43, 45, 56, 70, 80, 81, 84, 87, 97} {
+		r := rand.New(rand.NewSource(seed))
+		d := noisyEstimationDataset(f, r)
+		flip := 0.4 + 0.08*r.Float64()
+		minSupport := 0.1 + 0.15*r.Float64()
+		// i*37 gives each seed a different run of AddBatch sizes.
+		f.Add(encodeMiningInput(d, flip, minSupport, 4, byte(i*37)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, bf, cfg, ok := decodeMiningInput(t, data)
+		if !ok {
+			return
+		}
+		if d.N() == 0 {
+			if _, err := FrequentFromRandomized(d, bf, cfg); err == nil {
+				t.Fatal("an empty dataset mined without error")
+			}
+			return
+		}
+		want, err := oracleFrequentFromRandomized(d, bf, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			cfg.Workers = workers
+			got, err := FrequentFromRandomized(d, bf, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("workers %d, F %v, %+v: mined sets differ:\nrow scan:\n%scolumns:\n%s",
+					workers, bf.F, cfg, renderItemsets(want), renderItemsets(got))
+			}
+		}
+	})
+}
+
+// TestRandomizedMiningAllocs pins FrequentFromRandomized's heap use to its
+// candidates rather than its rows: one mine of 10k and one of 100k
+// transactions of the same shape (the same candidates at every level) must
+// allocate within one 100k-row column of each other, so no candidate
+// allocates scratch the length of a column. The check reads process-wide
+// TotalAlloc, so it runs at GOMAXPROCS 1, and it is skipped under -race.
+func TestRandomizedMiningAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on synchronization")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	bf, err := NewBitFlip(0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := MiningConfig{MinSupport: 0.1, MaxSize: 3, Workers: 1}
+	const large = 100000
+	var allocated [2]uint64
+	for i, n := range []int{10000, large} {
+		d, _, err := Generate(GenConfig{N: n, Items: 40, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd, err := bf.Randomize(d, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = FrequentFromRandomized(rd, bf, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocated[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	column := uint64((large + 63) / 64 * 8)
+	diff := max(allocated[0], allocated[1]) - min(allocated[0], allocated[1])
+	if diff >= column {
+		t.Errorf("mining 10k rows allocated %d B and 100k rows %d B: they differ by %d B, at least one %d-row column (%d B)",
+			allocated[0], allocated[1], diff, large, column)
+	}
+}
+
+// TestAndPopcountCols checks the read-only k-way intersection count against
+// a word-by-word count, on columns spanning several stack blocks with a
+// ragged tail.
+func TestAndPopcountCols(t *testing.T) {
+	r := prng.New(23)
+	words := 3*andBlock + 17
+	cols := make([][]uint64, 6)
+	for c := range cols {
+		cols[c] = make([]uint64, words)
+		for w := range cols[c] {
+			cols[c][w] = r.Uint64() | r.Uint64() // about 3/4 of the bits set
+		}
+	}
+	for k := 1; k <= len(cols); k++ {
+		want := 0
+		for w := 0; w < words; w++ {
+			v := ^uint64(0)
+			for _, col := range cols[:k] {
+				v &= col[w]
+			}
+			for ; v != 0; v &= v - 1 {
+				want++
+			}
+		}
+		if got := andPopcountCols(cols[:k]); got != want {
+			t.Errorf("%d columns: counted %d set bits, want %d", k, got, want)
 		}
 	}
 }
