@@ -3,6 +3,7 @@ package assoc
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ppdm/internal/parallel"
@@ -39,8 +40,9 @@ type MiningConfig struct {
 	// cost grows as 2^size, and the channel inversion's variance grows with
 	// size too, so randomized mining keeps this small.
 	MaxSize int
-	// Workers bounds the support-counting parallelism (0 = all cores).
-	// Mined itemsets and supports are identical for every worker count.
+	// Workers bounds the support-counting parallelism (0 = all cores; a
+	// negative count is an error). Mined itemsets and supports are
+	// identical for every worker count.
 	Workers int
 }
 
@@ -57,14 +59,17 @@ func (c MiningConfig) withDefaults() (MiningConfig, error) {
 	if c.MaxSize < 1 || c.MaxSize > 16 {
 		return c, fmt.Errorf("assoc: max size %d must be in [1,16]", c.MaxSize)
 	}
+	if c.Workers < 0 {
+		return c, fmt.Errorf("assoc: Workers %d must not be negative (0 means all cores)", c.Workers)
+	}
 	return c, nil
 }
 
 // Frequent mines all frequent itemsets of the clean dataset with exact
-// support counting, sorted by size then lexicographically. Mining runs as a
-// depth-first walk of prefix equivalence classes that reuses each
-// (k−1)-prefix's intersection bitmap, so a k-candidate costs one column AND;
-// the result is byte-identical at every worker count.
+// support counting, sorted by size then lexicographically. It runs the
+// level-wise walk FrequentFromRandomized runs, with a candidate's support its
+// contains-all count over N, so the result is byte-identical at every worker
+// count.
 func Frequent(d *Dataset, cfg MiningConfig) ([]Itemset, error) {
 	if d == nil || d.N() == 0 {
 		return nil, fmt.Errorf("assoc: empty dataset")
@@ -73,19 +78,21 @@ func Frequent(d *Dataset, cfg MiningConfig) ([]Itemset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mineVertical(d, cfg)
+	n := float64(d.n)
+	return d.mine(cfg, func(_ []int, count int, _ map[string]int) float64 {
+		return float64(count) / n
+	}), nil
 }
 
 // FrequentFromRandomized mines frequent itemsets of the *original* data
 // given only the randomized dataset: candidate supports are estimated by
 // inverting the randomization channel over each candidate's 2^k pattern
 // counts. Inverted estimates are NOT anti-monotone (a superset's estimate
-// can exceed a subset's), so — unlike exact mining — the full
-// all-(k-1)-subsets-frequent prune is load-bearing here, and estimated
-// mining walks level by level rather than depth-first (see mineRandomized).
-// The pattern counts are exact integers, so estimates — and the mined set —
-// are byte-identical at every worker count. A flip probability that
-// NewBitFlip rejects is an error.
+// can exceed a subset's), so the walk's all-(k-1)-subsets-frequent prune is
+// load-bearing here, where for exact supports it only skips candidates that
+// would fail their own support test. The pattern counts are exact integers,
+// so estimates — and the mined set — are byte-identical at every worker
+// count. A flip probability that NewBitFlip rejects is an error.
 func FrequentFromRandomized(randomized *Dataset, bf BitFlip, cfg MiningConfig) ([]Itemset, error) {
 	if randomized == nil || randomized.N() == 0 {
 		return nil, fmt.Errorf("assoc: empty dataset")
@@ -97,101 +104,23 @@ func FrequentFromRandomized(randomized *Dataset, bf BitFlip, cfg MiningConfig) (
 	if err != nil {
 		return nil, err
 	}
-	return mineRandomized(randomized, bf, cfg), nil
+	return randomized.mine(cfg, func(cand []int, count int, observed map[string]int) float64 {
+		return randomized.estimate(bf, cand, count, observed)
+	}), nil
 }
 
-// vMember is one frequent extension of the DFS prefix: the itemset
-// prefix∪{item}, its support, and its TID bitmap.
-type vMember struct {
-	item int
-	sup  float64
-	bm   []uint64
-}
-
-// mineVertical mines the columns with exact supports by depth-first prefix
-// equivalence classes: the class of prefix P holds every frequent P∪{x},
-// and joining members i<j yields exactly the level-wise prefix-join
-// candidates, so the mined set matches Apriori's (subset pruning is
-// redundant here — by anti-monotonicity a candidate with an infrequent
-// subset fails its own support test, which the bitmap makes cheaper than
-// the subset lookups). Each member carries the intersection bitmap of its
-// itemset, so a candidate is one cached-prefix AND+popcount.
-//
-// The anti-monotonicity argument holds only for exact supports; estimated
-// mining (FrequentFromRandomized) keeps the level-wise walk and its subset
-// pruning.
-func mineVertical(d *Dataset, cfg MiningConfig) ([]Itemset, error) {
-	workers := cfg.Workers
-	n := float64(d.n)
-	var all []Itemset
-
-	// Size 1: a column popcount per item.
-	var roots []vMember
-	for it, col := range d.cols {
-		s := float64(popcountWorkers(col, workers)) / n
-		if s >= cfg.MinSupport {
-			roots = append(roots, vMember{item: it, sup: s, bm: col})
-			all = append(all, Itemset{Items: []int{it}, Support: s})
-		}
-	}
-
-	prefix := make([]int, 0, cfg.MaxSize)
-	var spare []uint64 // recycled candidate bitmap; kept only when frequent
-	var dfs func(members []vMember, size int)
-	dfs = func(members []vMember, size int) {
-		if size >= cfg.MaxSize {
-			return
-		}
-		for i := 0; i+1 < len(members); i++ {
-			a := members[i]
-			prefix = append(prefix, a.item)
-			var class []vMember
-			for j := i + 1; j < len(members); j++ {
-				b := members[j]
-				var s float64
-				var bm []uint64
-				if size+1 < cfg.MaxSize {
-					if spare == nil {
-						spare = make([]uint64, d.words())
-					}
-					s = float64(andIntoWorkers(spare, a.bm, b.bm, workers)) / n
-					bm = spare
-				} else {
-					s = float64(andPopcountWorkers(a.bm, b.bm, workers)) / n
-				}
-				if s >= cfg.MinSupport {
-					items := append(append(make([]int, 0, size+1), prefix...), b.item)
-					all = append(all, Itemset{Items: items, Support: s})
-					class = append(class, vMember{item: b.item, sup: s, bm: bm})
-					if bm != nil {
-						spare = nil // the class keeps the bitmap
-					}
-				}
-			}
-			if len(class) >= 2 {
-				dfs(class, size+1)
-			}
-			prefix = prefix[:len(prefix)-1]
-		}
-	}
-	dfs(roots, 1)
-	sortItemsets(all)
-	return all, nil
-}
-
-// mineRandomized is the level-wise walk behind FrequentFromRandomized. It
-// keeps each frequent itemset's observed contains-all count — how many
-// randomized transactions hold all of its items — keyed by Key. Apriori's
-// prune admits a size-k candidate only when every (k-1)-subset is frequent,
-// so by induction every non-empty proper subset of a candidate was a
-// frequent candidate of an earlier level, and the empty set is contained in
-// every transaction. A candidate's 2^k contains-all table therefore needs
-// one new count, its own: one read-only AND+popcount of its k columns. The
-// Möbius pass then turns the table into the exact-pattern counts that
-// estimateFromCounts inverts. A level's candidates are counted and
-// estimated on the worker pool into index-addressed slots, so the result is
-// the same at every worker count.
-func mineRandomized(d *Dataset, bf BitFlip, cfg MiningConfig) []Itemset {
+// mine is the one level-wise Apriori walk behind both miners. It keeps each
+// frequent itemset's observed contains-all count — how many transactions
+// hold all of its items — keyed by Key. Candidates of the next level are
+// the prefix joins of a level's frequent itemsets with Apriori's
+// all-(k-1)-subsets-frequent prune (generateCandidates). A level's
+// candidates are cut into runs that share their first k−1 items
+// (runBounds), the runs are counted by countRun on the worker pool into
+// index-addressed slots, and support turns each candidate's count into its
+// support. support runs concurrently and may only read observed, which
+// holds the counts of every earlier level; the result is therefore the same
+// at every worker count.
+func (d *Dataset) mine(cfg MiningConfig, support func(cand []int, count int, observed map[string]int) float64) []Itemset {
 	observed := make(map[string]int)
 	singles := make([]int, d.numItems)
 	cands := make([][]int, d.numItems)
@@ -203,9 +132,14 @@ func mineRandomized(d *Dataset, bf BitFlip, cfg MiningConfig) []Itemset {
 	for size := 1; ; size++ {
 		counts := make([]int, len(cands))
 		sups := make([]float64, len(cands))
+		runs := runBounds(cands)
 		// The function never fails, so ForEach returns nil.
-		_ = parallel.ForEach(len(cands), cfg.Workers, func(i int) error {
-			counts[i], sups[i] = d.estimateCandidate(bf, cands[i], observed)
+		_ = parallel.ForEach(len(runs)-1, cfg.Workers, func(r int) error {
+			lo, hi := runs[r], runs[r+1]
+			d.countRun(cands[lo:hi], counts[lo:hi])
+			for i := lo; i < hi; i++ {
+				sups[i] = support(cands[i], counts[i], observed)
+			}
 			return nil
 		})
 		var level []Itemset
@@ -220,7 +154,7 @@ func mineRandomized(d *Dataset, bf BitFlip, cfg MiningConfig) []Itemset {
 		if size == cfg.MaxSize {
 			break
 		}
-		if cands = generateCandidates(level); len(cands) == 0 {
+		if cands = generateCandidates(level, observed); len(cands) == 0 {
 			break
 		}
 	}
@@ -228,18 +162,33 @@ func mineRandomized(d *Dataset, bf BitFlip, cfg MiningConfig) []Itemset {
 	return all
 }
 
-// estimateCandidate returns cand's observed contains-all count and its
-// estimated true support. Every non-empty proper subset of cand must be in
-// observed (mineRandomized's walk guarantees it); observed is only read.
-func (d *Dataset) estimateCandidate(bf BitFlip, cand []int, observed map[string]int) (int, float64) {
-	k := len(cand)
-	var colArr [16][]uint64 // MiningConfig caps itemsets at 16 items
-	cols := colArr[:k]
-	for b, it := range cand {
-		cols[b] = d.cols[it]
+// runBounds cuts a level's candidates into runs — stretches of consecutive
+// candidates that share their first k−1 items — and returns their bounds:
+// run r is cands[b[r]:b[r+1]]. Single items share no prefix worth a run, so
+// each is a run of its own and level 1 spreads over the workers. The
+// prefixes are compared, so any candidate order counts correctly; the
+// lexicographic order generateCandidates produces keeps each prefix in one
+// run.
+func runBounds(cands [][]int) []int {
+	b := []int{0}
+	for i := 1; i < len(cands); i++ {
+		prev, cand := cands[i-1], cands[i]
+		if len(cand) == 1 || !slices.Equal(prev[:len(prev)-1], cand[:len(cand)-1]) {
+			b = append(b, i)
+		}
 	}
-	count := andPopcountCols(cols)
+	return append(b, len(cands))
+}
 
+// estimate returns cand's estimated true support from its observed
+// contains-all count. The walk's prune makes every non-empty proper subset
+// of cand a frequent itemset of an earlier level, so its count is in
+// observed; the empty set is contained in every transaction. The 2^k
+// contains-all table therefore needs no counting, and the Möbius pass turns
+// it into the exact-pattern counts that estimateFromCounts inverts.
+// observed is only read.
+func (d *Dataset) estimate(bf BitFlip, cand []int, count int, observed map[string]int) float64 {
+	k := len(cand)
 	// table[m] counts the transactions holding every cand[b] with bit b set
 	// in m, as PatternCountsWorkers lays it out before its Möbius pass.
 	table := make([]int, 1<<uint(k))
@@ -256,11 +205,11 @@ func (d *Dataset) estimateCandidate(bf BitFlip, cand []int, observed map[string]
 		table[m] = observed[string(appendKey(key[:0], sub))]
 	}
 	mobius(table, k)
-	return count, bf.estimateFromCounts(table, d.n, k)
+	return bf.estimateFromCounts(table, d.n, k)
 }
 
 // sortItemsets orders mined itemsets by size, then lexicographically — the
-// one output order both walks normalize to.
+// one output order the walk and the tests' reference walk normalize to.
 func sortItemsets(all []Itemset) {
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i].Items, all[j].Items
@@ -278,17 +227,15 @@ func sortItemsets(all []Itemset) {
 
 // generateCandidates joins frequent (k-1)-itemsets sharing a (k-2)-prefix
 // and prunes candidates with an infrequent (k-1)-subset — the classic
-// Apriori candidate generation. The level is grouped by prefix first (in
-// first-appearance order, so the result never depends on map iteration) and
-// joined within groups, with each group's candidates built into one
-// exactly-sized arena instead of a per-pair copy.
-func generateCandidates(level []Itemset) [][]int {
+// Apriori candidate generation. The keys of frequent must include every
+// itemset of level and no other (k-1)-itemset; its values are not read, so
+// the walk passes its observed counts. The level is grouped by
+// prefix first (in first-appearance order, so the result never depends on
+// map iteration) and joined within groups, with each group's candidates
+// built into one exactly-sized arena instead of a per-pair copy.
+func generateCandidates(level []Itemset, frequent map[string]int) [][]int {
 	if len(level) < 2 {
 		return nil
-	}
-	frequent := make(map[string]bool, len(level))
-	for _, s := range level {
-		frequent[s.Key()] = true
 	}
 	k := len(level[0].Items) + 1
 
@@ -340,16 +287,18 @@ func generateCandidates(level []Itemset) [][]int {
 }
 
 // allSubsetsFrequent reports whether every (k-1)-subset of cand is in the
-// frequent set; sub is a reusable scratch slice.
-func allSubsetsFrequent(cand []int, frequent map[string]bool, sub []int) bool {
-	for skip := range cand {
+// frequent set; sub is a reusable scratch slice. The two subsets that drop
+// one of cand's last two items are the joined pair, frequent by
+// construction, so only the other k−2 are looked up.
+func allSubsetsFrequent(cand []int, frequent map[string]int, sub []int) bool {
+	for skip := range cand[:len(cand)-2] {
 		sub = sub[:0]
 		for i, v := range cand {
 			if i != skip {
 				sub = append(sub, v)
 			}
 		}
-		if !frequent[Itemset{Items: sub}.Key()] {
+		if _, ok := frequent[Itemset{Items: sub}.Key()]; !ok {
 			return false
 		}
 	}

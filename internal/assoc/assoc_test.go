@@ -2,6 +2,7 @@ package assoc
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -305,6 +306,13 @@ func TestFrequentValidation(t *testing.T) {
 	empty, _ := NewDataset(3)
 	if _, err := Frequent(empty, MiningConfig{MinSupport: 0.5}); err == nil {
 		t.Error("empty dataset accepted")
+	}
+	negative := MiningConfig{MinSupport: 0.5, Workers: -3}
+	if _, err := Frequent(d, negative); err == nil || !strings.Contains(err.Error(), "must not be negative") {
+		t.Errorf("Frequent with Workers -3: err %v, want a negative-count error", err)
+	}
+	if _, err := FrequentFromRandomized(d, BitFlip{F: 0.2}, negative); err == nil || !strings.Contains(err.Error(), "must not be negative") {
+		t.Errorf("FrequentFromRandomized with Workers -3: err %v, want a negative-count error", err)
 	}
 }
 

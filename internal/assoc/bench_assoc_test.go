@@ -103,14 +103,17 @@ func BenchmarkItemsetKey(b *testing.B) {
 // old O(level²) all-pairs join was slowest on.
 func BenchmarkGenerateCandidates(b *testing.B) {
 	var level []Itemset
+	frequent := make(map[string]int)
 	for i := 0; i < 30; i++ {
 		for j := i + 1; j < 30; j++ {
-			level = append(level, Itemset{Items: []int{i, j}})
+			s := Itemset{Items: []int{i, j}}
+			level = append(level, s)
+			frequent[s.Key()] = 0
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := generateCandidates(level); len(out) == 0 {
+		if out := generateCandidates(level, frequent); len(out) == 0 {
 			b.Fatal("no candidates")
 		}
 	}

@@ -23,24 +23,30 @@
 //
 // All counting runs on the columns. support(S) is the popcount of the AND
 // of the columns of S — a handful of 4-wide unrolled word kernels, chunked
-// into ColChunk-word shards on the internal/parallel worker pool for long
-// columns. Exact mining runs depth-first over prefix equivalence classes,
-// reusing each (k-1)-prefix intersection bitmap for every extension, so
-// deep levels cost one column AND apiece; skipping Apriori's subset prune
-// there is safe because exact supports are anti-monotone.
-// Channel-inversion estimates are not anti-monotone, so estimated mining
-// keeps the level-wise walk with its subset prune. It keeps the observed
-// contains-all count of every frequent itemset; the prune makes every
-// proper subset of a candidate a frequent itemset of an earlier level, so a
-// candidate costs one read-only AND+popcount of its k columns, and its
-// exact 2^k presence/absence pattern table is its subsets' counts and its
-// own through an integer Möbius pass. EstimateSupport, which has no earlier
-// counts to reuse, builds the same table with a masked-subset DFS over the
-// columns.
+// into ColChunk-word shards on the internal/parallel worker pool for the long
+// columns of Support and PatternCounts.
+//
+// Both miners run one level-wise Apriori walk, which keeps the observed
+// contains-all count of every frequent itemset. A level's candidates,
+// generated with the all-(k-1)-subsets-frequent prune, are counted in runs:
+// candidates that share their first k-1 items. From k = 3 on, for each
+// 256-word block a run's prefix columns are ANDed once into a stack buffer,
+// and each candidate then costs one AND+popcount of its last column against
+// that buffer; a pair costs one AND+popcount of its two columns. No count
+// writes to the heap, and a level's runs are counted on the worker pool.
+// Exact mining divides a count by N, and there the prune only skips
+// candidates that would fail their own support test, because exact supports
+// are anti-monotone. Channel-inversion estimates are not anti-monotone, so
+// for the estimator the prune is load-bearing. It also makes every proper
+// subset of a candidate a frequent itemset of an earlier level, so the
+// candidate's exact 2^k presence/absence pattern table is its subsets'
+// counts and its own through an integer Möbius pass. EstimateSupport, which
+// has no earlier counts to reuse, builds the same table with a masked-subset
+// DFS over the columns.
 //
 // A row-by-row scan through Contains survives only in the tests, as the
-// oracle that support, pattern counts and both mining walks are checked
-// against, under a reference level-wise walk that estimates every
+// oracle that support, pattern counts and both miners are checked against,
+// under a reference level-wise walk that counts or estimates every
 // candidate from scratch.
 //
 // # Determinism

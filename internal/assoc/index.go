@@ -83,34 +83,47 @@ func andInto(dst, a, b []uint64) int {
 	return c
 }
 
-// andBlock is the word length of andPopcountCols' stack buffer: 2 KiB,
-// small enough to stay in L1 while the columns stream through it.
+// andBlock is the word length of countRun's stack buffer: 2 KiB, small
+// enough to stay in L1 while a run's last columns stream past it.
 const andBlock = 256
 
-// andPopcountCols counts the set bits of the AND of the columns without
-// writing to them or to the heap: from three columns on, the intersection is
-// built block by block in a fixed stack buffer. Every column must be at
-// least as long as cols[0].
-func andPopcountCols(cols [][]uint64) int {
-	switch len(cols) {
-	case 1:
-		return popcountWords(cols[0])
-	case 2:
-		return andPopcount(cols[0], cols[1])
-	}
-	var buf [andBlock]uint64
-	last := cols[len(cols)-1]
-	c := 0
-	for lo := 0; lo < len(cols[0]); lo += andBlock {
-		hi := min(lo+andBlock, len(cols[0]))
-		b := buf[:hi-lo]
-		andInto(b, cols[0][lo:hi], cols[1][lo:hi])
-		for _, col := range cols[2 : len(cols)-1] {
-			andInto(b, b, col[lo:hi])
+// countRun sets counts[j] to the number of transactions that hold every
+// item of run[j], for a run of candidates that share their first k−1 items
+// (len(counts) == len(run)). It writes neither the columns nor the heap.
+// From k = 3 on, block by block, the shared prefix's columns are ANDed once
+// into a stack buffer, and each candidate then costs one AND+popcount of
+// its last column against that buffer. A prefix of one column has nothing
+// to AND, so a pair costs one AND+popcount of its two columns, and a single
+// item one popcount.
+func (d *Dataset) countRun(run [][]int, counts []int) {
+	prefix := run[0][:len(run[0])-1]
+	switch len(prefix) {
+	case 0:
+		for j, cand := range run {
+			counts[j] = popcountWords(d.cols[cand[0]])
 		}
-		c += andPopcount(b, last[lo:hi])
+		return
+	case 1:
+		col := d.cols[prefix[0]]
+		for j, cand := range run {
+			counts[j] = andPopcount(col, d.cols[cand[1]])
+		}
+		return
 	}
-	return c
+	clear(counts)
+	var buf [andBlock]uint64
+	words := d.words()
+	for lo := 0; lo < words; lo += andBlock {
+		hi := min(lo+andBlock, words)
+		b := buf[:hi-lo]
+		andInto(b, d.cols[prefix[0]][lo:hi], d.cols[prefix[1]][lo:hi])
+		for _, it := range prefix[2:] {
+			andInto(b, b, d.cols[it][lo:hi])
+		}
+		for j, cand := range run {
+			counts[j] += andPopcount(b, d.cols[cand[len(cand)-1]][lo:hi])
+		}
+	}
 }
 
 // --- worker-pool wrappers: word-chunked, index-ordered integer folds ---

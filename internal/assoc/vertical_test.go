@@ -75,7 +75,11 @@ func apriori(numItems int, cfg MiningConfig, support supportFn) ([]Itemset, erro
 	all := append([]Itemset(nil), level...)
 
 	for size := 2; size <= cfg.MaxSize && len(level) >= 2; size++ {
-		candidates := generateCandidates(level)
+		frequent := make(map[string]int, len(level))
+		for _, s := range level {
+			frequent[s.Key()] = 0
+		}
+		candidates := generateCandidates(level, frequent)
 		var next []Itemset
 		for _, cand := range candidates {
 			s, err := support(cand)
@@ -95,7 +99,7 @@ func apriori(numItems int, cfg MiningConfig, support supportFn) ([]Itemset, erro
 }
 
 // oracleFrequent mines exact supports level-wise over the row scan: the
-// reference Frequent's prefix DFS must reproduce.
+// reference Frequent's run-counted walk must reproduce.
 func oracleFrequent(d *Dataset, cfg MiningConfig) ([]Itemset, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -476,7 +480,7 @@ func TestRandomizedMiningEngineProperty(t *testing.T) {
 	}
 }
 
-// Layout of a FuzzRandomizedMining input: a 7-byte header, then rows of
+// Layout of a FuzzMining input: a 7-byte header, then rows of
 // ⌈items/8⌉ bytes each, bit it of a row (little-endian) holding item it.
 const (
 	fuzzMaxItems = 24
@@ -488,7 +492,7 @@ const (
 // 65 start and end batches inside 64-row column words.
 var fuzzBatchSizes = [4]int{1, 63, 65, fuzzMaxRows}
 
-// encodeMiningInput writes a FuzzRandomizedMining input: byte 0 is the item
+// encodeMiningInput writes a FuzzMining input: byte 0 is the item
 // count − 1, bytes 1–2 the flip probability in units of 2^-17, bytes 3–4 the
 // minimum support in units of 2^-16, less one unit, byte 5 the maximum
 // itemset size − 1, and 2-bit fields of byte 6 pick each AddBatch size from
@@ -551,13 +555,13 @@ func decodeMiningInput(tb testing.TB, data []byte) (d *Dataset, bf BitFlip, cfg 
 	return d, bf, cfg, true
 }
 
-// FuzzRandomizedMining checks FrequentFromRandomized against the row-scan
-// oracle on any small dataset, flip probability, threshold and size bound:
-// at Workers 1 and 2 the mined set must deeply equal the oracle's. The
-// seeds are the noisy shapes of TestRandomizedMiningEngineProperty on which
-// Apriori's subset prune removes a candidate whose own estimate passes the
-// threshold.
-func FuzzRandomizedMining(f *testing.F) {
+// FuzzMining checks both miners against the row-scan oracle on any small
+// dataset, flip probability, threshold and size bound: at Workers 1 and 2,
+// Frequent must deeply equal oracleFrequent, and FrequentFromRandomized
+// must deeply equal oracleFrequentFromRandomized. The seeds are the noisy
+// shapes of TestRandomizedMiningEngineProperty on which Apriori's subset
+// prune removes a candidate whose own estimate passes the threshold.
+func FuzzMining(f *testing.F) {
 	for i, seed := range []int64{8, 12, 16, 43, 45, 56, 70, 80, 81, 84, 87, 97} {
 		r := rand.New(rand.NewSource(seed))
 		d := noisyEstimationDataset(f, r)
@@ -572,10 +576,17 @@ func FuzzRandomizedMining(f *testing.F) {
 			return
 		}
 		if d.N() == 0 {
+			if _, err := Frequent(d, cfg); err == nil {
+				t.Fatal("an empty dataset mined exactly without error")
+			}
 			if _, err := FrequentFromRandomized(d, bf, cfg); err == nil {
 				t.Fatal("an empty dataset mined without error")
 			}
 			return
+		}
+		wantExact, err := oracleFrequent(d, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
 		want, err := oracleFrequentFromRandomized(d, bf, cfg)
 		if err != nil {
@@ -583,6 +594,14 @@ func FuzzRandomizedMining(f *testing.F) {
 		}
 		for _, workers := range []int{1, 2} {
 			cfg.Workers = workers
+			gotExact, err := Frequent(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(wantExact, gotExact) {
+				t.Fatalf("workers %d, %+v: exactly mined sets differ:\nrow scan:\n%scolumns:\n%s",
+					workers, cfg, renderItemsets(wantExact), renderItemsets(gotExact))
+			}
 			got, err := FrequentFromRandomized(d, bf, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -595,13 +614,15 @@ func FuzzRandomizedMining(f *testing.F) {
 	})
 }
 
-// TestRandomizedMiningAllocs pins FrequentFromRandomized's heap use to its
-// candidates rather than its rows: one mine of 10k and one of 100k
+// TestMiningAllocs pins both miners' heap use to their candidates rather
+// than their rows: for each miner, one mine of 10k and one of 100k
 // transactions of the same shape (the same candidates at every level) must
 // allocate within one 100k-row column of each other, so no candidate
-// allocates scratch the length of a column. The check reads process-wide
-// TotalAlloc, so it runs at GOMAXPROCS 1, and it is skipped under -race.
-func TestRandomizedMiningAllocs(t *testing.T) {
+// allocates scratch the length of a column. Frequent mines the clean rows
+// and FrequentFromRandomized their randomization. The check reads
+// process-wide TotalAlloc, so it runs at GOMAXPROCS 1, and it is skipped
+// under -race.
+func TestMiningAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on synchronization")
 	}
@@ -611,8 +632,21 @@ func TestRandomizedMiningAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := MiningConfig{MinSupport: 0.1, MaxSize: 3, Workers: 1}
+	miners := []struct {
+		name string
+		mine func(clean, randomized *Dataset) error
+	}{
+		{"Frequent", func(clean, _ *Dataset) error {
+			_, err := Frequent(clean, cfg)
+			return err
+		}},
+		{"FrequentFromRandomized", func(_, randomized *Dataset) error {
+			_, err := FrequentFromRandomized(randomized, bf, cfg)
+			return err
+		}},
+	}
 	const large = 100000
-	var allocated [2]uint64
+	var allocated [2][2]uint64 // [miner][size]
 	for i, n := range []int{10000, large} {
 		d, _, err := Generate(GenConfig{N: n, Items: 40, Seed: 1})
 		if err != nil {
@@ -622,49 +656,68 @@ func TestRandomizedMiningAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err = FrequentFromRandomized(rd, bf, cfg)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+		for m, miner := range miners {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := miner.mine(d, rd)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocated[m][i] = after.TotalAlloc - before.TotalAlloc
 		}
-		allocated[i] = after.TotalAlloc - before.TotalAlloc
 	}
 	column := uint64((large + 63) / 64 * 8)
-	diff := max(allocated[0], allocated[1]) - min(allocated[0], allocated[1])
-	if diff >= column {
-		t.Errorf("mining 10k rows allocated %d B and 100k rows %d B: they differ by %d B, at least one %d-row column (%d B)",
-			allocated[0], allocated[1], diff, large, column)
+	for m, miner := range miners {
+		a := allocated[m]
+		diff := max(a[0], a[1]) - min(a[0], a[1])
+		if diff >= column {
+			t.Errorf("%s: mining 10k rows allocated %d B and 100k rows %d B: they differ by %d B, at least one %d-row column (%d B)",
+				miner.name, a[0], a[1], diff, large, column)
+		}
 	}
 }
 
-// TestAndPopcountCols checks the read-only k-way intersection count against
-// a word-by-word count, on columns spanning several stack blocks with a
-// ragged tail.
-func TestAndPopcountCols(t *testing.T) {
+// TestCountRun checks the run kernel against a word-by-word count: runs of
+// 1–5 candidates sharing a prefix of k−1 items, k = 1..6, over columns that
+// span several stack blocks with a ragged tail.
+func TestCountRun(t *testing.T) {
 	r := prng.New(23)
 	words := 3*andBlock + 17
-	cols := make([][]uint64, 6)
-	for c := range cols {
-		cols[c] = make([]uint64, words)
-		for w := range cols[c] {
-			cols[c][w] = r.Uint64() | r.Uint64() // about 3/4 of the bits set
+	const numItems = 10 // a 5-item prefix and 5 last items
+	d := &Dataset{numItems: numItems, n: 64 * words, cols: make([][]uint64, numItems)}
+	for c := range d.cols {
+		d.cols[c] = make([]uint64, words)
+		for w := range d.cols[c] {
+			d.cols[c][w] = r.Uint64() | r.Uint64() // about 3/4 of the bits set
 		}
 	}
-	for k := 1; k <= len(cols); k++ {
-		want := 0
-		for w := 0; w < words; w++ {
-			v := ^uint64(0)
-			for _, col := range cols[:k] {
-				v &= col[w]
+	for k := 1; k <= 6; k++ {
+		for size := 1; size <= 5; size++ {
+			run := make([][]int, size)
+			for j := range run {
+				for it := 0; it < k-1; it++ {
+					run[j] = append(run[j], it)
+				}
+				run[j] = append(run[j], k-1+j)
 			}
-			for ; v != 0; v &= v - 1 {
-				want++
+			counts := make([]int, size)
+			d.countRun(run, counts)
+			for j, cand := range run {
+				want := 0
+				for w := 0; w < words; w++ {
+					v := ^uint64(0)
+					for _, it := range cand {
+						v &= d.cols[it][w]
+					}
+					for ; v != 0; v &= v - 1 {
+						want++
+					}
+				}
+				if counts[j] != want {
+					t.Errorf("k %d, run of %d, candidate %v: counted %d transactions, want %d", k, size, cand, counts[j], want)
+				}
 			}
-		}
-		if got := andPopcountCols(cols[:k]); got != want {
-			t.Errorf("%d columns: counted %d set bits, want %d", k, got, want)
 		}
 	}
 }

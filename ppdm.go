@@ -475,7 +475,7 @@ func GenerateBaskets(cfg BasketGenConfig) (*Transactions, [][]int, error) {
 }
 
 // FrequentItemsets mines frequent itemsets with exact supports: Apriori's
-// itemsets, found depth-first by intersecting the item columns.
+// itemsets, found level by level by intersecting the item columns.
 func FrequentItemsets(d *Transactions, cfg MiningConfig) ([]Itemset, error) {
 	return assoc.Frequent(d, cfg)
 }
