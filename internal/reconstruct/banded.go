@@ -262,16 +262,29 @@ func scaledDot64(a, b []float64, scale float64) float64 {
 // contiguous slab slice dotted against the matching p window by the unrolled
 // kernel; the single-accumulator fold reproduces the scalar loop's rounding
 // bit for bit.
+//
+// The serial run calls denomRows directly: a function literal is
+// heap-allocated wherever it is evaluated, so the chunked branch alone
+// builds one.
 func denomPass(w *bandedWeights, counts []int, p, q []float64, workers int) {
+	if workers == 1 {
+		denomRows(w, counts, p, q, 0, w.m)
+		return
+	}
 	parallel.ForEachChunk(w.m, iterRowChunk, workers, func(_, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			if counts[s] == 0 {
-				q[s] = 0
-				continue
-			}
-			q[s] = dot64(w.data[w.off[s]:w.off[s+1]], p[w.bandLo(s):])
-		}
+		denomRows(w, counts, p, q, lo, hi)
 	})
+}
+
+// denomRows is denomPass over the rows [lo, hi).
+func denomRows(w *bandedWeights, counts []int, p, q []float64, lo, hi int) {
+	for s := lo; s < hi; s++ {
+		if counts[s] == 0 {
+			q[s] = 0
+			continue
+		}
+		q[s] = dot64(w.data[w.off[s]:w.off[s+1]], p[w.bandLo(s):])
+	}
 }
 
 // updatePass computes next[t] = Σ_s q[s]·A[s][t]·p[t] + fallback·p[t] (the
@@ -297,14 +310,23 @@ func denomPass(w *bandedWeights, counts []int, p, q []float64, workers int) {
 //     (weights, coefficients, and estimate entries are all ≥ 0) returns the
 //     accumulator unchanged, so every partial sum matches the skipping loop.
 func updatePass(w *bandedWeights, q []float64, p, next []float64, fallback float64, workers int) {
+	if workers == 1 {
+		updateCols(w, q, p, next, fallback, 0, w.k)
+		return
+	}
 	parallel.ForEachChunk(w.k, iterColChunk, workers, func(_, lo, hi int) {
-		for t := lo; t < hi; t++ {
-			pt := p[t]
-			acc := scaledDot64(w.tData[w.tOff[t]:w.tOff[t+1]], q[w.tLo[t]:], pt)
-			if fallback > 0 {
-				acc += fallback * pt
-			}
-			next[t] = acc
-		}
+		updateCols(w, q, p, next, fallback, lo, hi)
 	})
+}
+
+// updateCols is updatePass over the columns [lo, hi).
+func updateCols(w *bandedWeights, q []float64, p, next []float64, fallback float64, lo, hi int) {
+	for t := lo; t < hi; t++ {
+		pt := p[t]
+		acc := scaledDot64(w.tData[w.tOff[t]:w.tOff[t+1]], q[w.tLo[t]:], pt)
+		if fallback > 0 {
+			acc += fallback * pt
+		}
+		next[t] = acc
+	}
 }

@@ -1,6 +1,7 @@
 package reconstruct
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -158,5 +159,40 @@ func TestTransposedSlabMatchesRows(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIterationAllocs pins the iteration's steady state: with the weight
+// matrix cached and the scratch pooled, an iteration allocates nothing, so a
+// reconstruction that runs 50 iterations allocates what one that runs 5
+// does. The tiny Epsilon keeps both from converging early.
+func TestIterationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on synchronization")
+	}
+	m := noise.Uniform{Alpha: 25}
+	part, err := NewPartition(0, 100, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCollector(part, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddAll(bandedPerturbed(5000, m, 3)); err != nil {
+		t.Fatal(err)
+	}
+	cache := NewWeightCache(1)
+	allocs := func(maxIters int) float64 {
+		cfg := Config{MaxIters: maxIters, Epsilon: math.SmallestNonzeroFloat64, Cache: cache}
+		return testing.AllocsPerRun(20, func() {
+			res, err := c.Reconstruct(cfg)
+			if err != nil || res.Iters != maxIters || res.Converged {
+				t.Fatalf("MaxIters %d: %d iterations, converged %v, err %v", maxIters, res.Iters, res.Converged, err)
+			}
+		})
+	}
+	if short, long := allocs(5), allocs(50); short != long {
+		t.Errorf("a reconstruction allocates %v times at MaxIters 5 and %v at MaxIters 50: the iteration allocates", short, long)
 	}
 }
