@@ -1,6 +1,7 @@
 package reconstruct
 
 import (
+	"math"
 	"sync"
 
 	"ppdm/internal/noise"
@@ -49,6 +50,13 @@ const DefaultTailMass = 1e-12
 // (w.off[s] + t − w.bandLo(s)) into build time and turns both passes into
 // contiguous dot products the unrolled kernels below can stream without
 // bounds checks. Bands are narrow, so the second slab costs little.
+//
+// Each row and each column is also described once, at build time, by a
+// fold: its nonzero span and at most one run of bit-equal cells inside it
+// (describeFold). Under uniform noise a Bayes row is one such run — the
+// constant density 1/(2α) — so the passes evaluate it as one prefix-sum
+// difference instead of one product per cell; Gaussian and Laplace rows,
+// whose cells all differ, have no run and take the plain fold.
 type bandedWeights struct {
 	k      int       // domain intervals (full row width)
 	m      int       // observation rows
@@ -59,6 +67,66 @@ type bandedWeights struct {
 	tLo    []int     // len k; first observation row covering column t
 	tOff   []int     // len k+1; column t occupies tData[tOff[t]:tOff[t+1]]
 	tData  []float64 // contiguous column slabs (increasing s within a column)
+	rows   []fold    // len m; row s's fold over p, reading data
+	cols   []fold    // len k; column t's fold over q, reading tData
+	runs   bool      // some row or column has a run: the passes need prefix sums
+	work   int       // terms both passes add per iteration, a run counting one
+}
+
+// minRun is the shortest run of bit-equal cells a fold evaluates as one
+// prefix-sum difference. It keeps two equal neighbours, which any row may
+// hold by chance, from breaking the fold of a row that has no real run.
+const minRun = 8
+
+// fold describes how one band row (or column) is dotted with its vector x:
+// the span x[lo:hi] holds every nonzero cell, read from the slab from index
+// at; the cells of the run x[runLo:runHi] all equal v, and those outside it
+// are folded in index order. A fold with no run has runLo = runHi = hi.
+type fold struct {
+	lo, runLo, runHi, hi int
+	at                   int
+	v                    float64
+}
+
+// describeFold returns the fold of cells, a band row or column whose first
+// cell sits at slab index at and vector index lo. Zero cells at either end
+// are dropped: each adds a zero product to a fold over a finite vector,
+// which leaves the fold unchanged bit for bit. The longest run of bit-equal
+// cells in what remains (the first, among runs of equal length) becomes the
+// fold's run if it is at least minRun long.
+func describeFold(cells []float64, at, lo int) fold {
+	i, j := 0, len(cells)
+	for i < j && cells[i] == 0 {
+		i++
+	}
+	for j > i && cells[j-1] == 0 {
+		j--
+	}
+	f := fold{lo: lo + i, runLo: lo + j, runHi: lo + j, hi: lo + j, at: at + i}
+	best, bestAt := 0, 0
+	for a := i; a < j; {
+		b := a + 1
+		for b < j && math.Float64bits(cells[b]) == math.Float64bits(cells[a]) {
+			b++
+		}
+		if b-a > best {
+			best, bestAt = b-a, a
+		}
+		a = b
+	}
+	if best >= minRun {
+		f.runLo, f.runHi, f.v = lo+bestAt, lo+bestAt+best, cells[bestAt]
+	}
+	return f
+}
+
+// work returns the terms the fold adds: its cells outside the run, and one
+// for the run.
+func (f *fold) work() int {
+	if f.runLo == f.runHi {
+		return f.hi - f.lo
+	}
+	return f.hi - f.lo - (f.runHi - f.runLo) + 1
 }
 
 // bandLo returns the first in-band domain interval of row s (inclusive).
@@ -106,7 +174,8 @@ func denseRadius(k, lowIdx, m int) int {
 // evaluations run in parallel bounded by workers; rows are index-addressed,
 // so the result is bitwise identical at any worker count. The transposed
 // column slab is a pure gather of the row slab, so its entries are the same
-// bits in a different order.
+// bits in a different order. Each row and column is described by its fold
+// as soon as its cells are written.
 func computeWeights(m noise.Model, alg Algorithm, width float64, k, lowIdx, nObs, radius, workers int) *bandedWeights {
 	w := &bandedWeights{k: k, m: nObs, lowIdx: lowIdx, radius: radius}
 	w.off = make([]int, nObs+1)
@@ -114,6 +183,7 @@ func computeWeights(m noise.Model, alg Algorithm, width float64, k, lowIdx, nObs
 		w.off[s+1] = w.off[s] + w.bandHi(s) - w.bandLo(s)
 	}
 	w.data = make([]float64, w.off[nObs])
+	w.rows = make([]fold, nObs)
 	parallel.ForEach(nObs, workers, func(s int) error {
 		row := w.row(s)
 		lo := w.bandLo(s)
@@ -126,6 +196,7 @@ func computeWeights(m noise.Model, alg Algorithm, width float64, k, lowIdx, nObs
 				row[i] = m.CDF((d+0.5)*width) - m.CDF((d-0.5)*width)
 			}
 		}
+		w.rows[s] = describeFold(row, w.off[s], lo)
 		return nil
 	})
 
@@ -154,6 +225,7 @@ func computeWeights(m noise.Model, alg Algorithm, width float64, k, lowIdx, nObs
 		w.tOff[t+1] = w.tOff[t] + sHi - sLo
 	}
 	w.tData = make([]float64, w.tOff[k])
+	w.cols = make([]fold, k)
 	parallel.ForEach(k, workers, func(t int) error {
 		col := w.tData[w.tOff[t]:w.tOff[t+1]]
 		sLo := w.tLo[t]
@@ -161,14 +233,23 @@ func computeWeights(m noise.Model, alg Algorithm, width float64, k, lowIdx, nObs
 			s := sLo + i
 			col[i] = w.data[w.off[s]+t-w.bandLo(s)]
 		}
+		w.cols[t] = describeFold(col, w.tOff[t], sLo)
 		return nil
 	})
+
+	for _, folds := range [][]fold{w.rows, w.cols} {
+		for i := range folds {
+			w.runs = w.runs || folds[i].runLo < folds[i].runHi
+			w.work += folds[i].work()
+		}
+	}
 	return w
 }
 
 // iterScratch is the reusable per-call state of the fused iteration:
-// the current and next estimates (length k) and the per-observation-row
-// vector that holds denominators, then update coefficients (length m).
+// the current and next estimates (length k), the per-observation-row
+// vector that holds denominators, then update coefficients (length m), and
+// the prefix sums of p, then of the coefficients (length max(k, m)+1).
 // Instances cycle through scratchPool so steady-state reconstruction — the
 // per-node Local-mode path and serving-adjacent callers — performs no
 // iteration-state allocation; only the observation grid and the returned
@@ -176,6 +257,7 @@ func computeWeights(m noise.Model, alg Algorithm, width float64, k, lowIdx, nObs
 type iterScratch struct {
 	p, next []float64
 	q       []float64
+	pre     []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(iterScratch) }}
@@ -191,23 +273,28 @@ func (sc *iterScratch) ensure(k, m int) {
 		sc.q = make([]float64, m)
 	}
 	sc.q = sc.q[:m]
+	if n := max(k, m) + 1; cap(sc.pre) < n {
+		sc.pre = make([]float64, n)
+	}
 }
 
 // Fixed chunk grids for the parallel accumulation passes. The grids depend
-// only on the problem size (determinism contract); iterWorkStep is the
-// minimum per-iteration flop count below which the passes stay serial —
-// goroutine fan-out costs more than it saves on small grids.
+// only on the problem size (determinism contract); iterWorkMin is the
+// per-iteration term count of the two passes (bandedWeights.work) below
+// which they stay serial — goroutine fan-out costs more than it saves on
+// small grids.
 const (
 	iterRowChunk = 128
 	iterColChunk = 128
-	iterWorkMin  = 1 << 15
+	iterWorkMin  = 1 << 16
 )
 
 // iterWorkers resolves the worker count for the fused iteration passes:
-// the configured count, forced serial when the banded matrix is too small
-// to amortize scheduling. Results are identical either way.
-func iterWorkers(cfg Config, nnz int) int {
-	if nnz < iterWorkMin {
+// the configured count, forced serial when the work left after the folds
+// compress their runs is too small to amortize scheduling. Results are
+// identical either way.
+func iterWorkers(cfg Config, w *bandedWeights) int {
+	if w.work < iterWorkMin {
 		return 1
 	}
 	return cfg.Workers
@@ -221,69 +308,115 @@ func iterWorkers(cfg Config, nnz int) int {
 // body index is the constant 0–3 under a len ≥ 4 guard — a shape the
 // compiler provably keeps free of bounds checks (enforced by the
 // ssa/check_bce guard test).
+//
+// Each product is converted to float64 before it is added. The Go spec lets
+// a compiler fuse x*y + z into one multiply-add that skips the product's
+// rounding; arm64, ppc64le, s390x and riscv64 builds do, amd64 builds do
+// not. An explicit conversion forbids the fusion, so every architecture
+// folds the same bits (TestKernelNoFusedMultiplyAdd), and amd64 compiles
+// the same instructions as without it.
 func dot64(a, b []float64) float64 {
 	b = b[:len(a)]
 	var acc float64
 	for len(a) >= 4 && len(b) >= 4 {
-		acc += a[0] * b[0]
-		acc += a[1] * b[1]
-		acc += a[2] * b[2]
-		acc += a[3] * b[3]
+		acc += float64(a[0] * b[0])
+		acc += float64(a[1] * b[1])
+		acc += float64(a[2] * b[2])
+		acc += float64(a[3] * b[3])
 		a, b = a[4:], b[4:]
 	}
 	for i := 0; i < len(a) && i < len(b); i++ {
-		acc += a[i] * b[i]
+		acc += float64(a[i] * b[i])
 	}
 	return acc
 }
 
 // scaledDot64 returns Σ (a[i]·b[i])·scale, folded left to right into one
-// accumulator like dot64. The per-term scale placement matches the update
-// rule's historical association (q·A)·p — see updatePass.
+// accumulator like dot64, with the same explicit rounding of each term. The
+// per-term scale placement matches the update rule's historical association
+// (q·A)·p — see updatePass.
 func scaledDot64(a, b []float64, scale float64) float64 {
 	b = b[:len(a)]
 	var acc float64
 	for len(a) >= 4 && len(b) >= 4 {
-		acc += a[0] * b[0] * scale
-		acc += a[1] * b[1] * scale
-		acc += a[2] * b[2] * scale
-		acc += a[3] * b[3] * scale
+		acc += float64(a[0] * b[0] * scale)
+		acc += float64(a[1] * b[1] * scale)
+		acc += float64(a[2] * b[2] * scale)
+		acc += float64(a[3] * b[3] * scale)
 		a, b = a[4:], b[4:]
 	}
 	for i := 0; i < len(a) && i < len(b); i++ {
-		acc += a[i] * b[i] * scale
+		acc += float64(a[i] * b[i] * scale)
 	}
 	return acc
 }
 
+// prefixSums sets pre[i] to the sum of x[:i] for i in [0, len(x)],
+// accumulated serially in index order, so a run of any fold can take its
+// sum as one difference and the sums are the same bits at any worker count.
+func prefixSums(x, pre []float64) {
+	pre = pre[:len(x)+1]
+	var acc float64
+	pre[0] = 0
+	for i, v := range x {
+		acc += v
+		pre[i+1] = acc
+	}
+}
+
 // denomPass computes q[s] = Σ_t A[s][t]·p[t] for every observation row
 // (the band-limited A·p mat-vec). Rows are independent and index-addressed,
-// so the chunked parallel run is bitwise deterministic. Each row is a
-// contiguous slab slice dotted against the matching p window by the unrolled
-// kernel; the single-accumulator fold reproduces the scalar loop's rounding
-// bit for bit.
+// so the chunked parallel run is bitwise deterministic.
+//
+// Each row is evaluated through its fold. The cells before and after the
+// run are contiguous slab slices, dotted against the matching p windows by
+// the unrolled kernel in index order; the run, whose cells all equal v,
+// adds v·(P[runHi] − P[runLo]) between them, where P holds the prefix sums
+// of p that the pass takes first — serially, and only when the matrix has a
+// run (pre is scratch of length ≥ k+1). A row without a run is one dot64
+// over its nonzero span, which is the plain fold of its whole band bit for
+// bit: the dropped end cells are zeros. A run's sum rounds differently
+// from the cell-by-cell fold: it is exact to a few roundings of the mass
+// of p up to the run, not of the run's own. Estimates from the uniform
+// start therefore move at the rounding level under uniform noise and not
+// at all under noise without runs; a prior with entries far below its
+// total mass can move them further (Config.Prior).
 //
 // The serial run calls denomRows directly: a function literal is
 // heap-allocated wherever it is evaluated, so the chunked branch alone
 // builds one.
-func denomPass(w *bandedWeights, counts []int, p, q []float64, workers int) {
+func denomPass(w *bandedWeights, counts []int, p, pre, q []float64, workers int) {
+	if w.runs {
+		prefixSums(p, pre)
+	}
 	if workers == 1 {
-		denomRows(w, counts, p, q, 0, w.m)
+		denomRows(w, counts, p, pre, q, 0, w.m)
 		return
 	}
 	parallel.ForEachChunk(w.m, iterRowChunk, workers, func(_, lo, hi int) {
-		denomRows(w, counts, p, q, lo, hi)
+		denomRows(w, counts, p, pre, q, lo, hi)
 	})
 }
 
 // denomRows is denomPass over the rows [lo, hi).
-func denomRows(w *bandedWeights, counts []int, p, q []float64, lo, hi int) {
+func denomRows(w *bandedWeights, counts []int, p, pre, q []float64, lo, hi int) {
 	for s := lo; s < hi; s++ {
 		if counts[s] == 0 {
 			q[s] = 0
 			continue
 		}
-		q[s] = dot64(w.data[w.off[s]:w.off[s+1]], p[w.bandLo(s):])
+		f := &w.rows[s]
+		var acc float64
+		if f.lo < f.runLo {
+			acc = dot64(w.data[f.at:f.at+f.runLo-f.lo], p[f.lo:])
+		}
+		if f.runLo < f.runHi {
+			acc += float64(f.v * (pre[f.runHi] - pre[f.runLo]))
+			if f.runHi < f.hi {
+				acc += dot64(w.data[f.at+f.runHi-f.lo:f.at+f.hi-f.lo], p[f.runHi:])
+			}
+		}
+		q[s] = acc
 	}
 }
 
@@ -309,23 +442,42 @@ func denomRows(w *bandedWeights, counts []int, p, q []float64, lo, hi int) {
 //     (A·0)·p[t] = +0, and adding +0 to an accumulator of non-negative terms
 //     (weights, coefficients, and estimate entries are all ≥ 0) returns the
 //     accumulator unchanged, so every partial sum matches the skipping loop.
-func updatePass(w *bandedWeights, q []float64, p, next []float64, fallback float64, workers int) {
+//
+// Columns are evaluated through their folds as rows are in denomPass: the
+// cells outside the run by scaledDot64 in increasing s, the run as
+// (v·(Q[runHi] − Q[runLo]))·p[t], where Q holds the prefix sums of q that
+// the pass takes first when the matrix has a run. A column without a run
+// folds exactly as before.
+func updatePass(w *bandedWeights, q, p, pre, next []float64, fallback float64, workers int) {
+	if w.runs {
+		prefixSums(q, pre)
+	}
 	if workers == 1 {
-		updateCols(w, q, p, next, fallback, 0, w.k)
+		updateCols(w, q, p, pre, next, fallback, 0, w.k)
 		return
 	}
 	parallel.ForEachChunk(w.k, iterColChunk, workers, func(_, lo, hi int) {
-		updateCols(w, q, p, next, fallback, lo, hi)
+		updateCols(w, q, p, pre, next, fallback, lo, hi)
 	})
 }
 
 // updateCols is updatePass over the columns [lo, hi).
-func updateCols(w *bandedWeights, q []float64, p, next []float64, fallback float64, lo, hi int) {
+func updateCols(w *bandedWeights, q, p, pre, next []float64, fallback float64, lo, hi int) {
 	for t := lo; t < hi; t++ {
 		pt := p[t]
-		acc := scaledDot64(w.tData[w.tOff[t]:w.tOff[t+1]], q[w.tLo[t]:], pt)
+		f := &w.cols[t]
+		var acc float64
+		if f.lo < f.runLo {
+			acc = scaledDot64(w.tData[f.at:f.at+f.runLo-f.lo], q[f.lo:], pt)
+		}
+		if f.runLo < f.runHi {
+			acc += float64(f.v * (pre[f.runHi] - pre[f.runLo]) * pt)
+			if f.runHi < f.hi {
+				acc += scaledDot64(w.tData[f.at+f.runHi-f.lo:f.at+f.hi-f.lo], q[f.runHi:], pt)
+			}
+		}
 		if fallback > 0 {
-			acc += fallback * pt
+			acc += float64(fallback * pt)
 		}
 		next[t] = acc
 	}

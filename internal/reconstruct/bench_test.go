@@ -4,9 +4,12 @@ package reconstruct
 // pair runs the identical 100k-observation workload through the banded
 // kernel and through dense oracle rows (oracle_test.go); for uniform noise
 // the two estimates are bit-identical, for gaussian/laplace they agree
-// within the kernel's DefaultTailMass tolerance, so the deltas are pure
-// kernel cost. The weight cache is bypassed so every iteration pays the
-// real matrix build. Results land in BENCH_reconstruct.json.
+// within the kernel's DefaultTailMass tolerance. A dense uniform row, its
+// zero cells dropped, folds the same run as the banded one, so a uniform
+// pair differs only in the matrix build; a gaussian or laplace pair
+// differs in kernel cost. The weight cache is bypassed so every
+// reconstruction pays the real matrix build. Results land in
+// BENCH_reconstruct.json.
 
 import (
 	"testing"
@@ -50,7 +53,7 @@ func uniformAt(b *testing.B, level float64) noise.Model {
 	return m
 }
 
-// --- bounded noise (uniform): banding is exact, results bit-identical ---
+// --- bounded noise (uniform): banding is exact, one run per row ---
 
 func BenchmarkReconUniform25K200Dense(b *testing.B) {
 	benchReconKernel(b, uniformAt(b, 0.25), 200, true)

@@ -34,10 +34,32 @@
 // Each iteration runs as two fused band-limited mat-vec passes over the
 // slab — q = A·p (per-row denominators), then next = p ⊙ Aᵀq — with
 // iteration state in pooled scratch buffers (sync.Pool) so steady-state
-// callers allocate only the observation grid and the returned estimate. On
-// large grids both passes shard over fixed chunk grids on
-// internal/parallel; every per-interval fold runs in index order, so the
-// estimate is bit-identical at any worker count.
+// callers allocate only the observation grid and the returned estimate;
+// an iteration itself allocates nothing.
+//
+// # Run-compressed rows
+//
+// When a matrix is built, each row and each transposed column is described
+// once by a fold: its span of nonzero cells and at most one run of at
+// least eight bit-equal cells inside it. The passes take serial,
+// index-order prefix sums of p (and of the coefficients), add a run as
+// v·(P[hi] − P[lo]) and fold the cells outside it in index order. Under
+// uniform noise a Bayes row is one run of the density 1/(2α), so an
+// iteration costs O(m+k) instead of O(m·band); uniform EM rows form runs
+// where the interval width makes the CDF differences exact (widths 0.5, 1
+// and 2, for instance). Gaussian and Laplace rows have no run and fold
+// exactly as a plain cell-by-cell loop over the whole band does — dropping
+// zero end cells leaves a fold unchanged — so their estimates are
+// bit-identical to it. A run's sum rounds differently from the plain fold:
+// uniform estimates move at the rounding level, well inside the 1e-12
+// bound the plain-fold oracle checks. Every product is rounded before it
+// is added (an explicit float64 conversion), so no architecture fuses a
+// multiply-add into the kernel.
+//
+// When the work left after that compression is large, both passes shard
+// over fixed chunk grids on internal/parallel; every per-interval fold runs
+// in index order and the prefix sums are serial, so the estimate is
+// bit-identical at any worker count.
 //
 // # Band and tail semantics
 //

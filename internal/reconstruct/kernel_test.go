@@ -9,53 +9,6 @@ import (
 	"ppdm/internal/prng"
 )
 
-// scalarDenomPass is the pre-vectorization (PR 5) denominator pass, kept
-// verbatim as the rounding reference: the unrolled kernel must reproduce it
-// bit for bit.
-func scalarDenomPass(w *bandedWeights, counts []int, p, q []float64) {
-	for s := 0; s < w.m; s++ {
-		if counts[s] == 0 {
-			q[s] = 0
-			continue
-		}
-		row := w.row(s)
-		bLo := w.bandLo(s)
-		var denom float64
-		for i, a := range row {
-			denom += a * p[bLo+i]
-		}
-		q[s] = denom
-	}
-}
-
-// scalarUpdatePass is the pre-vectorization (PR 5) update pass, kept
-// verbatim as the rounding reference — per-column increasing-s fold with the
-// indirect w.off[s]+t−w.bandLo(s) addressing and the q[s]==0 branch skip.
-func scalarUpdatePass(w *bandedWeights, q, p, next []float64, fallback float64) {
-	for t := 0; t < w.k; t++ {
-		sLo := t - w.lowIdx - w.radius
-		if sLo < 0 {
-			sLo = 0
-		}
-		sHi := t - w.lowIdx + w.radius + 1
-		if sHi > w.m {
-			sHi = w.m
-		}
-		var acc float64
-		for s := sLo; s < sHi; s++ {
-			qs := q[s]
-			if qs == 0 {
-				continue
-			}
-			acc += qs * w.data[w.off[s]+t-w.bandLo(s)] * p[t]
-		}
-		if fallback > 0 {
-			acc += fallback * p[t]
-		}
-		next[t] = acc
-	}
-}
-
 // randomKernelGeometry builds a banded matrix plus matching random estimate,
 // counts, coefficients, and fallback from one seed, exercising negative
 // offsets, clamped bands, empty rows, and zero entries.
@@ -100,29 +53,55 @@ func randomKernelGeometry(seed uint64) (w *bandedWeights, counts []int, p, q []f
 }
 
 // TestVectorKernelBitIdentity is the rewrite's contract: across random
-// geometries, noise models, algorithms, and worker counts, the unrolled
-// slab kernels must reproduce the PR 5 scalar passes bit for bit — including
-// empty rows, clamped bands, zero coefficients, and the fallback term.
+// geometries, noise models, algorithms, and worker counts, every row and
+// column without a run must reproduce the scalar passes bit for bit —
+// including empty rows, clamped bands, zero coefficients, and the fallback
+// term — and every one with a run must come within 1e-12 of its largest
+// cell times the mass of the vector it folds, the error a run's prefix-sum
+// difference can add.
 func TestVectorKernelBitIdentity(t *testing.T) {
+	var runFolds, plainFolds int
 	f := func(seed uint64) bool {
 		w, counts, p, q, fallback := randomKernelGeometry(seed)
 		wantQ := make([]float64, w.m)
 		scalarDenomPass(w, counts, p, wantQ)
 		wantNext := make([]float64, w.k)
 		scalarUpdatePass(w, q, p, wantNext, fallback)
+		pre := make([]float64, max(w.k, w.m)+1)
+		// near reports whether got may stand for want: bit-identical for a
+		// fold without a run, within the run's bound for one with it.
+		near := func(got, want float64, f fold, cells []float64, mass float64) bool {
+			if f.runLo == f.runHi {
+				plainFolds++
+				return got == want
+			}
+			runFolds++
+			largest := 0.0
+			for _, c := range cells {
+				largest = max(largest, c)
+			}
+			return math.Abs(got-want) <= 1e-12*largest*mass
+		}
+		var pMass, qMass float64
+		for _, v := range p {
+			pMass += v
+		}
+		for _, v := range q {
+			qMass += v
+		}
 		for _, workers := range []int{1, 4} {
 			gotQ := make([]float64, w.m)
-			denomPass(w, counts, p, gotQ, workers)
+			denomPass(w, counts, p, pre, gotQ, workers)
 			for s := range wantQ {
-				if gotQ[s] != wantQ[s] {
+				if !near(gotQ[s], wantQ[s], w.rows[s], w.row(s), pMass) {
 					t.Logf("seed %d workers %d: q[%d] = %x, scalar reference %x", seed, workers, s, gotQ[s], wantQ[s])
 					return false
 				}
 			}
 			gotNext := make([]float64, w.k)
-			updatePass(w, q, p, gotNext, fallback, workers)
+			updatePass(w, q, p, pre, gotNext, fallback, workers)
 			for c := range wantNext {
-				if gotNext[c] != wantNext[c] {
+				if !near(gotNext[c], wantNext[c], w.cols[c], w.tData[w.tOff[c]:w.tOff[c+1]], qMass*p[c]) {
 					t.Logf("seed %d workers %d: next[%d] = %x, scalar reference %x", seed, workers, c, gotNext[c], wantNext[c])
 					return false
 				}
@@ -132,6 +111,9 @@ func TestVectorKernelBitIdentity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+	if runFolds == 0 || plainFolds == 0 {
+		t.Fatalf("%d folds with a run and %d without: the geometries miss a kind", runFolds, plainFolds)
 	}
 }
 
@@ -194,5 +176,142 @@ func TestIterationAllocs(t *testing.T) {
 	}
 	if short, long := allocs(5), allocs(50); short != long {
 		t.Errorf("a reconstruction allocates %v times at MaxIters 5 and %v at MaxIters 50: the iteration allocates", short, long)
+	}
+}
+
+// TestRunKernelMatchesPlainFold is the run kernel's contract against the
+// plain fold (scalarIterate), over random geometries: uniform, Gaussian and
+// Laplace noise, Bayes and EM, interval widths that include 0.5, 1 and 2,
+// at which uniform EM rows form runs too. The bounds, fixed before the test
+// was first run:
+//   - the same Iters and Converged everywhere;
+//   - on a matrix with a run, every estimate entry within 1e-12 of the
+//     fold's: a run's prefix-sum difference is off by at most about k+m
+//     roundings of a unit of probability mass, under 1e-13 here;
+//   - on a matrix with none, the same estimate and final delta bit for bit.
+func TestRunKernelMatchesPlainFold(t *testing.T) {
+	var withRun, without, emWithRun int
+	var largest float64 // the largest |ΔP| on a matrix with a run
+	f := func(seed uint64) bool {
+		r := prng.New(seed)
+		width := []float64{0.5, 1, 2, 0.1 + r.Float64()*5}[r.Intn(4)]
+		k := 2 + r.Intn(119)
+		lo := float64(r.Intn(101) - 50)
+		part, err := NewPartition(lo, lo+float64(k)*width, k)
+		if err != nil {
+			return false
+		}
+		width = part.Width()
+		var model noise.Model
+		switch r.Intn(4) {
+		case 0, 1:
+			model = noise.Uniform{Alpha: width * (0.5 + r.Float64()*40)}
+		case 2:
+			model = noise.Gaussian{Sigma: width * (0.3 + r.Float64()*15)}
+		default:
+			model = noise.Laplace{B: width * (0.3 + r.Float64()*10)}
+		}
+		alg := Algorithm(r.Intn(2))
+		vals := make([]float64, 200+r.Intn(4800))
+		mid, spread := part.Lo+r.Float64()*(part.Hi-part.Lo), (part.Hi-part.Lo)/(1+r.Float64()*6)
+		for i := range vals {
+			v := mid + (r.Float64()-0.5)*spread
+			vals[i] = min(max(v, part.Lo), part.Hi) + model.Sample(r)
+		}
+		obs := newObservationGrid(vals, part, model)
+		radius := min(obs.band, denseRadius(k, obs.lowIdx, len(obs.counts)))
+		w := computeWeights(model, alg, width, k, obs.lowIdx, len(obs.counts), radius, 1)
+		cfg, err := Config{Partition: part, Noise: model, Algorithm: alg, MaxIters: 150}.resolved()
+		if err != nil {
+			return false
+		}
+		got, err := iterate(obs, w, cfg)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		want, err := scalarIterate(obs, w, cfg)
+		if err != nil {
+			t.Logf("seed %d: oracle: %v", seed, err)
+			return false
+		}
+		if got.Iters != want.Iters || got.Converged != want.Converged {
+			t.Logf("seed %d (%v %v, width %v, k %d): %d iterations (converged %v), plain fold %d (%v)",
+				seed, model, alg, width, k, got.Iters, got.Converged, want.Iters, want.Converged)
+			return false
+		}
+		if !w.runs {
+			without++
+			if got.Delta != want.Delta {
+				t.Logf("seed %d (%v %v): final delta %x, plain fold %x", seed, model, alg, got.Delta, want.Delta)
+				return false
+			}
+			for b := range got.P {
+				if got.P[b] != want.P[b] {
+					t.Logf("seed %d (%v %v): P[%d] = %x, plain fold %x", seed, model, alg, b, got.P[b], want.P[b])
+					return false
+				}
+			}
+			return true
+		}
+		withRun++
+		if alg == EM {
+			emWithRun++
+		}
+		for b := range got.P {
+			d := math.Abs(got.P[b] - want.P[b])
+			if d > 1e-12 {
+				t.Logf("seed %d (%v %v, width %v, k %d): |ΔP[%d]| = %g", seed, model, alg, width, k, b, d)
+				return false
+			}
+			largest = max(largest, d)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if withRun == 0 || without == 0 || emWithRun == 0 {
+		t.Fatalf("%d matrices with a run (%d EM), %d without: the geometries miss a kind", withRun, emWithRun, without)
+	}
+	t.Logf("%d matrices with a run (%d EM, largest |ΔP| %g), %d without", withRun, emWithRun, largest, without)
+}
+
+// TestRunIterationWorkerDeterminism races the run path of the chunked
+// passes: under uniform noise every row and column folds through its run,
+// and on a grid whose work after that compression still crosses the
+// parallel threshold the estimate must be bitwise identical between
+// Workers=1 and Workers=8, for both algorithms. The width 0.5 makes the
+// uniform CDF differences exact, so EM rows form runs too.
+func TestRunIterationWorkerDeterminism(t *testing.T) {
+	m := noise.Uniform{Alpha: 4}
+	part, err := NewPartition(0, 20000, 40000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := prng.New(17)
+	vals := make([]float64, 50000)
+	for i := range vals {
+		vals[i] = r.Uniform(0, 20000) + m.Sample(r)
+	}
+	for _, alg := range []Algorithm{Bayes, EM} {
+		cfg := Config{Partition: part, Noise: m, Algorithm: alg, DisableWeightCache: true, MaxIters: 10}
+		if w := transitionWeights(cfg, newObservationGrid(vals, part, m)); !w.runs || w.work < iterWorkMin {
+			t.Fatalf("alg %v: runs %v, work %d against the threshold %d: the grid misses the run path", alg, w.runs, w.work, iterWorkMin)
+		}
+		var ps [2][]float64
+		for i, workers := range []int{1, 8} {
+			cfg.Workers = workers
+			res, err := Reconstruct(vals, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps[i] = res.P
+		}
+		for b := range ps[0] {
+			if ps[0][b] != ps[1][b] {
+				t.Fatalf("alg %v: bin %d differs between Workers=1 and Workers=8", alg, b)
+			}
+		}
 	}
 }

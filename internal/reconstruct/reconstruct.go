@@ -54,7 +54,11 @@ type Config struct {
 	// non-negative). Nil starts from the uniform distribution, as in the
 	// paper. Warm-starting from a nearby estimate (e.g. the previous point
 	// of a privacy-level series) cuts the iteration count without changing
-	// what the procedure converges towards.
+	// what the procedure converges towards. Floor such an estimate before
+	// chaining it, as the experiments' series does with 1e-6/K: where the
+	// weights hold runs (uniform noise), a run's sum is a difference of
+	// prefix sums, exact only to a few roundings of the estimate's total
+	// mass, so entries far below that mass lose their relative precision.
 	Prior []float64
 	// Workers bounds the parallelism of the transition-weight precompute and
 	// of the fused iteration passes on large grids; 0 means all cores,
@@ -149,10 +153,13 @@ func (cfg Config) resolved() (Config, error) {
 // Each iteration is two fused band-limited mat-vec passes over the flat
 // weight slab: denomPass computes q = A·p (the per-observation-interval
 // denominators), a serial index-ordered fold turns q into update
-// coefficients, and updatePass computes next = p ⊙ Aᵀq. Iteration state
-// lives in pooled scratch buffers, and on large grids both passes shard
-// over fixed chunk grids on internal/parallel — the estimate is
-// bit-identical at every worker count.
+// coefficients, and updatePass computes next = p ⊙ Aᵀq. Each pass reads a
+// row's or column's run of equal cells as one difference of prefix sums,
+// which it takes serially first, so an iteration under uniform noise costs
+// O(m+k) rather than O(m·band). Iteration state lives in pooled scratch
+// buffers, and when the work left after that compression is large both
+// passes shard over fixed chunk grids on internal/parallel — the estimate
+// is bit-identical at every worker count.
 func iterate(obs observationGrid, weights *bandedWeights, cfg Config) (Result, error) {
 	k := cfg.Partition.K
 	m := len(obs.counts)
@@ -160,7 +167,7 @@ func iterate(obs observationGrid, weights *bandedWeights, cfg Config) (Result, e
 	sc := scratchPool.Get().(*iterScratch)
 	defer scratchPool.Put(sc)
 	sc.ensure(k, m)
-	p, next, q := sc.p, sc.next, sc.q
+	p, next, q, pre := sc.p, sc.next, sc.q, sc.pre
 
 	// Initialize the estimate.
 	if cfg.Prior != nil {
@@ -188,11 +195,11 @@ func iterate(obs observationGrid, weights *bandedWeights, cfg Config) (Result, e
 		return Result{}, errors.New("reconstruct: no observations")
 	}
 	n := float64(total)
-	workers := iterWorkers(cfg, len(weights.data))
+	workers := iterWorkers(cfg, weights)
 	res := Result{}
 	for iter := 1; iter <= cfg.MaxIters; iter++ {
 		// Pass 1: per-row denominators q = A·p.
-		denomPass(weights, obs.counts, p, q, workers)
+		denomPass(weights, obs.counts, p, pre, q, workers)
 		// Serial index-ordered fold: q[s] becomes the row's update
 		// coefficient cnt/(n·denom). Rows whose denominator is not positive
 		// cannot be explained by the current estimate (possible with bounded
@@ -212,7 +219,7 @@ func iterate(obs observationGrid, weights *bandedWeights, cfg Config) (Result, e
 			}
 		}
 		// Pass 2: next = p ⊙ Aᵀq (+ fallback·p).
-		updatePass(weights, q, p, next, fallback, workers)
+		updatePass(weights, q, p, pre, next, fallback, workers)
 		stats.Normalize(next)
 		delta, err := stats.TotalVariation(p, next)
 		if err != nil {
