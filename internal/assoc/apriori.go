@@ -190,19 +190,13 @@ func runBounds(cands [][]int) []int {
 func (d *Dataset) estimate(bf BitFlip, cand []int, count int, observed map[string]int) float64 {
 	k := len(cand)
 	// table[m] counts the transactions holding every cand[b] with bit b set
-	// in m, as PatternCountsWorkers lays it out before its Möbius pass.
+	// in m, as PatternCounts lays it out before its Möbius pass.
 	table := make([]int, 1<<uint(k))
 	table[0], table[len(table)-1] = d.n, count
-	var subArr [16]int
+	var sub [16]int
 	var key [80]byte
 	for m := 1; m < len(table)-1; m++ {
-		sub := subArr[:0]
-		for b, it := range cand {
-			if m&(1<<uint(b)) != 0 {
-				sub = append(sub, it)
-			}
-		}
-		table[m] = observed[string(appendKey(key[:0], sub))]
+		table[m] = observed[string(appendKey(key[:0], appendSubset(sub[:0], cand, m)))]
 	}
 	mobius(table, k)
 	return bf.estimateFromCounts(table, d.n, k)

@@ -120,7 +120,6 @@ func TestBitFlipRejectsInvalidF(t *testing.T) {
 		}{
 			{"Randomize", func() error { _, err := bf.Randomize(d, 1); return err }},
 			{"EstimateSupport", func() error { _, err := bf.EstimateSupport(d, []int{0, 1}); return err }},
-			{"EstimateSupportWorkers", func() error { _, err := bf.EstimateSupportWorkers(d, []int{2}, 1); return err }},
 			{"FrequentFromRandomized", func() error { _, err := FrequentFromRandomized(d, bf, cfg); return err }},
 		} {
 			if err := c.call(); err == nil || err.Error() != want.Error() {

@@ -116,67 +116,27 @@ func (d *Dataset) checkItems(items []int) error {
 }
 
 // Support returns the exact fraction of transactions containing every item
-// of the set, counting on all available cores; use SupportWorkers to bound
-// the parallelism.
+// of the set: its count divided by N, so the empty set has support 1.
 func (d *Dataset) Support(items []int) (float64, error) {
-	return d.SupportWorkers(items, 0)
-}
-
-// SupportWorkers is Support with an explicit worker count (0 = all cores):
-// the popcount of the intersection of the item columns, divided by N. Long
-// columns are counted in ColChunk-word shards whose integer counts fold in
-// index order, so the result is identical for every worker count.
-func (d *Dataset) SupportWorkers(items []int, workers int) (float64, error) {
 	if d.n == 0 {
 		return 0, errors.New("assoc: empty dataset")
 	}
 	if err := d.checkItems(items); err != nil {
 		return 0, err
 	}
-	n := float64(d.n)
-	switch len(items) {
-	case 0:
-		return 1, nil
-	case 1:
-		return float64(popcountWorkers(d.cols[items[0]], workers)) / n, nil
-	case 2:
-		return float64(andPopcountWorkers(d.cols[items[0]], d.cols[items[1]], workers)) / n, nil
-	}
-	scratch := make([]uint64, d.words())
-	andIntoWorkers(scratch, d.cols[items[0]], d.cols[items[1]], workers)
-	for _, it := range items[2 : len(items)-1] {
-		andIntoWorkers(scratch, scratch, d.cols[it], workers)
-	}
-	return float64(andPopcountWorkers(scratch, d.cols[items[len(items)-1]], workers)) / n, nil
+	return float64(d.count(items)) / float64(d.n), nil
 }
 
 // PatternCounts returns, for the given (small) item list, the observed
 // frequency of every presence/absence pattern across all transactions:
 // counts[mask] is the number of transactions t where item items[b] ∈ t
 // exactly for the bits b set in mask. len(items) is limited to 20 to bound
-// the 2^k table. Counting runs on all available cores; use
-// PatternCountsWorkers to bound the parallelism.
+// the 2^k table. The contains-all count of each submask is counted on its
+// own, and mobius turns them into exact-pattern counts; everything is
+// integer arithmetic. It serves EstimateSupport, which counts one itemset
+// with no earlier counts to reuse; FrequentFromRandomized builds its tables
+// from the counts of earlier levels instead.
 func (d *Dataset) PatternCounts(items []int) ([]int, error) {
-	return d.PatternCountsWorkers(items, 0)
-}
-
-// PatternCountsWorkers is PatternCounts with an explicit worker count
-// (0 = all cores). A masked-subset DFS first collects allSup[m] =
-// #transactions containing every item of submask m (each include edge is
-// one column AND, reused by the whole subtree below it), then mobius turns
-// the "contains at least" counts into exact-pattern counts. Everything is
-// integer arithmetic, so the table — and any estimate derived from it — is
-// identical at every worker count. It serves EstimateSupport, which counts
-// one itemset with no earlier counts to reuse; FrequentFromRandomized
-// builds its tables from the counts of earlier levels instead.
-//
-// The DFS visits all 2^k subsets, so its cost grows as 2^k column ANDs; a
-// row scan costs k bit tests per row instead. On 100k randomized rows at
-// one worker the DFS beats a row scan up to k=10 (3.0 ms against 5.9 ms)
-// and loses from k=11 on (266 ms against 10.8 ms at k=16). Every
-// EstimateSupport caller estimates itemsets of at most 4 items, so one
-// algorithm serves all k.
-func (d *Dataset) PatternCountsWorkers(items []int, workers int) ([]int, error) {
 	k := len(items)
 	if k == 0 || k > 20 {
 		return nil, fmt.Errorf("assoc: pattern counting needs 1..20 items, got %d", k)
@@ -184,31 +144,36 @@ func (d *Dataset) PatternCountsWorkers(items []int, workers int) ([]int, error) 
 	if err := d.checkItems(items); err != nil {
 		return nil, err
 	}
-	words := d.words()
 	all := make([]int, 1<<uint(k))
-	scratch := make([]uint64, k*words)
-	// rec decides items[i:]: the "exclude" child inherits the current
-	// intersection, the "include" child ANDs in items[i]'s column (into the
-	// depth-i scratch slab; parents only ever hold shallower slabs or raw
-	// columns, so slabs are safely reused across siblings).
-	var rec func(i, mask int, cur []uint64, cnt int)
-	rec = func(i, mask int, cur []uint64, cnt int) {
-		if i == k {
-			all[mask] = cnt
-			return
-		}
-		rec(i+1, mask, cur, cnt)
-		col := d.cols[items[i]]
-		if cur == nil {
-			rec(i+1, mask|1<<uint(i), col, popcountWorkers(col, workers))
-			return
-		}
-		buf := scratch[i*words : (i+1)*words]
-		rec(i+1, mask|1<<uint(i), buf, andIntoWorkers(buf, cur, col, workers))
+	var sub [20]int
+	for m := range all {
+		all[m] = d.count(appendSubset(sub[:0], items, m))
 	}
-	rec(0, 0, nil, d.n)
 	mobius(all, k)
 	return all, nil
+}
+
+// count returns the number of transactions that hold every item of the
+// set, counted by countRun as a run of one candidate. Every transaction
+// holds the empty set.
+func (d *Dataset) count(items []int) int {
+	if len(items) == 0 {
+		return d.n
+	}
+	var c [1]int
+	d.countRun([][]int{items}, c[:])
+	return c[0]
+}
+
+// appendSubset appends the items of submask m — items[b] for every bit b
+// set in m — to dst and returns it.
+func appendSubset(dst, items []int, m int) []int {
+	for b, it := range items {
+		if m&(1<<uint(b)) != 0 {
+			dst = append(dst, it)
+		}
+	}
+	return dst
 }
 
 // mobius turns a table of contains-all counts over k items, all[m] =

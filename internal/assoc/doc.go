@@ -21,10 +21,9 @@
 // never transposed or rebuilt. Contains, ContainsAll and Size read a row
 // back out of the columns.
 //
-// All counting runs on the columns. support(S) is the popcount of the AND
-// of the columns of S — a handful of 4-wide unrolled word kernels, chunked
-// into ColChunk-word shards on the internal/parallel worker pool for the long
-// columns of Support and PatternCounts.
+// All counting runs on the columns, through one kernel, countRun. The
+// number of transactions that hold a set S is the popcount of the AND of
+// the columns of S.
 //
 // Both miners run one level-wise Apriori walk, which keeps the observed
 // contains-all count of every frequent itemset. A level's candidates,
@@ -40,9 +39,10 @@
 // for the estimator the prune is load-bearing. It also makes every proper
 // subset of a candidate a frequent itemset of an earlier level, so the
 // candidate's exact 2^k presence/absence pattern table is its subsets'
-// counts and its own through an integer Möbius pass. EstimateSupport, which
-// has no earlier counts to reuse, builds the same table with a masked-subset
-// DFS over the columns.
+// counts and its own through an integer Möbius pass. Support counts its set
+// as a run of one candidate. EstimateSupport has no earlier counts to
+// reuse: PatternCounts counts each of the 2^k submasks as a run of one
+// candidate and builds the same table through the same Möbius pass.
 //
 // A row-by-row scan through Contains survives only in the tests, as the
 // oracle that support, pattern counts and both miners are checked against,
@@ -51,8 +51,9 @@
 //
 // # Determinism
 //
-// Every count is an exact integer divided by N: per-word-chunk partial
-// counts fold in index order, so every worker count and chunk size
-// produces identical floats bit for bit. MiningConfig.Workers bounds the
-// parallelism without ever changing a result.
+// Every count is an exact integer, and each run is counted by one
+// goroutine into its own slots, so supports, pattern tables and estimates
+// are identical bit for bit at every worker count. MiningConfig.Workers
+// bounds the parallelism of a mine without ever changing a result; Support,
+// PatternCounts and EstimateSupport count on the calling goroutine.
 package assoc

@@ -81,20 +81,18 @@ func (bf BitFlip) DeniabilityOdds() float64 {
 // inverses and is applied axis by axis in O(k·2^k), like a fast
 // Walsh–Hadamard transform. The estimate is the recovered mass of the
 // all-present pattern, clamped to [0, 1] (sampling noise can push the raw
-// estimate slightly outside).
+// estimate slightly outside). The pattern counts are exact integers, so
+// equal counts give bit-identical estimates. A flip probability that
+// NewBitFlip rejects is an error.
+//
+// PatternCounts counts each of the 2^k submasks on its own, so the column
+// passes grow as 2^k. No caller estimates more than 4 items, and no
+// benchmark workload times this call.
 func (bf BitFlip) EstimateSupport(randomized *Dataset, items []int) (float64, error) {
-	return bf.EstimateSupportWorkers(randomized, items, 0)
-}
-
-// EstimateSupportWorkers is EstimateSupport with an explicit bound on the
-// pattern-counting parallelism (0 = all cores); the pattern counts are
-// exact integers, so the estimate is identical for every worker count. A
-// flip probability that NewBitFlip rejects is an error.
-func (bf BitFlip) EstimateSupportWorkers(randomized *Dataset, items []int, workers int) (float64, error) {
 	if err := bf.validate(); err != nil {
 		return 0, err
 	}
-	counts, err := randomized.PatternCountsWorkers(items, workers)
+	counts, err := randomized.PatternCounts(items)
 	if err != nil {
 		return 0, err
 	}

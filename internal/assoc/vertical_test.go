@@ -293,7 +293,7 @@ func TestVerticalHorizontalSupportProperty(t *testing.T) {
 		}
 		for _, items := range queries {
 			hs := rowSupport(d, items)
-			vs, err := d.SupportWorkers(items, 1)
+			vs, err := d.Support(items)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -302,7 +302,7 @@ func TestVerticalHorizontalSupportProperty(t *testing.T) {
 				return false
 			}
 			hc := rowPatternCounts(d, items)
-			vc, err := d.PatternCountsWorkers(items, 1)
+			vc, err := d.PatternCounts(items)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -318,12 +318,12 @@ func TestVerticalHorizontalSupportProperty(t *testing.T) {
 	}
 }
 
-// TestIndexedWorkerDeterminism exercises the chunked AND/popcount kernels
-// with columns long enough to span several ColChunk shards and checks that
-// every column count is identical at workers 1 vs 8 and to the row scan.
-func TestIndexedWorkerDeterminism(t *testing.T) {
-	// 3*64*ColChunk transactions → 3 word-chunks per column.
-	n := 3 * 64 * ColChunk
+// TestLongColumnCountsMatchRowScan checks Support and PatternCounts of a
+// three-item set against the row scan on 393,216 transactions: each column
+// is 24 full andBlock blocks, and the set's count and its full submask go
+// through countRun's prefix path.
+func TestLongColumnCountsMatchRowScan(t *testing.T) {
+	const n = 393216
 	d, err := NewDataset(6)
 	if err != nil {
 		t.Fatal(err)
@@ -349,33 +349,19 @@ func TestIndexedWorkerDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	items := []int{0, 2, 5}
-	s1, err := d.SupportWorkers(items, 1)
+	s, err := d.Support(items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s8, err := d.SupportWorkers(items, 8)
+	if hs := rowSupport(d, items); s != hs {
+		t.Errorf("column support %v differs from the row scan's %v", s, hs)
+	}
+	c, err := d.PatternCounts(items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1 != s8 {
-		t.Errorf("column support differs: workers 1 %v, workers 8 %v", s1, s8)
-	}
-	if hs := rowSupport(d, items); s1 != hs {
-		t.Errorf("column support %v differs from the row scan's %v", s1, hs)
-	}
-	c1, err := d.PatternCountsWorkers(items, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c8, err := d.PatternCountsWorkers(items, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(c1, c8) {
-		t.Errorf("column pattern counts differ across worker counts:\n%v\n%v", c1, c8)
-	}
-	if hc := rowPatternCounts(d, items); !reflect.DeepEqual(c1, hc) {
-		t.Errorf("column pattern counts differ from the row scan's:\n%v\n%v", c1, hc)
+	if hc := rowPatternCounts(d, items); !reflect.DeepEqual(c, hc) {
+		t.Errorf("column pattern counts differ from the row scan's:\n%v\n%v", c, hc)
 	}
 }
 
@@ -558,7 +544,9 @@ func decodeMiningInput(tb testing.TB, data []byte) (d *Dataset, bf BitFlip, cfg 
 // FuzzMining checks both miners against the row-scan oracle on any small
 // dataset, flip probability, threshold and size bound: at Workers 1 and 2,
 // Frequent must deeply equal oracleFrequent, and FrequentFromRandomized
-// must deeply equal oracleFrequentFromRandomized. The seeds are the noisy
+// must deeply equal oracleFrequentFromRandomized. Support, PatternCounts
+// and EstimateSupport of the first min(items, 6) items must equal their
+// row-scan counterparts bit for bit. The seeds are the noisy
 // shapes of TestRandomizedMiningEngineProperty on which Apriori's subset
 // prune removes a candidate whose own estimate passes the threshold.
 func FuzzMining(f *testing.F) {
@@ -583,6 +571,21 @@ func FuzzMining(f *testing.F) {
 				t.Fatal("an empty dataset mined without error")
 			}
 			return
+		}
+		query := make([]int, min(d.NumItems(), 6))
+		for i := range query {
+			query[i] = i
+		}
+		wantSupport, wantCounts := rowSupport(d, query), rowPatternCounts(d, query)
+		if s, err := d.Support(query); err != nil || s != wantSupport {
+			t.Fatalf("Support(%v) = %v, %v; the row scan's is %v", query, s, err, wantSupport)
+		}
+		if c, err := d.PatternCounts(query); err != nil || !reflect.DeepEqual(c, wantCounts) {
+			t.Fatalf("PatternCounts(%v) = %v, %v; the row scan's are %v", query, c, err, wantCounts)
+		}
+		wantEst := bf.estimateFromCounts(wantCounts, d.N(), len(query))
+		if e, err := bf.EstimateSupport(d, query); err != nil || e != wantEst {
+			t.Fatalf("F %v: EstimateSupport(%v) = %v, %v; from the row scan's counts %v", bf.F, query, e, err, wantEst)
 		}
 		wantExact, err := oracleFrequent(d, cfg)
 		if err != nil {
@@ -614,14 +617,15 @@ func FuzzMining(f *testing.F) {
 	})
 }
 
-// TestMiningAllocs pins both miners' heap use to their candidates rather
-// than their rows: for each miner, one mine of 10k and one of 100k
-// transactions of the same shape (the same candidates at every level) must
-// allocate within one 100k-row column of each other, so no candidate
-// allocates scratch the length of a column. Frequent mines the clean rows
-// and FrequentFromRandomized their randomization. The check reads
-// process-wide TotalAlloc, so it runs at GOMAXPROCS 1, and it is skipped
-// under -race.
+// TestMiningAllocs pins the heap use of both miners and of EstimateSupport
+// to their candidates rather than their rows: for each call, one run on 10k
+// and one on 100k transactions of the same shape (the same candidates at
+// every level, the same planted pattern) must allocate within one 100k-row
+// column of each other, so no count allocates scratch the length of a
+// column. Frequent mines the clean rows, FrequentFromRandomized their
+// randomization, and EstimateSupport estimates the first planted pattern's
+// support from the randomization. The check reads process-wide TotalAlloc,
+// so it runs at GOMAXPROCS 1, and it is skipped under -race.
 func TestMiningAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on synchronization")
@@ -632,23 +636,27 @@ func TestMiningAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := MiningConfig{MinSupport: 0.1, MaxSize: 3, Workers: 1}
-	miners := []struct {
+	calls := []struct {
 		name string
-		mine func(clean, randomized *Dataset) error
+		run  func(clean, randomized *Dataset, pattern []int) error
 	}{
-		{"Frequent", func(clean, _ *Dataset) error {
+		{"Frequent", func(clean, _ *Dataset, _ []int) error {
 			_, err := Frequent(clean, cfg)
 			return err
 		}},
-		{"FrequentFromRandomized", func(_, randomized *Dataset) error {
+		{"FrequentFromRandomized", func(_, randomized *Dataset, _ []int) error {
 			_, err := FrequentFromRandomized(randomized, bf, cfg)
+			return err
+		}},
+		{"EstimateSupport", func(_, randomized *Dataset, pattern []int) error {
+			_, err := bf.EstimateSupport(randomized, pattern)
 			return err
 		}},
 	}
 	const large = 100000
-	var allocated [2][2]uint64 // [miner][size]
+	allocated := make([][2]uint64, len(calls)) // [call][size]
 	for i, n := range []int{10000, large} {
-		d, _, err := Generate(GenConfig{N: n, Items: 40, Seed: 1})
+		d, patterns, err := Generate(GenConfig{N: n, Items: 40, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -656,24 +664,24 @@ func TestMiningAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for m, miner := range miners {
+		for c, call := range calls {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			err := miner.mine(d, rd)
+			err := call.run(d, rd, patterns[0])
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
 			}
-			allocated[m][i] = after.TotalAlloc - before.TotalAlloc
+			allocated[c][i] = after.TotalAlloc - before.TotalAlloc
 		}
 	}
 	column := uint64((large + 63) / 64 * 8)
-	for m, miner := range miners {
-		a := allocated[m]
+	for c, call := range calls {
+		a := allocated[c]
 		diff := max(a[0], a[1]) - min(a[0], a[1])
 		if diff >= column {
-			t.Errorf("%s: mining 10k rows allocated %d B and 100k rows %d B: they differ by %d B, at least one %d-row column (%d B)",
-				miner.name, a[0], a[1], diff, large, column)
+			t.Errorf("%s: 10k rows allocated %d B and 100k rows %d B: they differ by %d B, at least one %d-row column (%d B)",
+				call.name, a[0], a[1], diff, large, column)
 		}
 	}
 }
@@ -731,7 +739,7 @@ func TestConcurrentAutoIndex(t *testing.T) {
 	}
 	want := rowSupport(d, patterns[0])
 	got, err := parallel.Map(16, 8, func(i int) (float64, error) {
-		return d.SupportWorkers(patterns[0], 1)
+		return d.Support(patterns[0])
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -773,21 +781,21 @@ func TestAddBatchInvalidatesIndex(t *testing.T) {
 // TestIndexValidation covers the column counters' error paths.
 func TestIndexValidation(t *testing.T) {
 	empty, _ := NewDataset(3)
-	if _, err := empty.SupportWorkers([]int{0}, 1); err == nil {
+	if _, err := empty.Support([]int{0}); err == nil {
 		t.Error("empty dataset counted")
 	}
 	d, _ := NewDataset(3)
 	_ = d.Add([]int{0, 2})
-	if _, err := d.SupportWorkers([]int{5}, 1); err == nil {
-		t.Error("out-of-range item accepted by SupportWorkers")
+	if _, err := d.Support([]int{5}); err == nil {
+		t.Error("out-of-range item accepted by Support")
 	}
-	if _, err := d.PatternCountsWorkers(nil, 1); err == nil {
+	if _, err := d.PatternCounts(nil); err == nil {
 		t.Error("empty pattern list accepted")
 	}
-	if _, err := d.PatternCountsWorkers([]int{-1}, 1); err == nil {
+	if _, err := d.PatternCounts([]int{-1}); err == nil {
 		t.Error("negative item accepted")
 	}
-	if s, err := d.SupportWorkers(nil, 1); err != nil || s != 1 {
+	if s, err := d.Support(nil); err != nil || s != 1 {
 		t.Errorf("empty-itemset support = %v, %v; want 1", s, err)
 	}
 }

@@ -10,25 +10,26 @@ import (
 	"ppdm/internal/synth"
 )
 
-// trainedNB trains a small ByClass naive-Bayes model over perturbed
-// benchmark data for the serialization tests.
-func trainedNB(t *testing.T) *Classifier {
-	t.Helper()
-	table, err := synth.Generate(synth.Config{Function: synth.F2, N: 3000, Seed: 11})
+// trainedNB trains a small ByClass naive-Bayes model over n perturbed
+// benchmark records, with the given intervals per attribute (0 = the
+// default), for the serialization tests.
+func trainedNB(tb testing.TB, n, intervals int) *Classifier {
+	tb.Helper()
+	table, err := synth.Generate(synth.Config{Function: synth.F2, N: n, Seed: 11})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	models, err := noise.ModelsForAllAttrs(table.Schema(), "gaussian", 0.5, noise.DefaultConfidence)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	perturbed, err := noise.PerturbTable(table, models, 7)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	clf, err := Train(perturbed, Config{Mode: core.ByClass, Noise: models})
+	clf, err := Train(perturbed, Config{Mode: core.ByClass, Noise: models, Intervals: intervals})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return clf
 }
@@ -36,7 +37,7 @@ func trainedNB(t *testing.T) *Classifier {
 // TestSaveLoadRoundTrip asserts that a loaded model predicts identically to
 // the model it was saved from, record for record.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	clf := trainedNB(t)
+	clf := trainedNB(t, 3000, 0)
 	var buf bytes.Buffer
 	if err := clf.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
@@ -85,21 +86,32 @@ func TestLoadRejectsForeignFormats(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsCorruptModels spot-checks the structural validation.
-func TestLoadRejectsCorruptModels(t *testing.T) {
-	clf := trainedNB(t)
-	var buf bytes.Buffer
-	if err := clf.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.String()
-	for name, bad := range map[string]string{
+// corruptModels returns the structurally corrupt variants of a saved
+// ByClass model document that Load must reject, by name.
+func corruptModels(good string) map[string]string {
+	return map[string]string{
 		"zero prior":       strings.Replace(good, `"priors": [`, `"priors": [0,`, 1),
 		"negative cond":    strings.Replace(good, `"cond": [`, `"cond": [[[-1]],`, 1),
 		"tree-only mode":   strings.Replace(good, `"mode": "byclass"`, `"mode": "local"`, 1),
 		"unknown field":    strings.Replace(good, `"mode"`, `"extra": 1, "mode"`, 1),
 		"truncated priors": strings.Replace(good, `"priors": [`, `"priors": [0.5],"was_priors": [`, 1),
-	} {
+	}
+}
+
+// savedNB returns the Save output of a model trained by trainedNB.
+func savedNB(tb testing.TB, n, intervals int) string {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := trainedNB(tb, n, intervals).Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestLoadRejectsCorruptModels spot-checks the structural validation.
+func TestLoadRejectsCorruptModels(t *testing.T) {
+	good := savedNB(t, 3000, 0)
+	for name, bad := range corruptModels(good) {
 		if bad == good {
 			t.Fatalf("%s: mutation did not apply", name)
 		}
@@ -112,7 +124,7 @@ func TestLoadRejectsCorruptModels(t *testing.T) {
 // TestClassifyBatchMatchesPredict asserts the batched path returns exactly
 // the per-record predictions at any worker count.
 func TestClassifyBatchMatchesPredict(t *testing.T) {
-	clf := trainedNB(t)
+	clf := trainedNB(t, 3000, 0)
 	test, err := synth.Generate(synth.Config{Function: synth.F2, N: 500, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -133,4 +145,39 @@ func TestClassifyBatchMatchesPredict(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzLoadNaiveBayes feeds Load arbitrary documents, seeded with a small
+// saved model and its corruptModels variants, the kind
+// TestLoadRejectsCorruptModels checks Load rejects. Load must never panic,
+// and a document it accepts must round-trip: Save → Load → Save reproduces
+// the first Save byte for byte.
+func FuzzLoadNaiveBayes(f *testing.F) {
+	// A few hundred records at four intervals per attribute keep the seed
+	// document to a few kilobytes for the fuzzer to mutate and minimize.
+	saved := savedNB(f, 400, 4)
+	f.Add([]byte(saved))
+	for _, bad := range corruptModels(saved) {
+		f.Add([]byte(bad))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		clf, err := Load(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := clf.Save(&first); err != nil {
+			t.Fatalf("accepted model does not save: %v", err)
+		}
+		again, err := Load(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("saved model does not load again: %v", err)
+		}
+		if err := again.Save(&second); err != nil {
+			t.Fatalf("reloaded model does not save: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("Save -> Load -> Save changed the document:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

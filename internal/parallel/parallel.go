@@ -14,9 +14,9 @@
 // whose grid depends only on the problem size, never on the worker count;
 // callers derive all per-chunk state (PRNG substreams, partial accumulators)
 // from the chunk index. Workers merely race to claim chunks, so any worker
-// count — including 1 — produces identical output. Reductions (Map,
-// MapReduce, ForEach's error selection) are always folded in index order for
-// the same reason.
+// count — including 1 — produces identical output. Results (Map's slice,
+// ForEach's error selection) are always kept in index order for the same
+// reason.
 //
 // A worker count of 0 everywhere in the library means "use
 // runtime.GOMAXPROCS(0)", i.e. all available cores.
@@ -113,21 +113,6 @@ func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// MapReduce maps every index in parallel and folds the mapped values
-// serially, in index order, so the reduction is deterministic even when the
-// fold is not associative (e.g. floating-point sums).
-func MapReduce[T, A any](n, workers int, acc A, mapFn func(i int) (T, error), reduce func(acc A, v T) A) (A, error) {
-	vals, err := Map(n, workers, mapFn)
-	if err != nil {
-		var zero A
-		return zero, err
-	}
-	for _, v := range vals {
-		acc = reduce(acc, v)
-	}
-	return acc, nil
 }
 
 // run executes fn(i) for i in [0, n) on up to workers goroutines. Tasks are

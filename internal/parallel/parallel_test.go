@@ -125,26 +125,6 @@ func TestMapOrder(t *testing.T) {
 	}
 }
 
-// TestMapReduceOrderedFold uses a non-commutative fold to prove the reduction
-// happens in index order regardless of worker count.
-func TestMapReduceOrderedFold(t *testing.T) {
-	want := ""
-	for i := 0; i < 26; i++ {
-		want += string(rune('a' + i))
-	}
-	for _, workers := range []int{1, 3, 13} {
-		got, err := MapReduce(26, workers, "",
-			func(i int) (string, error) { return string(rune('a' + i)), nil },
-			func(acc, v string) string { return acc + v })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("workers=%d: fold = %q, want %q", workers, got, want)
-		}
-	}
-}
-
 func TestZeroAndNegativeN(t *testing.T) {
 	called := false
 	ForEachChunk(0, 16, 4, func(c, lo, hi int) { called = true })

@@ -284,9 +284,9 @@ func (sc *iterScratch) ensure(k, m int) {
 // which they stay serial — goroutine fan-out costs more than it saves on
 // small grids.
 const (
-	iterRowChunk = 128
-	iterColChunk = 128
-	iterWorkMin  = 1 << 16
+	iterRowChunk    = 128
+	iterColumnChunk = 128
+	iterWorkMin     = 1 << 16
 )
 
 // iterWorkers resolves the worker count for the fused iteration passes:
@@ -456,7 +456,7 @@ func updatePass(w *bandedWeights, q, p, pre, next []float64, fallback float64, w
 		updateCols(w, q, p, pre, next, fallback, 0, w.k)
 		return
 	}
-	parallel.ForEachChunk(w.k, iterColChunk, workers, func(_, lo, hi int) {
+	parallel.ForEachChunk(w.k, iterColumnChunk, workers, func(_, lo, hi int) {
 		updateCols(w, q, p, pre, next, fallback, lo, hi)
 	})
 }

@@ -13,7 +13,7 @@ import (
 // collector grid is checked; dense transition rows, against which the
 // banded kernel is checked and benchmarked; and the plain fold, the two
 // iteration passes without folds or runs, against which the run kernel is
-// checked.
+// checked and benchmarked.
 
 // newObservationGrid is the unbounded grid oracle: intervals of the
 // partition's width, aligned to its grid but extended on both sides to
@@ -64,6 +64,18 @@ func reconstructWithRadius(values []float64, cfg Config, radius int) (Result, er
 // reconstructDense runs the reconstruction of values on dense rows.
 func reconstructDense(values []float64, cfg Config) (Result, error) {
 	return reconstructWithRadius(values, cfg, math.MaxInt)
+}
+
+// reconstructPlainFold runs the reconstruction of values on the oracle grid
+// with the banded rows Reconstruct uses, iterated by scalarIterate: every
+// iteration folds every cell of every band in index order.
+func reconstructPlainFold(values []float64, cfg Config) (Result, error) {
+	cfg, err := cfg.resolved()
+	if err != nil {
+		return Result{}, err
+	}
+	obs := newObservationGrid(values, cfg.Partition, cfg.Noise)
+	return scalarIterate(obs, transitionWeights(cfg, obs), cfg)
 }
 
 // scalarDenomPass is the denominator pass as a plain fold: every cell of

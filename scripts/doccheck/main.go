@@ -1,12 +1,8 @@
 // Command doccheck fails (exit 1) when a Go package directory contains
 // exported identifiers without doc comments, or lacks a package comment.
-// CI runs it over internal/stream, internal/tree, internal/parallel,
-// internal/core, internal/serve, internal/reconstruct, internal/noise,
-// internal/bayes, internal/eval, and internal/assoc (and any other
-// directory passed as an argument) so the streaming, tree-learner,
-// worker-pool, training, serving, reconstruction-kernel, noise-model,
-// naive-Bayes, eval-harness, and mining-engine API surfaces stay fully
-// documented.
+// CI runs it over every package directory under internal/, as listed by
+// go list -f '{{.Dir}}' ./internal/..., so a new package cannot drop out of
+// the check and every internal API surface stays fully documented.
 //
 // Usage: go run ./scripts/doccheck <pkgdir> [pkgdir...]
 package main
