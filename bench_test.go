@@ -1,45 +1,14 @@
 package ppdm_test
 
-// One benchmark per paper table/figure plus extensions (E1–E13), each running the
-// corresponding experiment at a reduced scale so the bench suite stays
-// fast; run `go run ./cmd/ppdm-bench` for the paper-scale numbers. A few
-// micro-benchmarks of the hot paths follow.
+// Micro-benchmarks of the pipeline's hot paths, then serial/parallel pairs
+// for the worker-pool engine. The paper's experiments run as ppdm-eval
+// scenarios (eval/scenarios), which report their own throughput.
 
 import (
-	"io"
 	"testing"
 
 	"ppdm"
 )
-
-// benchScale keeps experiment benchmarks to a few hundred milliseconds.
-const benchScale = 0.02
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := ppdm.RunExperiment(id, ppdm.ExperimentConfig{Scale: benchScale, Seed: 42})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := res.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE1ReconstructPlateau(b *testing.B)   { benchExperiment(b, "E1") }
-func BenchmarkE2ReconstructTriangles(b *testing.B) { benchExperiment(b, "E2") }
-func BenchmarkE3SynthAttributes(b *testing.B)      { benchExperiment(b, "E3") }
-func BenchmarkE4FunctionBalance(b *testing.B)      { benchExperiment(b, "E4") }
-func BenchmarkE5AccuracyByAlgorithm(b *testing.B)  { benchExperiment(b, "E5") }
-func BenchmarkE6AccuracyVsPrivacy(b *testing.B)    { benchExperiment(b, "E6") }
-func BenchmarkE7IntervalSensitivity(b *testing.B)  { benchExperiment(b, "E7") }
-func BenchmarkE8ASvsEM(b *testing.B)               { benchExperiment(b, "E8") }
-func BenchmarkE9PrivacyMetrics(b *testing.B)       { benchExperiment(b, "E9") }
-func BenchmarkE10TrainingCost(b *testing.B)        { benchExperiment(b, "E10") }
-func BenchmarkE11TreeVsNaiveBayes(b *testing.B)    { benchExperiment(b, "E11") }
-func BenchmarkE12AssociationRules(b *testing.B)    { benchExperiment(b, "E12") }
 
 // --- micro-benchmarks of the pipeline's hot paths ---
 
@@ -131,8 +100,6 @@ func BenchmarkPredict(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkE13DPBridge(b *testing.B) { benchExperiment(b, "E13") }
 
 // --- serial vs parallel pairs for the worker-pool engine ---
 //

@@ -142,27 +142,6 @@ func TestSubtreeParallelWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestExperimentWorkerDeterminism renders a full accuracy experiment at both
-// worker counts; the printable output must match byte for byte.
-func TestExperimentWorkerDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full E5 run in -short mode")
-	}
-	var outs [2]bytes.Buffer
-	for i, workers := range []int{1, 8} {
-		res, err := ppdm.RunExperiment("E5", ppdm.ExperimentConfig{Scale: 0.05, Seed: 42, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Render(&outs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
-		t.Error("E5 output differs between Workers=1 and Workers=8")
-	}
-}
-
 // TestEvalWorkerDeterminism runs the full committed scenario matrix at
 // Workers 1 and 8: the deterministic report rendering (timings stripped)
 // must match byte for byte, extending the contract to the eval harness

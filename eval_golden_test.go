@@ -71,3 +71,40 @@ func TestExampleScenarioGoldens(t *testing.T) {
 		t.Logf("full report:\n%s", buf.String())
 	}
 }
+
+// TestBaselinesKeepPaperOrderings pins the findings of the accuracy
+// figures on the committed baselines at every recorded scale, so a
+// re-recorded baseline cannot silently lose them: on E5 (F1, 100% gaussian
+// privacy) original ≥ byclass ≥ local > randomized, and under E13's
+// ε = 2 Laplace noise byclass beats randomized.
+func TestBaselinesKeepPaperOrderings(t *testing.T) {
+	baselines, err := eval.LoadBaselines("eval/baselines")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accuracy := func(name, scale string) float64 {
+		t.Helper()
+		b := baselines[name]
+		if b == nil {
+			t.Fatalf("no baseline for %s", name)
+		}
+		pt, ok := b.Scales[scale]
+		if !ok {
+			t.Fatalf("baseline %s has no scale %s", name, scale)
+		}
+		return pt.Metrics["accuracy"]
+	}
+	for scale := range baselines["e05-accuracy-byclass"].Scales {
+		orig := accuracy("e05-accuracy-original", scale)
+		byClass := accuracy("e05-accuracy-byclass", scale)
+		local := accuracy("e05-accuracy-local", scale)
+		randomized := accuracy("e05-accuracy-randomized", scale)
+		if !(orig >= byClass && byClass >= local && local > randomized) {
+			t.Errorf("scale %s: E5 accuracies original %v, byclass %v, local %v, randomized %v break original ≥ byclass ≥ local > randomized",
+				scale, orig, byClass, local, randomized)
+		}
+		if bc, rd := accuracy("e13-dp-laplace-byclass", scale), accuracy("e13-dp-laplace-randomized", scale); bc <= rd {
+			t.Errorf("scale %s: E13 byclass accuracy %v not above randomized %v", scale, bc, rd)
+		}
+	}
+}

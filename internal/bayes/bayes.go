@@ -9,6 +9,7 @@ import (
 	"ppdm/internal/dataset"
 	"ppdm/internal/noise"
 	"ppdm/internal/reconstruct"
+	"ppdm/internal/stream"
 )
 
 // DefaultSmoothing is the Laplace smoothing pseudo-count applied to every
@@ -48,8 +49,8 @@ type Classifier struct {
 	Partitions []reconstruct.Partition
 }
 
-// withDefaults validates the config and fills zero fields; shared by Train
-// and TrainStream.
+// withDefaults validates the config and fills zero fields; NewTrainStats
+// runs it once for every training path.
 func (cfg Config) withDefaults() (Config, error) {
 	switch cfg.Mode {
 	case core.Original, core.Randomized, core.ByClass:
@@ -92,70 +93,13 @@ func partitions(s *dataset.Schema, intervals int) ([]reconstruct.Partition, erro
 
 // Train builds a naïve Bayes classifier. For core.Original pass clean data;
 // for core.Randomized pass perturbed data; for core.ByClass pass perturbed
-// data plus the noise models it was perturbed with.
+// data plus the noise models it was perturbed with. It trains through
+// TrainStream over the table's records, so the two give the same model.
 func Train(train *dataset.Table, cfg Config) (*Classifier, error) {
 	if train == nil || train.N() == 0 {
 		return nil, errors.New("bayes: empty training table")
 	}
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-
-	s := train.Schema()
-	parts, err := partitions(s, cfg.Intervals)
-	if err != nil {
-		return nil, err
-	}
-
-	k := s.NumClasses()
-	clf := &Classifier{
-		Mode:       cfg.Mode,
-		Schema:     s,
-		Priors:     make([]float64, k),
-		Cond:       make([][][]float64, k),
-		Partitions: parts,
-	}
-	counts := train.ClassCounts()
-	for c := 0; c < k; c++ {
-		clf.Priors[c] = (float64(counts[c]) + cfg.Smoothing) / (float64(train.N()) + cfg.Smoothing*float64(k))
-		clf.Cond[c] = make([][]float64, s.NumAttrs())
-	}
-
-	for j := 0; j < s.NumAttrs(); j++ {
-		model, perturbed := cfg.Noise[j]
-		useRecon := cfg.Mode == core.ByClass && perturbed
-		for c := 0; c < k; c++ {
-			values, _ := train.ColumnForClass(j, c)
-			var dist []float64
-			if useRecon && len(values) > 0 {
-				res, err := reconstruct.Reconstruct(values, reconstruct.Config{
-					Partition: parts[j],
-					Noise:     model,
-					Algorithm: cfg.ReconAlgorithm,
-					MaxIters:  cfg.ReconMaxIters,
-					Epsilon:   cfg.ReconEpsilon,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("bayes: reconstructing attribute %d class %d: %w", j, c, err)
-				}
-				dist = smooth(res.P, float64(len(values)), cfg.Smoothing)
-			} else {
-				dist = countDistribution(values, parts[j], cfg.Smoothing)
-			}
-			clf.Cond[c][j] = dist
-		}
-	}
-	return clf, nil
-}
-
-// countDistribution bins values and normalizes with Laplace smoothing.
-func countDistribution(values []float64, part reconstruct.Partition, alpha float64) []float64 {
-	counts := make([]float64, part.K)
-	for _, v := range values {
-		counts[part.Bin(v)]++
-	}
-	return distFromCounts(counts, float64(len(values)), alpha)
+	return TrainStream(stream.FromTable(train, 0), cfg)
 }
 
 // distFromCounts normalizes pre-binned counts with Laplace smoothing; n is

@@ -49,7 +49,7 @@ func NewTrainStats(s *dataset.Schema, cfg Config) (*TrainStats, error) {
 
 	// ByClass-reconstructed attributes accumulate Collector statistics on
 	// the perturbed-value grid; all other (attribute, class) cells bin
-	// directly on the domain partition, as countDistribution would.
+	// directly on the domain partition.
 	useRecon := make([]bool, nAttrs)
 	reconParts := make(map[int]reconstruct.Partition)
 	if cfg.Mode == core.ByClass {
@@ -187,7 +187,7 @@ func (t *TrainStats) Finalize() (*Classifier, error) {
 					}
 					dist = smooth(res.P, float64(col.N()), cfg.Smoothing)
 				} else {
-					dist = countDistribution(nil, t.parts[j], cfg.Smoothing)
+					dist = distFromCounts(make([]float64, t.parts[j].K), 0, cfg.Smoothing)
 				}
 			} else {
 				dist = distFromCounts(t.hist[c][j], float64(t.classCounts[c]), cfg.Smoothing)

@@ -1,7 +1,7 @@
 // Package cli implements the logic behind the repository's command-line
-// tools (cmd/ppdm-bench, cmd/ppdm-gen, cmd/ppdm-train, cmd/ppdm-reconstruct,
-// cmd/ppdm-serve) in a testable form: every command is a function from
-// arguments and output writers to an exit code.
+// tools (cmd/ppdm-gen, cmd/ppdm-train, cmd/ppdm-reconstruct, cmd/ppdm-eval,
+// cmd/ppdm-serve, cmd/ppdm-gateway) in a testable form: every command is a
+// function from arguments and output writers to an exit code.
 package cli
 
 import (

@@ -16,85 +16,9 @@ func runCmd(t *testing.T, cmd func([]string, *bytes.Buffer, *bytes.Buffer) int, 
 }
 
 // adapters so runCmd can take the real io.Writer-based commands
-func benchCmd(args []string, out, errB *bytes.Buffer) int       { return Bench(args, out, errB) }
 func genCmd(args []string, out, errB *bytes.Buffer) int         { return Gen(args, out, errB) }
 func trainCmd(args []string, out, errB *bytes.Buffer) int       { return Train(args, out, errB) }
 func reconstructCmd(args []string, out, errB *bytes.Buffer) int { return Reconstruct(args, out, errB) }
-
-func TestBenchList(t *testing.T) {
-	out, _, code := runCmd(t, benchCmd, []string{"-list"})
-	if code != 0 {
-		t.Fatalf("exit code %d", code)
-	}
-	for _, id := range []string{"E1", "E5", "E10"} {
-		if !strings.Contains(out, id) {
-			t.Errorf("list output missing %s", id)
-		}
-	}
-}
-
-func TestBenchTxFile(t *testing.T) {
-	// A tiny transaction file with one dominant pattern; E12 must mine it
-	// from the file instead of synthetic baskets and say so in the notes.
-	path := filepath.Join(t.TempDir(), "tx.dat")
-	var sb strings.Builder
-	for i := 0; i < 2000; i++ {
-		if i%3 == 0 {
-			sb.WriteString("1 2 5\n")
-		} else {
-			sb.WriteString("0 4\n")
-		}
-	}
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, errOut, code := runCmd(t, benchCmd, []string{"-run", "E12", "-txfile", path})
-	if code != 0 {
-		t.Fatalf("bench -txfile failed: %s", errOut)
-	}
-	if !strings.Contains(out, "streamed from "+path) {
-		t.Errorf("E12 notes do not name the transaction file:\n%s", out)
-	}
-	if !strings.Contains(out, "2000 baskets") {
-		t.Errorf("E12 notes do not report the file's basket count:\n%s", out)
-	}
-}
-
-func TestBenchTxFileMissing(t *testing.T) {
-	_, errOut, code := runCmd(t, benchCmd, []string{"-run", "E12", "-txfile", "/nonexistent/tx.dat"})
-	if code == 0 {
-		t.Fatal("missing transaction file accepted")
-	}
-	if !strings.Contains(errOut, "tx.dat") {
-		t.Errorf("error does not name the file: %s", errOut)
-	}
-}
-
-func TestBenchRunSingle(t *testing.T) {
-	out, errOut, code := runCmd(t, benchCmd, []string{"-run", "E3", "-scale", "0.05", "-seed", "9"})
-	if code != 0 {
-		t.Fatalf("exit code %d: %s", code, errOut)
-	}
-	if !strings.Contains(out, "salary") || !strings.Contains(out, "E3") {
-		t.Errorf("unexpected E3 output:\n%s", out)
-	}
-}
-
-func TestBenchUnknownExperiment(t *testing.T) {
-	_, errOut, code := runCmd(t, benchCmd, []string{"-run", "E99", "-scale", "0.05"})
-	if code == 0 {
-		t.Fatal("unknown experiment succeeded")
-	}
-	if !strings.Contains(errOut, "E99") {
-		t.Errorf("error output missing ID: %s", errOut)
-	}
-}
-
-func TestBenchBadFlag(t *testing.T) {
-	if _, _, code := runCmd(t, benchCmd, []string{"-bogus"}); code == 0 {
-		t.Fatal("bad flag accepted")
-	}
-}
 
 func TestGenToStdout(t *testing.T) {
 	out, errOut, code := runCmd(t, genCmd, []string{"-fn", "F1", "-n", "50", "-seed", "3"})

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -139,5 +140,68 @@ func TestEvalFlagValidation(t *testing.T) {
 	}
 	if _, _, code := runCmd(t, evalCmd, []string{"-scenarios", filepath.Join(scenarios, "missing")}); code != 1 {
 		t.Error("missing scenario dir not rejected")
+	}
+}
+
+// assocFileScenario writes an assoc scenario that mines the transaction
+// file at txPath, and returns the scenario and baseline directories.
+func assocFileScenario(t *testing.T, txPath string) (string, string) {
+	t.Helper()
+	scenarios := t.TempDir()
+	spec := fmt.Sprintf(`{
+  "name": "tiny-txfile",
+  "description": "frequent itemsets mined from a transaction file",
+  "kind": "assoc",
+  "assoc": {"file": %q, "flip": 0.1, "flip_seed": 3, "min_support": 0.1, "max_size": 3}
+}`, txPath)
+	if err := os.WriteFile(filepath.Join(scenarios, "tiny-txfile.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return scenarios, t.TempDir()
+}
+
+// TestEvalAssocFile mines a transaction file with one dominant pattern:
+// -update records its baseline, and the gated rerun passes. The scenario
+// sets no generator fields, so it can only run on the file.
+func TestEvalAssocFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tx.dat")
+	var sb strings.Builder
+	for i := 0; i < 2000; i++ {
+		if i%3 == 0 {
+			sb.WriteString("1 2 5\n")
+		} else {
+			sb.WriteString("0 4\n")
+		}
+	}
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	scenarios, baselines := assocFileScenario(t, path)
+	args := []string{"-scenarios", scenarios, "-baselines", baselines}
+	if out, errOut, code := runCmd(t, evalCmd, append(args, "-update")); code != 0 {
+		t.Fatalf("update failed: exit %d\n%s%s", code, out, errOut)
+	}
+	out, errOut, code := runCmd(t, evalCmd, append(args, "-json", "-timings=false"))
+	if code != 0 {
+		t.Fatalf("gated run failed after update: exit %d\n%s%s", code, out, errOut)
+	}
+	// Both planted itemsets and all their subsets are frequent in the
+	// clean file, and a 10% flip recovers exactly them.
+	if !strings.Contains(out, `"accuracy": 1,`) {
+		t.Errorf("itemsets of the file not recovered exactly:\n%s", out)
+	}
+}
+
+// TestEvalAssocFileMissing: a transaction file that does not exist fails
+// the scenario with an error naming the path.
+func TestEvalAssocFileMissing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing-tx.dat")
+	scenarios, baselines := assocFileScenario(t, path)
+	out, _, code := runCmd(t, evalCmd, []string{"-scenarios", scenarios, "-baselines", baselines})
+	if code == 0 {
+		t.Fatal("missing transaction file accepted")
+	}
+	if !strings.Contains(out, "ERROR tiny-txfile") || !strings.Contains(out, path) {
+		t.Errorf("error does not name the file:\n%s", out)
 	}
 }

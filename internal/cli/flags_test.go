@@ -1,8 +1,8 @@
 package cli
 
-// Flag-validation error paths of ppdm-bench and ppdm-train: bad worker
-// counts, illegal learner/mode combinations, and malformed numeric flags
-// must be rejected with a non-zero exit and a message naming the problem.
+// Flag-validation error paths of ppdm-train: bad worker counts, illegal
+// learner/mode combinations, and malformed numeric flags must be rejected
+// with a non-zero exit and a message naming the problem.
 
 import (
 	"os"
@@ -10,28 +10,6 @@ import (
 	"strings"
 	"testing"
 )
-
-func TestBenchNegativeWorkers(t *testing.T) {
-	_, errOut, code := runCmd(t, benchCmd, []string{"-run", "E3", "-scale", "0.02", "-workers", "-1"})
-	if code == 0 {
-		t.Fatal("negative -workers accepted")
-	}
-	if !strings.Contains(errOut, "Workers -1") {
-		t.Errorf("error does not name the bad worker count: %s", errOut)
-	}
-}
-
-func TestBenchMalformedNumericFlags(t *testing.T) {
-	for _, args := range [][]string{
-		{"-scale", "fast"},
-		{"-seed", "-3"}, // seed is unsigned
-		{"-workers", "many"},
-	} {
-		if _, _, code := runCmd(t, benchCmd, args); code != 2 {
-			t.Errorf("args %v: exit %d, want 2", args, code)
-		}
-	}
-}
 
 // trainFixtures generates a small perturbed train file and a clean test
 // file for the error-path tests below.

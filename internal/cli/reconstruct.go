@@ -10,6 +10,7 @@ import (
 	"ppdm/internal/prng"
 	"ppdm/internal/reconstruct"
 	"ppdm/internal/stats"
+	"ppdm/internal/synth"
 )
 
 // Reconstruct demonstrates distribution reconstruction on a synthetic shape:
@@ -38,25 +39,14 @@ func Reconstruct(args []string, stdout, stderr io.Writer) int {
 	}
 
 	r := prng.New(*seed)
-	original := make([]float64, *n)
+	var original []float64
 	switch *shape {
 	case "plateau":
-		for i := range original {
-			if r.Bernoulli(0.9) {
-				original[i] = r.Uniform(25, 75)
-			} else {
-				original[i] = r.Uniform(0, 100)
-			}
-		}
+		original = synth.Plateau(*n, r)
 	case "triangles":
-		for i := range original {
-			if r.Bernoulli(0.5) {
-				original[i] = r.Triangular(5, 25, 45)
-			} else {
-				original[i] = r.Triangular(55, 75, 95)
-			}
-		}
+		original = synth.Triangles(*n, r)
 	case "uniform":
+		original = make([]float64, *n)
 		for i := range original {
 			original[i] = r.Uniform(0, 100)
 		}

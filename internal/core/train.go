@@ -57,11 +57,6 @@ type Config struct {
 	// negative values are rejected. The trained model is bit-identical for
 	// every worker count.
 	Workers int
-	// DisableWeightCache bypasses the process-global transition-matrix cache
-	// during reconstruction. Set it when measuring training cost, so a run
-	// is not timed warm against matrices another run left behind; the
-	// trained model is identical either way.
-	DisableWeightCache bool
 	// SpillDir is where the out-of-core path (TrainStream) keeps its column
 	// segment files; "" uses the operating system's temp directory. The
 	// spill is scratch of one training run and is removed before TrainStream
@@ -248,13 +243,12 @@ func directColumns(t *dataset.Table, parts []reconstruct.Partition, cfg Config) 
 // callers below already run in parallel, and the matrices are cached anyway.
 func reconCfg(cfg Config, part reconstruct.Partition, m noise.Model) reconstruct.Config {
 	return reconstruct.Config{
-		Partition:          part,
-		Noise:              m,
-		Algorithm:          cfg.ReconAlgorithm,
-		MaxIters:           cfg.ReconMaxIters,
-		Epsilon:            cfg.ReconEpsilon,
-		Workers:            1,
-		DisableWeightCache: cfg.DisableWeightCache,
+		Partition: part,
+		Noise:     m,
+		Algorithm: cfg.ReconAlgorithm,
+		MaxIters:  cfg.ReconMaxIters,
+		Epsilon:   cfg.ReconEpsilon,
+		Workers:   1,
 	}
 }
 

@@ -1,12 +1,15 @@
-// Package eval is the declarative scenario harness behind ppdm-eval: it
-// turns the paper's E1–E12 evaluation figures, every examples/ workload,
-// and any future scenario into one regression-gated suite.
+// Package eval is the declarative scenario harness behind ppdm-eval and the
+// repository's one experiment harness: it turns the paper's E1–E13
+// evaluation figures, every examples/ workload, and any future scenario
+// into one regression-gated suite.
 //
 // A scenario is a JSON file (see Spec) declaring a workload of one of four
 // kinds — classify (perturb → reconstruct → learn → evaluate), reconstruct
-// (the §3.2 distribution-recovery figures), assoc (frequent-itemset mining
-// over randomized transactions), and response (Warner randomized-response
-// prevalence estimation) — plus per-metric gates. Loading is strict:
+// (the §3.2 distribution-recovery series over synth's plateau, triangles
+// and bimodal shapes), assoc (frequent-itemset mining over randomized
+// transactions, generated or read from a transaction file with
+// assoc.file), and response (Warner randomized-response prevalence
+// estimation) — plus per-metric gates. Loading is strict:
 // unknown fields are rejected and malformed JSON yields positional
 // (file:line:col) errors, so a typo in a scenario cannot silently widen a
 // gate.
@@ -24,8 +27,9 @@
 //   - fidelity — reconstruction fidelity as the total-variation distance of
 //     the reconstructed distribution to the true one (mean across perturbed
 //     attributes for classify; the final series point for reconstruct; mean
-//     absolute planted-pattern support error for assoc; estimated-vs-true
-//     prevalence distance for response). Lower is better.
+//     absolute support error for assoc, over the planted patterns or, for a
+//     transaction file, the itemsets frequent in the clean file;
+//     estimated-vs-true prevalence distance for response). Lower is better.
 //   - iterations — reconstruction iteration count summed over the series
 //     (reconstruct only; pins the E1/E2 warm-start behaviour)
 //   - throughput — records per second through the scenario's dominant

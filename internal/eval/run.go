@@ -14,7 +14,6 @@ import (
 	"ppdm/internal/cluster"
 	"ppdm/internal/core"
 	"ppdm/internal/dataset"
-	"ppdm/internal/experiments"
 	"ppdm/internal/noise"
 	"ppdm/internal/parallel"
 	"ppdm/internal/privacy"
@@ -34,8 +33,8 @@ type Config struct {
 	// Workers bounds scenario-level and in-scenario parallelism (0 = all
 	// cores). Metrics are identical for every value.
 	Workers int
-	// FileDir resolves relative DataSpec.File paths ("" = current
-	// directory).
+	// FileDir resolves relative DataSpec.File and AssocSpec.File paths
+	// ("" = current directory).
 	FileDir string
 	// Baselines maps scenario name -> committed baseline (LoadBaselines).
 	// Scenarios without an entry for the run's scale gate as "no-baseline"
@@ -88,7 +87,7 @@ func runOne(s *Spec, cfg Config) Result {
 	case KindReconstruct:
 		m, err = runReconstruct(s.Reconstruct, cfg.Scale, workers)
 	case KindAssoc:
-		m, err = runAssoc(s.Assoc, cfg.Scale, workers)
+		m, err = runAssoc(s.Assoc, cfg, workers)
 	case KindResponse:
 		m, err = runResponse(s.Response, cfg.Scale)
 	default:
@@ -117,15 +116,19 @@ func scaledN(base int, scale float64, minN, def int) int {
 	return n
 }
 
+// path resolves a scenario's data file against FileDir.
+func (c Config) path(file string) string {
+	if filepath.IsAbs(file) || c.FileDir == "" {
+		return file
+	}
+	return filepath.Join(c.FileDir, file)
+}
+
 // loadData materializes a DataSpec: a scaled synthetic draw or a CSV file
 // in the benchmark schema.
 func loadData(d *DataSpec, cfg Config, minDef int) (*dataset.Table, error) {
 	if d.File != "" {
-		path := d.File
-		if !filepath.IsAbs(path) && cfg.FileDir != "" {
-			path = filepath.Join(cfg.FileDir, path)
-		}
-		f, err := os.Open(path)
+		f, err := os.Open(cfg.path(d.File))
 		if err != nil {
 			return nil, err
 		}
@@ -315,16 +318,8 @@ func meanReconFidelity(clean, perturbed *dataset.Table, models map[int]noise.Mod
 // count (which pins the warm-start behaviour of the E1/E2 figures).
 func runReconstruct(r *ReconstructSpec, scale float64, workers int) (measured, error) {
 	n := scaledN(r.N, scale, r.MinN, DefaultMinSamples)
-	var alg reconstruct.Algorithm
-	if r.Algorithm == "em" {
-		alg = reconstruct.EM
-	}
 	start := time.Now()
-	points, err := experiments.RunReconSeries(experiments.ReconSeriesConfig{
-		Shape: r.Shape, Family: r.Family, Levels: r.Levels,
-		N: n, Intervals: r.Intervals, Seed: r.Seed,
-		Workers: workers, WarmStart: r.WarmStart, Algorithm: alg,
-	})
+	truth, points, err := reconSeries(r, n, workers)
 	if err != nil {
 		return measured{}, err
 	}
@@ -332,10 +327,9 @@ func runReconstruct(r *ReconstructSpec, scale float64, workers int) (measured, e
 
 	iters := 0
 	for _, pt := range points {
-		iters += pt.Iters
+		iters += pt.iters
 	}
-	last := points[len(points)-1]
-	m, err := noise.ForPrivacy(r.Family, last.Level, 100, noise.DefaultConfidence)
+	m, err := noise.ForPrivacy(r.Family, r.Levels[len(r.Levels)-1], 100, noise.DefaultConfidence)
 	if err != nil {
 		return measured{}, err
 	}
@@ -343,25 +337,103 @@ func runReconstruct(r *ReconstructSpec, scale float64, workers int) (measured, e
 	if err != nil {
 		return measured{}, err
 	}
+	fidelity, err := stats.TotalVariation(truth, points[len(points)-1].reconstructed)
+	if err != nil {
+		return measured{}, err
+	}
 	return measured{
 		metrics: map[string]float64{
 			MetricPrivacy:    priv,
-			MetricFidelity:   last.TVRecon,
+			MetricFidelity:   fidelity,
 			MetricIterations: float64(iters),
 		},
 		throughput: rate(n*len(points), elapsed),
 	}, nil
 }
 
+// reconPoint is one privacy level of a reconstruction series: the
+// randomized and the reconstructed per-interval distributions of the
+// figure, and the iterations the reconstruction took.
+type reconPoint struct {
+	randomized, reconstructed []float64
+	iters                     int
+}
+
+// reconSeries draws n samples of the spec's shape on [0, 100], then
+// perturbs and reconstructs them at each privacy level in order. It
+// returns the samples' true per-interval distribution and one point per
+// level. With WarmStart each level's prior is the previous level's
+// estimate; the chaining order is fixed, so the series is identical at
+// every worker count (only the kernel's inner parallelism scales).
+func reconSeries(r *ReconstructSpec, n, workers int) ([]float64, []reconPoint, error) {
+	k := r.Intervals
+	if k == 0 {
+		k = 20
+	}
+	alg := reconstruct.Bayes
+	if r.Algorithm == "em" {
+		alg = reconstruct.EM
+	}
+	original := reconShapes[r.Shape](n, prng.New(r.Seed+1))
+	part, err := reconstruct.NewPartition(0, 100, k)
+	if err != nil {
+		return nil, nil, err
+	}
+	var prior []float64
+	points := make([]reconPoint, 0, len(r.Levels))
+	for _, level := range r.Levels {
+		m, err := noise.ForPrivacy(r.Family, level, 100, noise.DefaultConfidence)
+		if err != nil {
+			return nil, nil, err
+		}
+		nr := prng.New(r.Seed + 2)
+		perturbed := make([]float64, n)
+		for i, v := range original {
+			perturbed[i] = v + m.Sample(nr)
+		}
+		res, err := reconstruct.Reconstruct(perturbed, reconstruct.Config{
+			Partition: part, Noise: m, Algorithm: alg,
+			Epsilon: 1e-3, Prior: prior, Workers: workers,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		if r.WarmStart {
+			// The update is multiplicative, so an exactly-zero prior entry
+			// could never regain mass at later levels; floor the chained
+			// prior with a sliver of uniform mass (Reconstruct
+			// re-normalizes).
+			prior = make([]float64, len(res.P))
+			for b, p := range res.P {
+				prior[b] = p + 1e-6/float64(k)
+			}
+		}
+		points = append(points, reconPoint{
+			randomized: part.Histogram(perturbed), reconstructed: res.P, iters: res.Iters,
+		})
+	}
+	return part.Histogram(original), points, nil
+}
+
 // runAssoc mines frequent itemsets from randomized transactions and
 // measures itemset-recovery F1, the channel's randomization level, and the
-// planted patterns' support-estimation error.
-func runAssoc(a *AssocSpec, scale float64, workers int) (measured, error) {
-	n := scaledN(a.N, scale, a.MinN, DefaultMinBaskets)
-	data, patterns, err := assoc.Generate(assoc.GenConfig{
-		N: n, Items: a.Items, Patterns: a.Patterns,
-		PatternSize: a.PatternSize, PatternProb: a.PatternProb, Seed: a.Seed,
-	})
+// support-estimation error on the planted patterns, or on the clean
+// reference itemsets when the transactions come from a file.
+func runAssoc(a *AssocSpec, cfg Config, workers int) (measured, error) {
+	var (
+		data     *assoc.Dataset
+		patterns [][]int
+		err      error
+	)
+	if a.File != "" {
+		data, err = assoc.ReadTransactionsFile(cfg.path(a.File), 0)
+	} else {
+		data, patterns, err = assoc.Generate(assoc.GenConfig{
+			N:     scaledN(a.N, cfg.Scale, a.MinN, DefaultMinBaskets),
+			Items: a.Items, Patterns: a.Patterns,
+			PatternSize: a.PatternSize, PatternProb: a.PatternProb, Seed: a.Seed,
+		})
+	}
 	if err != nil {
 		return measured{}, err
 	}
@@ -377,6 +449,13 @@ func runAssoc(a *AssocSpec, scale float64, workers int) (measured, error) {
 	reference, err := assoc.Frequent(data, mining)
 	if err != nil {
 		return measured{}, err
+	}
+	if a.File != "" {
+		// A file plants no patterns: probe the support error on the
+		// itemsets frequent in the clean data instead.
+		for _, it := range reference {
+			patterns = append(patterns, it.Items)
+		}
 	}
 	start := time.Now()
 	mined, err := assoc.FrequentFromRandomized(randomized, bf, mining)
@@ -402,12 +481,12 @@ func runAssoc(a *AssocSpec, scale float64, workers int) (measured, error) {
 			MetricPrivacy:  2 * a.Flip,
 			MetricFidelity: fidelity,
 		},
-		throughput: rate(n, elapsed),
+		throughput: rate(data.N(), elapsed),
 	}, nil
 }
 
-// patternSupportError averages |estimated − true| support over the planted
-// patterns: how well the channel inversion recovers what the generator hid.
+// patternSupportError averages |estimated − true| support over the
+// patterns: how well the channel inversion recovers what the data holds.
 func patternSupportError(data, randomized *assoc.Dataset, bf assoc.BitFlip, patterns [][]int, workers int) (float64, error) {
 	if len(patterns) == 0 {
 		return 0, nil

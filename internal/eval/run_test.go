@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ppdm/internal/stats"
 )
 
 // responseSpec is a cheap scenario for runner and gate tests.
@@ -267,5 +269,36 @@ func TestRunScenarioErrorIsReported(t *testing.T) {
 	}
 	if rep.Passed() {
 		t.Error("report with an errored scenario passed")
+	}
+}
+
+// TestReconSeriesBeatsRandomized checks the point of the E1 and E2 figures
+// on their committed scenarios: at every privacy level the reconstructed
+// distribution is closer in L1 to the original than the randomized
+// histogram is.
+func TestReconSeriesBeatsRandomized(t *testing.T) {
+	for _, name := range []string{"e01-recon-plateau-uniform", "e02-recon-triangles-gaussian"} {
+		s, err := LoadFile(filepath.Join("..", "..", "eval", "scenarios", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := s.Reconstruct
+		truth, points, err := reconSeries(r, scaledN(r.N, 0.05, r.MinN, DefaultMinSamples), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pt := range points {
+			raw, err := stats.L1(truth, pt.randomized)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := stats.L1(truth, pt.reconstructed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec >= raw {
+				t.Errorf("%s privacy %v: reconstructed L1 %v not below randomized %v", name, r.Levels[i], rec, raw)
+			}
+		}
 	}
 }

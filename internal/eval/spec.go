@@ -12,7 +12,7 @@ import (
 	"strings"
 
 	"ppdm/internal/core"
-	"ppdm/internal/experiments"
+	"ppdm/internal/prng"
 	"ppdm/internal/synth"
 )
 
@@ -157,10 +157,12 @@ type ClassifySpec struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// ReconstructSpec configures a distribution-recovery series
-// (experiments.RunReconSeries).
+// ReconstructSpec configures a distribution-recovery series on [0, 100]:
+// one sample of the shape, perturbed and reconstructed at each privacy
+// level in turn.
 type ReconstructSpec struct {
-	// Shape names the sample distribution (experiments.ReconShapes).
+	// Shape names the sample distribution: "plateau", "triangles" or
+	// "bimodal" (synth.Plateau, synth.Triangles, synth.Bimodal).
 	Shape string `json:"shape"`
 	// Family is the noise family.
 	Family string `json:"family"`
@@ -182,8 +184,16 @@ type ReconstructSpec struct {
 }
 
 // AssocSpec configures frequent-itemset mining over randomized
-// transactions.
+// transactions, either generated baskets or a transaction file.
 type AssocSpec struct {
+	// File is a plain-text transaction file (relative to the run's base
+	// directory) to mine instead of generated baskets: one transaction per
+	// line, items as space-separated non-negative integer IDs, with the
+	// item universe inferred from the largest ID. A file is never scaled,
+	// the generator fields (n, min_n, items, patterns, pattern_size,
+	// pattern_prob, seed) must be unset, and fidelity is probed on the
+	// itemsets frequent in the clean file, since it plants no patterns.
+	File string `json:"file,omitempty"`
 	// N is the transaction count before scaling.
 	N int `json:"n"`
 	// MinN floors the scaled transaction count (0 = DefaultMinBaskets).
@@ -238,6 +248,13 @@ type Gate struct {
 
 var nameRE = regexp.MustCompile(`^[a-z0-9][a-z0-9-]*$`)
 
+// reconShapes maps a reconstruct scenario's shape name to its sampler.
+var reconShapes = map[string]func(n int, r *prng.Source) []float64{
+	"plateau":   synth.Plateau,
+	"triangles": synth.Triangles,
+	"bimodal":   synth.Bimodal,
+}
+
 // LoadFile parses and validates one scenario file. Unknown fields are
 // rejected, and malformed JSON is reported with its file:line:col position.
 func LoadFile(path string) (*Spec, error) {
@@ -245,6 +262,13 @@ func LoadFile(path string) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseSpec(path, raw)
+}
+
+// parseSpec decodes and validates one scenario from raw, naming it path in
+// errors. An empty gates object decodes as no gates, so that a decoded spec
+// re-encodes to itself.
+func parseSpec(path string, raw []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	var s Spec
@@ -256,6 +280,9 @@ func LoadFile(path string) (*Spec, error) {
 	}
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(s.Gates) == 0 {
+		s.Gates = nil
 	}
 	return &s, nil
 }
@@ -559,16 +586,8 @@ func (c *ClassifySpec) validate() error {
 }
 
 func (r *ReconstructSpec) validate() error {
-	shapes := experiments.ReconShapes()
-	ok := false
-	for _, sh := range shapes {
-		if sh == r.Shape {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		return fmt.Errorf("unknown shape %q (want %s)", r.Shape, strings.Join(shapes, ", "))
+	if reconShapes[r.Shape] == nil {
+		return fmt.Errorf("unknown shape %q (want plateau, triangles, bimodal)", r.Shape)
 	}
 	if err := validNoiseFamily(r.Family); err != nil {
 		return err
@@ -594,16 +613,18 @@ func (r *ReconstructSpec) validate() error {
 }
 
 func (a *AssocSpec) validate() error {
-	if a.N <= 0 {
+	switch {
+	case a.File != "":
+		if a.N != 0 || a.MinN != 0 || a.Items != 0 || a.Patterns != 0 || a.PatternSize != 0 || a.PatternProb != 0 || a.Seed != 0 {
+			return errors.New("a transaction file sets no generator fields (n, min_n, items, patterns, pattern_size, pattern_prob, seed)")
+		}
+	case a.N <= 0:
 		return fmt.Errorf("needs a positive n, got %d", a.N)
-	}
-	if a.MinN < 0 {
+	case a.MinN < 0:
 		return fmt.Errorf("min_n %d must not be negative", a.MinN)
-	}
-	if a.Items < 2 {
+	case a.Items < 2:
 		return fmt.Errorf("needs an item universe of >= 2, got %d", a.Items)
-	}
-	if a.Patterns < 0 || a.PatternSize < 0 || a.PatternProb < 0 || a.PatternProb > 1 {
+	case a.Patterns < 0 || a.PatternSize < 0 || a.PatternProb < 0 || a.PatternProb > 1:
 		return errors.New("pattern parameters must be non-negative (pattern_prob in [0, 1])")
 	}
 	if a.Flip < 0 || a.Flip >= 0.5 {

@@ -2,7 +2,7 @@
 //
 // Every hot stage of the perturb → reconstruct → train pipeline is
 // embarrassingly parallel (per-record noise, per-attribute reconstruction,
-// per-attribute split search, per-point experiment series), but the library
+// per-attribute split search, per-scenario eval runs), but the library
 // also promises bit-for-bit reproducibility. This package reconciles the two
 // with one rule, the determinism contract:
 //

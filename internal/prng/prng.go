@@ -2,11 +2,11 @@
 // generator used throughout the library.
 //
 // Reproducibility is a first-class requirement for this reproduction: every
-// experiment in the paper harness must produce identical numbers across runs,
-// Go versions, and platforms. The standard library's math/rand does not
-// promise a stable value stream across Go releases, so we implement
-// xoshiro256++ (Blackman & Vigna) seeded through splitmix64, which is fully
-// specified, fast, and passes the usual statistical batteries.
+// eval scenario must produce identical numbers across runs, Go versions, and
+// platforms. The standard library's math/rand does not promise a stable
+// value stream across Go releases, so we implement xoshiro256++ (Blackman &
+// Vigna) seeded through splitmix64, which is fully specified, fast, and
+// passes the usual statistical batteries.
 //
 // A Source is not safe for concurrent use; derive independent streams with
 // Split when parallelism is needed.

@@ -43,7 +43,7 @@ type CacheStats struct {
 // WeightCache is a bounded LRU of banded transition matrices. The shared
 // instance serves all reconstructions by default (Global/ByClass training
 // reconstructs every attribute × class with the same geometry family, and
-// experiment harnesses repeat those trainings), while Local-mode training
+// the eval scenarios repeat those trainings), while Local-mode training
 // creates a private per-training cache for its node sub-partition
 // geometries so they cannot evict the recurring root entries.
 //

@@ -55,10 +55,11 @@ type Config struct {
 	// paper. Warm-starting from a nearby estimate (e.g. the previous point
 	// of a privacy-level series) cuts the iteration count without changing
 	// what the procedure converges towards. Floor such an estimate before
-	// chaining it, as the experiments' series does with 1e-6/K: where the
-	// weights hold runs (uniform noise), a run's sum is a difference of
-	// prefix sums, exact only to a few roundings of the estimate's total
-	// mass, so entries far below that mass lose their relative precision.
+	// chaining it, as eval's warm-started reconstruct series does with
+	// 1e-6/K: where the weights hold runs (uniform noise), a run's sum is a
+	// difference of prefix sums, exact only to a few roundings of the
+	// estimate's total mass, so entries far below that mass lose their
+	// relative precision.
 	Prior []float64
 	// Workers bounds the parallelism of the transition-weight precompute and
 	// of the fused iteration passes on large grids; 0 means all cores,
@@ -70,9 +71,9 @@ type Config struct {
 	// sub-partition geometries cannot evict the recurring root entries.
 	Cache *WeightCache
 	// DisableWeightCache bypasses the transition-matrix cache (shared or
-	// Cache) entirely, for cost measurements that must not run warm against
-	// matrices a previous run left behind. Cached or not, the computed
-	// matrix is bitwise identical.
+	// Cache) entirely, for kernel tests and benchmarks that must not run
+	// warm against matrices a previous run left behind. Cached or not, the
+	// computed matrix is bitwise identical.
 	DisableWeightCache bool
 }
 

@@ -20,4 +20,8 @@
 // GenChunk-sized chunks with per-chunk PRNG substreams, so output depends
 // only on (Function, N, Seed, LabelNoise) — never on the worker count or
 // batch size.
+//
+// Plateau, Triangles and Bimodal draw the one-dimensional sample shapes of
+// the paper's §3.2 reconstruction figures on [0, 100]; ppdm-eval's
+// reconstruct scenarios and ppdm-reconstruct sample from them.
 package synth

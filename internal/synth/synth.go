@@ -49,28 +49,6 @@ func Schema() *dataset.Schema {
 	)
 }
 
-// AttrDescription documents how one attribute is drawn; used to regenerate
-// the paper's attribute-description table.
-type AttrDescription struct {
-	Name        string
-	Description string
-}
-
-// Descriptions returns the published definition of each attribute.
-func Descriptions() []AttrDescription {
-	return []AttrDescription{
-		{"salary", "uniformly distributed on [20000, 150000]"},
-		{"commission", "0 if salary >= 75000, else uniform on [10000, 75000]"},
-		{"age", "uniformly distributed on [20, 80]"},
-		{"elevel", "education level, uniform integer in {0..4}"},
-		{"car", "make of car, uniform integer in {1..20}"},
-		{"zipcode", "uniform integer in {1..9}"},
-		{"hvalue", "house value, uniform on [0.5*z*100000, 1.5*z*100000] for zipcode z"},
-		{"hyears", "years house owned, uniform integer in {1..30}"},
-		{"loan", "total loan, uniform on [0, 500000]"},
-	}
-}
-
 // Function identifies one of the ten AIS classification functions.
 type Function int
 
@@ -110,35 +88,6 @@ func ParseFunction(s string) (Function, error) {
 
 // Valid reports whether f is one of F1..F10.
 func (f Function) Valid() bool { return f >= F1 && f <= F10 }
-
-// UsedAttrs returns the indices of the attributes the function's predicate
-// actually reads; useful for focused perturbation experiments.
-func (f Function) UsedAttrs() []int {
-	switch f {
-	case F1:
-		return []int{AttrAge}
-	case F2:
-		return []int{AttrAge, AttrSalary}
-	case F3:
-		return []int{AttrAge, AttrElevel}
-	case F4:
-		return []int{AttrAge, AttrElevel, AttrSalary}
-	case F5:
-		return []int{AttrAge, AttrSalary, AttrLoan}
-	case F6:
-		return []int{AttrAge, AttrSalary, AttrCommission}
-	case F7:
-		return []int{AttrSalary, AttrCommission, AttrLoan}
-	case F8:
-		return []int{AttrSalary, AttrCommission, AttrElevel}
-	case F9:
-		return []int{AttrSalary, AttrCommission, AttrElevel, AttrLoan}
-	case F10:
-		return []int{AttrSalary, AttrCommission, AttrElevel, AttrHvalue, AttrHyears}
-	default:
-		return nil
-	}
-}
 
 // Classify applies the function's published predicate to a full record and
 // returns GroupA or GroupB. The record must have the 9 attributes in schema

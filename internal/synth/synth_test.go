@@ -18,9 +18,6 @@ func TestSchemaShape(t *testing.T) {
 	if i, ok := s.AttrIndex("age"); !ok || i != AttrAge {
 		t.Fatalf("age index = %d", i)
 	}
-	if len(Descriptions()) != 9 {
-		t.Fatal("Descriptions must cover all 9 attributes")
-	}
 }
 
 func TestGenerateValidation(t *testing.T) {
@@ -228,23 +225,6 @@ func TestParseFunction(t *testing.T) {
 		if _, err := ParseFunction(s); err == nil {
 			t.Errorf("ParseFunction(%q) succeeded", s)
 		}
-	}
-}
-
-func TestUsedAttrs(t *testing.T) {
-	for f := F1; f <= F10; f++ {
-		used := f.UsedAttrs()
-		if len(used) == 0 {
-			t.Errorf("%v: no used attributes", f)
-		}
-		for _, j := range used {
-			if j < 0 || j >= 9 {
-				t.Errorf("%v: attr index %d out of range", f, j)
-			}
-		}
-	}
-	if len(F1.UsedAttrs()) != 1 || F1.UsedAttrs()[0] != AttrAge {
-		t.Error("F1 must use only age")
 	}
 }
 

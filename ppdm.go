@@ -26,10 +26,10 @@
 //     ev, _ := clf.Evaluate(testTable)
 //
 // The package also re-exports the synthetic benchmark generator used by the
-// paper's evaluation (functions F1–F10 over nine person-record attributes),
-// privacy metrics (confidence-interval, differential-entropy, and
-// conditional), and the experiment harness that regenerates every table and
-// figure of the paper (see DESIGN.md and EXPERIMENTS.md).
+// paper's evaluation (functions F1–F10 over nine person-record attributes)
+// and privacy metrics (confidence-interval, differential-entropy, and
+// conditional). The paper's tables and figures are regenerated and gated
+// as ppdm-eval scenarios (internal/eval, eval/scenarios).
 //
 // # Concurrency and determinism
 //
@@ -38,23 +38,19 @@
 // are processed in fixed-size chunks with per-chunk PRNG substreams,
 // training reconstructs attributes (and classes) in parallel, searches
 // tree splits across attributes in parallel and grows left/right subtrees
-// as fork-join tasks (TreeConfig.SubtreeMinRows sets the cutoff), and the
-// experiment harness computes independent series points concurrently. Parallelism is bounded by
-// the Workers field on GenConfig, TrainConfig, TreeConfig,
-// ReconstructConfig, and ExperimentConfig (and by PerturbTableWorkers); 0
-// means all cores. The bound applies per parallel stage, not globally:
-// nested stages (an experiment point running Train, which itself fans out)
-// each spawn up to Workers goroutines, and concurrent experiment points keep
-// their tables in memory at once — at full paper scale expect a several-fold
-// peak-memory increase over a serial run.
+// as fork-join tasks (TreeConfig.SubtreeMinRows sets the cutoff).
+// Parallelism is bounded by the Workers field on GenConfig, TrainConfig,
+// TreeConfig and ReconstructConfig (and by PerturbTableWorkers); 0 means
+// all cores. The bound applies per parallel stage, not globally: nested
+// stages each spawn up to Workers goroutines.
 //
 // All of it obeys one determinism contract: results are a pure function of
 // the seed and the inputs, never of the worker count. Work decomposition
 // (chunk grids, PRNG substream derivation, reduction order) depends only on
 // the problem size, while workers merely race to claim chunks — so Workers:
-// 1 and Workers: 64 produce byte-identical tables, models, and experiment
-// output. Only wall-clock measurements (the E10 cost experiment) vary with
-// the worker count.
+// 1 and Workers: 64 produce byte-identical tables, models, and eval
+// reports. Only wall-clock measurements (eval's throughput metric) vary
+// with the worker count.
 package ppdm
 
 import (
@@ -64,7 +60,6 @@ import (
 	"ppdm/internal/bayes"
 	"ppdm/internal/core"
 	"ppdm/internal/dataset"
-	"ppdm/internal/experiments"
 	"ppdm/internal/noise"
 	"ppdm/internal/privacy"
 	"ppdm/internal/prng"
@@ -189,18 +184,12 @@ type (
 	BasketGenConfig = assoc.GenConfig
 )
 
-// Benchmark and harness types.
+// Benchmark and privacy types.
 type (
 	// Function is one of the benchmark's classification functions F1..F10.
 	Function = synth.Function
 	// GenConfig parameterizes Generate.
 	GenConfig = synth.Config
-	// Experiment is one paper table/figure reproduction.
-	Experiment = experiments.Experiment
-	// ExperimentConfig scales and seeds an experiment run.
-	ExperimentConfig = experiments.Config
-	// ExperimentResult holds the printable series of one experiment.
-	ExperimentResult = experiments.Result
 	// ConditionalPrivacy reports prior/posterior entropy privacy.
 	ConditionalPrivacy = privacy.ConditionalResult
 )
@@ -491,12 +480,4 @@ func FrequentFromRandomized(randomized *Transactions, bf BitFlip, cfg MiningConf
 // mined itemset collection against a reference collection.
 func CompareMining(reference, mined []Itemset) (both, falsePos, falseNeg int) {
 	return assoc.CompareMining(reference, mined)
-}
-
-// Experiments lists the paper-reproduction experiments (E1…E12).
-func Experiments() []Experiment { return experiments.All() }
-
-// RunExperiment runs one experiment by ID.
-func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentResult, error) {
-	return experiments.RunByID(id, cfg)
 }

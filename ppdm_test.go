@@ -2,7 +2,6 @@ package ppdm_test
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"ppdm"
@@ -97,24 +96,6 @@ func TestPublicCSVRoundTrip(t *testing.T) {
 	}
 	if back.N() != 20 {
 		t.Fatalf("round trip N = %d", back.N())
-	}
-}
-
-func TestPublicExperiments(t *testing.T) {
-	exps := ppdm.Experiments()
-	if len(exps) != 13 {
-		t.Fatalf("Experiments() returned %d, want 13", len(exps))
-	}
-	res, err := ppdm.RunExperiment("E4", ppdm.ExperimentConfig{Scale: 0.05, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "F1") {
-		t.Error("E4 render missing F1 row")
 	}
 }
 

@@ -1,10 +1,12 @@
 // Command linkcheck fails (exit 1) when a markdown document references
-// repository paths that do not exist. It extracts every token that looks
-// like a repo path — anything under cmd/, internal/, examples/, scripts/,
-// or docs/, plus root-level *.go / *.json / *.md file names — and stats it
-// relative to the repository root, so architecture documentation cannot
-// drift to packages that were renamed or removed. CI runs it over
-// docs/ARCHITECTURE.md and the README.
+// repository paths or commands that do not exist. It extracts every token
+// that looks like a repo path — anything under cmd/, internal/, examples/,
+// scripts/, or docs/, plus root-level *.go / *.json / *.md file names —
+// and every command name that opens a code span (`ppdm-eval` or
+// `ppdm-eval -run ...`, which must resolve to cmd/ppdm-eval), and stats it
+// relative to the repository root, so documentation cannot drift to
+// packages or commands that were renamed or removed. CI runs it over
+// docs/ARCHITECTURE.md, the README and the verify skill.
 //
 // Usage: go run ./scripts/linkcheck <doc.md> [doc.md...]
 package main
@@ -21,6 +23,11 @@ import (
 // checkable extension.
 var pathPattern = regexp.MustCompile(
 	`(?:cmd|internal|examples|scripts|docs)(?:/[A-Za-z0-9_.-]+)+|[A-Za-z0-9_-]+\.(?:go|json|md)\b`)
+
+// commandPattern matches a ppdm command name at the start of a code span,
+// followed by a space or the closing backtick. Format names such as
+// `ppdm-nb/1` go on with a slash and do not match.
+var commandPattern = regexp.MustCompile("`(ppdm-[a-z0-9-]+)[ `]")
 
 func main() {
 	if len(os.Args) < 2 {
@@ -55,7 +62,11 @@ func check(doc string) ([]string, error) {
 	seen := make(map[string]bool)
 	var missing []string
 	for _, line := range strings.Split(string(data), "\n") {
-		for _, ref := range pathPattern.FindAllString(line, -1) {
+		refs := pathPattern.FindAllString(line, -1)
+		for _, m := range commandPattern.FindAllStringSubmatch(line, -1) {
+			refs = append(refs, "cmd/"+m[1])
+		}
+		for _, ref := range refs {
 			ref = strings.TrimRight(ref, ".")
 			if seen[ref] || skip(ref) {
 				continue
