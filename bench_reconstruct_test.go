@@ -1,10 +1,10 @@
 package ppdm_test
 
 // End-to-end Local-mode training on the banded reconstruction kernel: Local
-// re-reconstructs at every large node, through the per-training
-// node-geometry weight cache. The kernel's own dense-vs-banded pairs live
-// in internal/reconstruct, beside the dense-row oracle. Results land in
-// BENCH_reconstruct.json.
+// re-reconstructs at every large node, and its node matrices come from the
+// shared weight cache, warm after the first iteration. The kernel's own
+// dense-vs-banded pairs live in internal/reconstruct, beside the dense-row
+// oracle. Results land in BENCH_reconstruct.json.
 
 import (
 	"testing"

@@ -105,8 +105,8 @@ func BenchmarkPredict(b *testing.B) {
 //
 // Each pair runs the identical workload at Workers: 1 and Workers: 0 (all
 // cores); by the determinism contract the outputs are byte-identical, so the
-// pairs measure pure scheduling benefit. On a multi-core runner the parallel
-// variants should be ≥ 2× faster at 4+ cores; on a single-core machine they
+// pairs measure pure scheduling benefit. BENCH_parallel.json records the
+// ratios measured at GOMAXPROCS=2; on a single core the parallel variants
 // degenerate to the serial cost plus negligible chunking overhead.
 
 func benchPerturbWorkers(b *testing.B, workers int) {
@@ -181,3 +181,24 @@ func benchTrainByClassWorkers(b *testing.B, workers int) {
 
 func BenchmarkTrainByClassSerial(b *testing.B)   { benchTrainByClassWorkers(b, 1) }
 func BenchmarkTrainByClassParallel(b *testing.B) { benchTrainByClassWorkers(b, 0) }
+
+// benchTrainLocalWorkers trains Local on 20k records perturbed with uniform
+// noise at 100% privacy, the in-memory half of the repository benchmark's
+// train workload. The shared weight cache is warm after the first
+// iteration, so the pair times the node walks and the reconstructions.
+func benchTrainLocalWorkers(b *testing.B, workers int) {
+	b.Helper()
+	tb := benchData(b, 20000)
+	models, _ := ppdm.ModelsForAllAttrs(tb.Schema(), "uniform", 1.0, ppdm.DefaultConfidence)
+	perturbed, _ := ppdm.PerturbTable(tb, models, 2)
+	cfg := ppdm.TrainConfig{Mode: ppdm.Local, Noise: models, Workers: workers}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ppdm.Train(perturbed, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTrainLocalSerial(b *testing.B)   { benchTrainLocalWorkers(b, 1) }
+func BenchmarkTrainLocalParallel(b *testing.B) { benchTrainLocalWorkers(b, 0) }

@@ -47,17 +47,12 @@ func (d *Dataset) Add(items []int) error {
 // AddBatch appends a batch of transactions at once — the ingestion path of
 // the streamed transaction-file readers. The columns grow in place by the
 // words the batch needs and each row's bits are ORed into them, so the
-// growth cost spreads over the appends. On error the dataset is left
-// unchanged.
+// growth cost spreads over the appends. The batch is read once: each item
+// is checked as its bit is set, and on an out-of-range item the rows set so
+// far are taken back, so on error the dataset is left unchanged.
 func (d *Dataset) AddBatch(txs [][]int) error {
-	for _, items := range txs {
-		if err := d.checkItems(items); err != nil {
-			return err
-		}
-	}
 	first, old := d.n, d.words()
-	d.n += len(txs)
-	if grow := d.words() - old; grow > 0 {
+	if grow := (first+len(txs)+63)/64 - old; grow > 0 {
 		for it, col := range d.cols {
 			d.cols[it] = append(col, make([]uint64, grow)...)
 		}
@@ -66,10 +61,28 @@ func (d *Dataset) AddBatch(txs [][]int) error {
 		t := first + i
 		w, bit := t/64, uint64(1)<<(uint(t)%64)
 		for _, it := range items {
+			if uint(it) >= uint(d.numItems) {
+				d.truncate(first, old)
+				return fmt.Errorf("assoc: item %d outside universe [0,%d)", it, d.numItems)
+			}
 			d.cols[it][w] |= bit
 		}
 	}
+	d.n = first + len(txs)
 	return nil
+}
+
+// truncate takes back a failed AddBatch that began at row first, when
+// every column held old words: it cuts the columns back to old words and
+// clears the bits of rows first onwards in the last of them.
+func (d *Dataset) truncate(first, old int) {
+	for it, col := range d.cols {
+		col = col[:old]
+		if r := uint(first) % 64; r != 0 {
+			col[old-1] &= 1<<r - 1
+		}
+		d.cols[it] = col
+	}
 }
 
 // Index does nothing. The item columns are the dataset's only storage and

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -826,5 +827,85 @@ func TestKeyCanonical(t *testing.T) {
 	}
 	if (Itemset{Items: big}).Key() == (Itemset{Items: big[:39]}).Key() {
 		t.Error("long keys collide")
+	}
+}
+
+// TestAddBatchRejectsWithoutChange checks that a batch with an out-of-range
+// item — in its last row, or a negative one in an earlier row — leaves the
+// dataset as it was: N, every Contains, and every column's words. The
+// dataset starts mid-word and the batch crosses two word boundaries, so the
+// rejected rows have set bits in the old last word and in new words.
+func TestAddBatchRejectsWithoutChange(t *testing.T) {
+	const items = 5
+	batch := func(bad int, at int) [][]int {
+		txs := make([][]int, 150)
+		for i := range txs {
+			txs[i] = []int{i % items, (i + 2) % items}
+		}
+		txs[at] = []int{1, 3, bad}
+		return txs
+	}
+	for _, tc := range []struct {
+		name    string
+		bad, at int
+	}{
+		{"out of range in the last row", items, 149},
+		{"negative in an earlier row", -1, 90},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := NewDataset(items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 70; i++ {
+				if err := d.Add([]int{i % items, 4}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n := d.N()
+			contains := make([][]bool, n)
+			for i := range contains {
+				contains[i] = make([]bool, items)
+				for it := range contains[i] {
+					contains[i][it] = d.Contains(i, it)
+				}
+			}
+			words := make([][]uint64, items)
+			for it := range words {
+				words[it] = append([]uint64(nil), d.cols[it]...)
+			}
+			err = d.AddBatch(batch(tc.bad, tc.at))
+			want := fmt.Sprintf("assoc: item %d outside universe [0,%d)", tc.bad, items)
+			if err == nil || err.Error() != want {
+				t.Fatalf("AddBatch error %v, want %q", err, want)
+			}
+			if d.N() != n {
+				t.Errorf("N = %d after the rejected batch, %d before", d.N(), n)
+			}
+			for i := range contains {
+				for it, was := range contains[i] {
+					if d.Contains(i, it) != was {
+						t.Errorf("Contains(%d, %d) = %v after the rejected batch, %v before", i, it, !was, was)
+					}
+				}
+			}
+			for it := range words {
+				if !reflect.DeepEqual(d.cols[it], words[it]) {
+					t.Errorf("column %d holds words %x after the rejected batch, %x before", it, d.cols[it], words[it])
+				}
+			}
+			// The dataset takes the next batch as if nothing had happened.
+			if err := d.AddBatch(batch(0, 0)); err != nil {
+				t.Fatal(err)
+			}
+			for it := 0; it < items; it++ {
+				for i := n; i < d.N(); i++ {
+					tx := batch(0, 0)[i-n]
+					if want := slices.Contains(tx, it); d.Contains(i, it) != want {
+						t.Fatalf("row %d item %d: Contains %v after a good batch, want %v", i, it, !want, want)
+					}
+				}
+			}
+		})
 	}
 }

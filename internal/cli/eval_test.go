@@ -165,6 +165,14 @@ func assocFileScenario(t *testing.T, txPath string) (string, string) {
 // sets no generator fields, so it can only run on the file.
 func TestEvalAssocFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tx.dat")
+	writeTxFile(t, path)
+	scenarios, baselines := assocFileScenario(t, path)
+	updateThenGateAssocFile(t, scenarios, baselines)
+}
+
+// writeTxFile writes 2000 transactions with one dominant pattern to path.
+func writeTxFile(t *testing.T, path string) {
+	t.Helper()
 	var sb strings.Builder
 	for i := 0; i < 2000; i++ {
 		if i%3 == 0 {
@@ -176,7 +184,13 @@ func TestEvalAssocFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	scenarios, baselines := assocFileScenario(t, path)
+}
+
+// updateThenGateAssocFile records the tiny-txfile scenario's baseline with
+// -update, then checks that the gated rerun passes and recovers the file's
+// itemsets exactly.
+func updateThenGateAssocFile(t *testing.T, scenarios, baselines string) {
+	t.Helper()
 	args := []string{"-scenarios", scenarios, "-baselines", baselines}
 	if out, errOut, code := runCmd(t, evalCmd, append(args, "-update")); code != 0 {
 		t.Fatalf("update failed: exit %d\n%s%s", code, out, errOut)
@@ -190,6 +204,16 @@ func TestEvalAssocFile(t *testing.T) {
 	if !strings.Contains(out, `"accuracy": 1,`) {
 		t.Errorf("itemsets of the file not recovered exactly:\n%s", out)
 	}
+}
+
+// TestEvalAssocFileRelative names the transaction file relatively in the
+// scenario and runs ppdm-eval from another directory: the file resolves
+// against the scenario file's directory, not the working directory.
+func TestEvalAssocFileRelative(t *testing.T) {
+	scenarios, baselines := assocFileScenario(t, "tx.dat")
+	writeTxFile(t, filepath.Join(scenarios, "tx.dat"))
+	t.Chdir(t.TempDir())
+	updateThenGateAssocFile(t, scenarios, baselines)
 }
 
 // TestEvalAssocFileMissing: a transaction file that does not exist fails

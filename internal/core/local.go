@@ -2,6 +2,7 @@ package core
 
 import (
 	"ppdm/internal/dataset"
+	"ppdm/internal/parallel"
 	"ppdm/internal/reconstruct"
 	"ppdm/internal/tree"
 )
@@ -24,81 +25,90 @@ import (
 // Reconstruction at a node is restricted to the attribute's feasible
 // sub-domain (the span the grower passes down) and is skipped for nodes or
 // classes with too few records to support a meaningful deconvolution.
+// Node sub-partitions inherit the root partition's interval width at
+// varying offsets, and the shared weight cache keys matrices by that
+// canonicalised geometry, so sibling nodes, recurring span shapes and later
+// trainings of the same table re-hit matrices instead of rebuilding them.
 // The parallel split search invokes NodeDistributions concurrently for
 // different attributes, so it allocates fresh result slices per call.
 type localSource struct {
 	*tree.StaticSource
-	table *dataset.Table
-	parts []reconstruct.Partition
-	cfg   Config
-	// wcache is this training run's private transition-matrix cache. Node
-	// sub-partitions inherit the root partition's interval width at varying
-	// offsets, and the banded kernel keys matrices by canonicalised
-	// (width, offset, band) geometry — so sibling nodes and recurring span
-	// shapes re-hit entries here instead of rebuilding every matrix, while
-	// never evicting the shared cache's recurring root-partition entries.
-	wcache *reconstruct.WeightCache
+	// values[attr] is the perturbed column of attribute attr in row order,
+	// nil for an unperturbed attribute: a column-major copy of the table, so
+	// a node's walk reads one column instead of one row slice per record.
+	values [][]float64
+	parts  []reconstruct.Partition
+	cfg    Config
 }
 
-// localWeightCacheEntries bounds one Local training run's private
-// node-geometry cache. Node matrices are small (span-count × observation
-// rows, band-limited), so the bound is generous.
-const localWeightCacheEntries = 256
+// newLocalSource wraps the root ByClass assignment with the perturbed
+// columns Local re-reconstructs from.
+func newLocalSource(static *tree.StaticSource, t *dataset.Table, parts []reconstruct.Partition, cfg Config) *localSource {
+	values := make([][]float64, len(parts))
+	for j := range values {
+		if _, perturbed := cfg.Noise[j]; perturbed {
+			values[j] = t.Column(j)
+		}
+	}
+	return &localSource{StaticSource: static, values: values, parts: parts, cfg: cfg}
+}
 
 // NodeDistributions implements tree.DistribSource: per-class expected
 // interval counts of attr at this node, reconstructed from the node's
 // perturbed values over the feasible sub-domain. ok is false when the node
-// (or any non-empty class in it) is too small, or the attribute is not
-// perturbed; the grower then counts the node's root ByClass assignments.
+// (or any non-empty class in it) is too small, a value is not finite, or
+// the attribute is not perturbed; the grower then counts the node's root
+// ByClass assignments.
+//
+// One walk over the node's rows adds every value to its class's collector;
+// the classes then reconstruct as index-addressed parallel tasks, so the
+// distributions are the same at any worker count.
 func (s *localSource) NodeDistributions(attr int, rows []int, span tree.Span) ([][]float64, bool) {
 	m, perturbed := s.cfg.Noise[attr]
 	if !perturbed || len(rows) < s.cfg.LocalMinRecords || span.Count() < 2 {
 		return nil, false
-	}
-	classes, labels := s.NumClasses(), s.Labels()
-	sizes := make([]int, classes)
-	for _, r := range rows {
-		sizes[labels[r]]++
-	}
-	for _, n := range sizes {
-		if n > 0 && n < s.cfg.LocalMinRecords/4 {
-			return nil, false
-		}
-	}
-	byClassVals := make([][]float64, classes)
-	for c, n := range sizes {
-		byClassVals[c] = make([]float64, 0, n)
-	}
-	for _, r := range rows {
-		c := labels[r]
-		byClassVals[c] = append(byClassVals[c], s.table.Row(r)[attr])
 	}
 	part := s.parts[attr]
 	sub, err := reconstruct.NewPartition(part.LoEdge(span.Lo), part.HiEdge(span.Hi), span.Count())
 	if err != nil {
 		return nil, false
 	}
-
-	dist := make([][]float64, classes)
-	for c := 0; c < classes; c++ {
-		dist[c] = make([]float64, part.K)
-		vals := byClassVals[c]
-		if len(vals) == 0 {
-			continue
-		}
-		// Node sub-partitions resolve against the per-training cache: their
-		// canonicalised geometries repeat across nodes and subtrees, and the
-		// private cache keeps them from evicting the shared cache's
-		// recurring root-partition entries.
-		rcfg := reconCfg(s.cfg, sub, m)
-		rcfg.Cache = s.wcache
-		res, err := reconstruct.Reconstruct(vals, rcfg)
-		if err != nil {
+	byClass := make([]*reconstruct.Collector, s.NumClasses())
+	for c := range byClass {
+		if byClass[c], err = reconstruct.NewCollector(sub, m); err != nil {
 			return nil, false
 		}
-		for b, p := range res.P {
-			dist[c][span.Lo+b] = p * float64(len(vals))
+	}
+	labels, values := s.Labels(), s.values[attr]
+	for _, r := range rows {
+		if byClass[labels[r]].Add(values[r]) != nil {
+			return nil, false
 		}
+	}
+	for _, c := range byClass {
+		if n := c.N(); n > 0 && n < s.cfg.LocalMinRecords/4 {
+			return nil, false
+		}
+	}
+
+	dist := make([][]float64, len(byClass))
+	err = parallel.ForEach(len(byClass), s.cfg.Workers, func(c int) error {
+		dist[c] = make([]float64, part.K)
+		col := byClass[c]
+		if col.N() == 0 {
+			return nil
+		}
+		res, err := col.Reconstruct(reconCfg(s.cfg, sub, m))
+		if err != nil {
+			return err
+		}
+		for b, p := range res.P {
+			dist[c][span.Lo+b] = p * float64(col.N())
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, false
 	}
 	return dist, true
 }

@@ -50,13 +50,7 @@ func buildLocalSource(t *testing.T, n int) (*localSource, map[int]noise.Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &localSource{
-		StaticSource: static,
-		table:        perturbed,
-		parts:        parts,
-		cfg:          cfg,
-		wcache:       reconstruct.NewWeightCache(localWeightCacheEntries),
-	}, models
+	return newLocalSource(static, perturbed, parts, cfg), models
 }
 
 // TestLocalRoutesLikeByClass trains Local with LocalMinRecords above the
@@ -211,32 +205,44 @@ func TestTrainSingleClassData(t *testing.T) {
 	}
 }
 
-// TestLocalNodeCacheReHit asserts the Local-mode tentpole win: repeated node
-// geometries (same span, same attribute family width, same observation
-// layout) resolve from the per-training weight cache instead of rebuilding
-// their transition matrices at every node.
+// TestLocalNodeCacheReHit pins Local's use of the shared weight cache:
+// node sub-partitions key their matrices by canonicalised geometry, so a
+// second training of the same table finds every matrix the first built —
+// the root ByClass ones and every node's — and misses the shared cache zero
+// times.
 func TestLocalNodeCacheReHit(t *testing.T) {
-	src, _ := buildLocalSource(t, 3000)
-	rows := make([]int, len(src.Labels()))
-	for i := range rows {
-		rows[i] = i
+	train, err := synth.Generate(synth.Config{Function: synth.F2, N: 3000, Seed: 61})
+	if err != nil {
+		t.Fatal(err)
 	}
-	span := tree.Span{Lo: 5, Hi: 30}
-	if _, ok := src.NodeDistributions(synth.AttrSalary, rows, span); !ok {
-		t.Fatal("NodeDistributions declined a large node")
+	models, err := noise.ModelsForAllAttrs(train.Schema(), "gaussian", 1.0, noise.DefaultConfidence)
+	if err != nil {
+		t.Fatal(err)
 	}
-	after1 := src.wcache.Stats()
-	if after1.Misses == 0 {
-		t.Fatal("first node reconstruction did not touch the per-training cache")
+	perturbed, err := noise.PerturbTable(train, models, 62)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := src.NodeDistributions(synth.AttrSalary, rows, span); !ok {
-		t.Fatal("NodeDistributions declined on the second call")
+	cfg := Config{Mode: Local, Noise: models, LocalMinRecords: 200}
+	first, err := Train(perturbed, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	after2 := src.wcache.Stats()
-	if after2.Misses != after1.Misses {
-		t.Errorf("repeated node geometry recomputed its matrices (misses %d -> %d)", after1.Misses, after2.Misses)
+	before := reconstruct.SharedWeightCacheStats()
+	second, err := Train(perturbed, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if after2.Hits <= after1.Hits {
-		t.Errorf("repeated node geometry did not re-hit the cache (hits %d -> %d)", after1.Hits, after2.Hits)
+	after := reconstruct.SharedWeightCacheStats()
+	if after.Misses != before.Misses {
+		t.Errorf("the second training missed the shared cache %d times", after.Misses-before.Misses)
+	}
+	// The root ByClass reconstructions look up one matrix per perturbed
+	// attribute and class; every lookup beyond those is a node's.
+	if roots := uint64(len(models) * perturbed.Schema().NumClasses()); after.Hits-before.Hits <= roots {
+		t.Errorf("the second training hit the shared cache %d times, no more than its %d root lookups", after.Hits-before.Hits, roots)
+	}
+	if first.Tree.String() != second.Tree.String() {
+		t.Error("the second training grew a different tree")
 	}
 }

@@ -127,13 +127,7 @@ func Train(train *dataset.Table, cfg Config) (*Classifier, error) {
 	}
 	var src tree.Source = static
 	if cfg.Mode == Local {
-		src = &localSource{
-			StaticSource: static,
-			table:        train,
-			parts:        parts,
-			cfg:          cfg,
-			wcache:       reconstruct.NewWeightCache(localWeightCacheEntries),
-		}
+		src = newLocalSource(static, train, parts, cfg)
 	}
 
 	tr, err := tree.Grow(src, cfg.Tree)

@@ -9,7 +9,8 @@
 // and bimodal shapes), assoc (frequent-itemset mining over randomized
 // transactions, generated or read from a transaction file with
 // assoc.file), and response (Warner randomized-response prevalence
-// estimation) — plus per-metric gates. Loading is strict:
+// estimation) — plus per-metric gates. A relative data file resolves
+// against the scenario file's directory. Loading is strict:
 // unknown fields are rejected and malformed JSON yields positional
 // (file:line:col) errors, so a typo in a scenario cannot silently widen a
 // gate.

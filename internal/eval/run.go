@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -33,9 +32,6 @@ type Config struct {
 	// Workers bounds scenario-level and in-scenario parallelism (0 = all
 	// cores). Metrics are identical for every value.
 	Workers int
-	// FileDir resolves relative DataSpec.File and AssocSpec.File paths
-	// ("" = current directory).
-	FileDir string
 	// Baselines maps scenario name -> committed baseline (LoadBaselines).
 	// Scenarios without an entry for the run's scale gate as "no-baseline"
 	// failures.
@@ -83,11 +79,11 @@ func runOne(s *Spec, cfg Config) Result {
 		if s.Classify.Workers != 0 {
 			workers = s.Classify.Workers
 		}
-		m, err = runClassify(s.Classify, cfg, workers)
+		m, err = runClassify(s, cfg.Scale, workers)
 	case KindReconstruct:
 		m, err = runReconstruct(s.Reconstruct, cfg.Scale, workers)
 	case KindAssoc:
-		m, err = runAssoc(s.Assoc, cfg, workers)
+		m, err = runAssoc(s, cfg.Scale, workers)
 	case KindResponse:
 		m, err = runResponse(s.Response, cfg.Scale)
 	default:
@@ -116,19 +112,11 @@ func scaledN(base int, scale float64, minN, def int) int {
 	return n
 }
 
-// path resolves a scenario's data file against FileDir.
-func (c Config) path(file string) string {
-	if filepath.IsAbs(file) || c.FileDir == "" {
-		return file
-	}
-	return filepath.Join(c.FileDir, file)
-}
-
-// loadData materializes a DataSpec: a scaled synthetic draw or a CSV file
-// in the benchmark schema.
-func loadData(d *DataSpec, cfg Config, minDef int) (*dataset.Table, error) {
+// loadData materializes one of scenario s's DataSpecs: a scaled synthetic
+// draw or a CSV file in the benchmark schema.
+func loadData(s *Spec, d *DataSpec, scale float64, minDef int) (*dataset.Table, error) {
 	if d.File != "" {
-		f, err := os.Open(cfg.path(d.File))
+		f, err := os.Open(s.path(d.File))
 		if err != nil {
 			return nil, err
 		}
@@ -141,19 +129,20 @@ func loadData(d *DataSpec, cfg Config, minDef int) (*dataset.Table, error) {
 	}
 	return synth.Generate(synth.Config{
 		Function: fn,
-		N:        scaledN(d.N, cfg.Scale, d.MinN, minDef),
+		N:        scaledN(d.N, scale, d.MinN, minDef),
 		Seed:     d.Seed,
 	})
 }
 
 // runClassify drives the perturb → reconstruct → learn → evaluate pipeline
 // and measures accuracy, privacy, fidelity, and training throughput.
-func runClassify(c *ClassifySpec, cfg Config, workers int) (measured, error) {
-	clean, err := loadData(&c.Train, cfg, DefaultMinTrain)
+func runClassify(s *Spec, scale float64, workers int) (measured, error) {
+	c := s.Classify
+	clean, err := loadData(s, &c.Train, scale, DefaultMinTrain)
 	if err != nil {
 		return measured{}, fmt.Errorf("train data: %w", err)
 	}
-	test, err := loadData(&c.Test, cfg, DefaultMinTest)
+	test, err := loadData(s, &c.Test, scale, DefaultMinTest)
 	if err != nil {
 		return measured{}, fmt.Errorf("test data: %w", err)
 	}
@@ -419,17 +408,18 @@ func reconSeries(r *ReconstructSpec, n, workers int) ([]float64, []reconPoint, e
 // measures itemset-recovery F1, the channel's randomization level, and the
 // support-estimation error on the planted patterns, or on the clean
 // reference itemsets when the transactions come from a file.
-func runAssoc(a *AssocSpec, cfg Config, workers int) (measured, error) {
+func runAssoc(s *Spec, scale float64, workers int) (measured, error) {
+	a := s.Assoc
 	var (
 		data     *assoc.Dataset
 		patterns [][]int
 		err      error
 	)
 	if a.File != "" {
-		data, err = assoc.ReadTransactionsFile(cfg.path(a.File), 0)
+		data, err = assoc.ReadTransactionsFile(s.path(a.File), 0)
 	} else {
 		data, patterns, err = assoc.Generate(assoc.GenConfig{
-			N:     scaledN(a.N, cfg.Scale, a.MinN, DefaultMinBaskets),
+			N:     scaledN(a.N, scale, a.MinN, DefaultMinBaskets),
 			Items: a.Items, Patterns: a.Patterns,
 			PatternSize: a.PatternSize, PatternProb: a.PatternProb, Seed: a.Seed,
 		})

@@ -257,7 +257,8 @@ func TestRunScenarioErrorIsReported(t *testing.T) {
 	if err := bad.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run([]*Spec{bad, responseSpec(t, "resp")}, Config{Scale: 1, FileDir: t.TempDir()})
+	bad.dir = t.TempDir()
+	rep, err := Run([]*Spec{bad, responseSpec(t, "resp")}, Config{Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,6 +88,21 @@ type Spec struct {
 	// absolute DefaultTolerance gate; throughput without an entry is not
 	// gated.
 	Gates map[string]Gate `json:"gates,omitempty"`
+
+	// dir is the directory LoadFile read the scenario from; a relative
+	// DataSpec.File or AssocSpec.File resolves against it. It is empty for
+	// a spec built in code, whose relative files resolve against the
+	// working directory.
+	dir string
+}
+
+// path resolves one of the scenario's data files: an absolute path as it
+// is, a relative one against the scenario file's directory.
+func (s *Spec) path(file string) string {
+	if filepath.IsAbs(file) || s.dir == "" {
+		return file
+	}
+	return filepath.Join(s.dir, file)
 }
 
 // DataSpec declares a dataset: either a synthetic-benchmark draw
@@ -102,8 +117,9 @@ type DataSpec struct {
 	MinN int `json:"min_n,omitempty"`
 	// Seed drives the draw.
 	Seed uint64 `json:"seed,omitempty"`
-	// File is a CSV path (relative to the run's base directory) in the
-	// benchmark schema, mutually exclusive with Function.
+	// File is a CSV path in the benchmark schema, mutually exclusive with
+	// Function. A relative path resolves against the directory of the
+	// scenario file.
 	File string `json:"file,omitempty"`
 }
 
@@ -186,8 +202,9 @@ type ReconstructSpec struct {
 // AssocSpec configures frequent-itemset mining over randomized
 // transactions, either generated baskets or a transaction file.
 type AssocSpec struct {
-	// File is a plain-text transaction file (relative to the run's base
-	// directory) to mine instead of generated baskets: one transaction per
+	// File is a plain-text transaction file (a relative path resolves
+	// against the directory of the scenario file) to mine instead of
+	// generated baskets: one transaction per
 	// line, items as space-separated non-negative integer IDs, with the
 	// item universe inferred from the largest ID. A file is never scaled,
 	// the generator fields (n, min_n, items, patterns, pattern_size,
@@ -257,12 +274,18 @@ var reconShapes = map[string]func(n int, r *prng.Source) []float64{
 
 // LoadFile parses and validates one scenario file. Unknown fields are
 // rejected, and malformed JSON is reported with its file:line:col position.
+// The spec's relative data files resolve against the file's directory.
 func LoadFile(path string) (*Spec, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return parseSpec(path, raw)
+	s, err := parseSpec(path, raw)
+	if err != nil {
+		return nil, err
+	}
+	s.dir = filepath.Dir(path)
+	return s, nil
 }
 
 // parseSpec decodes and validates one scenario from raw, naming it path in

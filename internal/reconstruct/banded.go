@@ -40,9 +40,10 @@ const DefaultTailMass = 1e-12
 // line (weightKey exploits this for per-node sub-partitions in Local-mode
 // training).
 //
-// The matrix is stored twice, in the two orders the two iteration passes
-// stream it: row-major (data, indexed by off) for denomPass's q = A·p, and
-// column-major (tData, indexed by tOff/tLo) for updatePass's p ⊙ Aᵀq. The
+// The matrix is stored twice, in the two orders the two mat-vec passes of
+// an iteration stream it: row-major (data, indexed by off) for coefPass's
+// A·p, and column-major (tData, indexed by tOff/tLo) for updatePass's
+// p ⊙ Aᵀq. The
 // transposed slab is a gather of the row slab — same bits — with each
 // column's covering rows packed contiguously in increasing s, which is
 // exactly the fold order the update pass owes the determinism goldens.
@@ -246,17 +247,18 @@ func computeWeights(m noise.Model, alg Algorithm, width float64, k, lowIdx, nObs
 	return w
 }
 
-// iterScratch is the reusable per-call state of the fused iteration:
-// the current and next estimates (length k), the per-observation-row
-// vector that holds denominators, then update coefficients (length m), and
-// the prefix sums of p, then of the coefficients (length max(k, m)+1).
-// Instances cycle through scratchPool so steady-state reconstruction — the
-// per-node Local-mode path and serving-adjacent callers — performs no
-// iteration-state allocation; only the observation grid and the returned
-// estimate are fresh per call.
+// iterScratch is the reusable per-call state of the iteration: the current
+// and next estimates (length k), every observation row's share of the
+// observations, cnt/n, set once per reconstruction (frac, length m), the
+// per-row update coefficients (q, length m), and one prefix-sum buffer
+// (length max(k, m)+1) that holds p's sums for the row pass and q's for the
+// column pass. Instances cycle through scratchPool so steady-state
+// reconstruction — the per-node Local-mode path and serving-adjacent
+// callers — performs no iteration-state allocation; only the observation
+// grid and the returned estimate are fresh per call.
 type iterScratch struct {
 	p, next []float64
-	q       []float64
+	frac, q []float64
 	pre     []float64
 }
 
@@ -270,26 +272,27 @@ func (sc *iterScratch) ensure(k, m int) {
 	}
 	sc.p, sc.next = sc.p[:k], sc.next[:k]
 	if cap(sc.q) < m {
+		sc.frac = make([]float64, m)
 		sc.q = make([]float64, m)
 	}
-	sc.q = sc.q[:m]
+	sc.frac, sc.q = sc.frac[:m], sc.q[:m]
 	if n := max(k, m) + 1; cap(sc.pre) < n {
 		sc.pre = make([]float64, n)
 	}
 }
 
-// Fixed chunk grids for the parallel accumulation passes. The grids depend
-// only on the problem size (determinism contract); iterWorkMin is the
-// per-iteration term count of the two passes (bandedWeights.work) below
-// which they stay serial — goroutine fan-out costs more than it saves on
-// small grids.
+// Fixed chunk grids for the parallel row and column passes. The grids
+// depend only on the problem size (determinism contract); iterWorkMin is
+// the per-iteration term count of the two passes (bandedWeights.work)
+// below which they stay serial — goroutine fan-out costs more than it
+// saves on small grids.
 const (
 	iterRowChunk    = 128
 	iterColumnChunk = 128
 	iterWorkMin     = 1 << 16
 )
 
-// iterWorkers resolves the worker count for the fused iteration passes:
+// iterWorkers resolves the worker count for the row and column passes:
 // the configured count, forced serial when the work left after the folds
 // compress their runs is too small to amortize scheduling. Results are
 // identical either way.
@@ -364,44 +367,46 @@ func prefixSums(x, pre []float64) {
 	}
 }
 
-// denomPass computes q[s] = Σ_t A[s][t]·p[t] for every observation row
-// (the band-limited A·p mat-vec). Rows are independent and index-addressed,
-// so the chunked parallel run is bitwise deterministic.
+// coefPass sets q[s] to observation row s's update coefficient
+// frac[s]/(A·p)[s], or to the sentinel −frac[s] when the row's denominator
+// (A·p)[s] is not positive: a row the current estimate cannot explain
+// (possible with bounded noise and values far outside the domain), whose
+// share foldCoefs moves into the fallback. A row without observations
+// (frac[s] = 0) gets 0. Rows are independent and index-addressed, so the
+// chunked parallel run is bitwise deterministic.
 //
-// Each row is evaluated through its fold. The cells before and after the
-// run are contiguous slab slices, dotted against the matching p windows by
-// the unrolled kernel in index order; the run, whose cells all equal v,
-// adds v·(P[runHi] − P[runLo]) between them, where P holds the prefix sums
-// of p that the pass takes first — serially, and only when the matrix has a
-// run (pre is scratch of length ≥ k+1). A row without a run is one dot64
-// over its nonzero span, which is the plain fold of its whole band bit for
-// bit: the dropped end cells are zeros. A run's sum rounds differently
-// from the cell-by-cell fold: it is exact to a few roundings of the mass
-// of p up to the run, not of the run's own. Estimates from the uniform
-// start therefore move at the rounding level under uniform noise and not
-// at all under noise without runs; a prior with entries far below its
-// total mass can move them further (Config.Prior).
+// Each row's denominator is evaluated through its fold. The cells before
+// and after the run are contiguous slab slices, dotted against the
+// matching p windows by the unrolled kernel in index order; the run, whose
+// cells all equal v, adds v·(P[runHi] − P[runLo]) between them, where P
+// holds the prefix sums of p in pre (closePass wrote them). A row without a
+// run is one dot64 over its nonzero span, which is the plain fold of its
+// whole band bit for bit: the dropped end cells are zeros. A run's sum
+// rounds differently from the cell-by-cell fold: it is exact to a few
+// roundings of the mass of p up to the run, not of the run's own.
+// Estimates from the uniform start therefore move at the rounding level
+// under uniform noise and not at all under noise without runs; a prior
+// with entries far below its total mass can move them further
+// (Config.Prior).
 //
-// The serial run calls denomRows directly: a function literal is
+// The serial run calls coefRows directly: a function literal is
 // heap-allocated wherever it is evaluated, so the chunked branch alone
 // builds one.
-func denomPass(w *bandedWeights, counts []int, p, pre, q []float64, workers int) {
-	if w.runs {
-		prefixSums(p, pre)
-	}
+func coefPass(w *bandedWeights, frac, p, pre, q []float64, workers int) {
 	if workers == 1 {
-		denomRows(w, counts, p, pre, q, 0, w.m)
+		coefRows(w, frac, p, pre, q, 0, w.m)
 		return
 	}
 	parallel.ForEachChunk(w.m, iterRowChunk, workers, func(_, lo, hi int) {
-		denomRows(w, counts, p, pre, q, lo, hi)
+		coefRows(w, frac, p, pre, q, lo, hi)
 	})
 }
 
-// denomRows is denomPass over the rows [lo, hi).
-func denomRows(w *bandedWeights, counts []int, p, pre, q []float64, lo, hi int) {
+// coefRows is coefPass over the rows [lo, hi).
+func coefRows(w *bandedWeights, frac, p, pre, q []float64, lo, hi int) {
 	for s := lo; s < hi; s++ {
-		if counts[s] == 0 {
+		fs := frac[s]
+		if fs == 0 {
 			q[s] = 0
 			continue
 		}
@@ -416,8 +421,33 @@ func denomRows(w *bandedWeights, counts []int, p, pre, q []float64, lo, hi int) 
 				acc += dot64(w.data[f.at+f.runHi-f.lo:f.at+f.hi-f.lo], p[f.runHi:])
 			}
 		}
-		q[s] = acc
+		if acc > 0 {
+			q[s] = fs / acc
+		} else {
+			q[s] = -fs
+		}
 	}
+}
+
+// foldCoefs is the serial pass between the row and the column pass. In
+// index order it moves the share of every row coefPass marked with a
+// sentinel into the returned fallback coefficient, zeroing the row's own,
+// and writes the prefix sums of the coefficients into pre, so the fallback
+// and every run of the column pass add the same bits at any worker count.
+func foldCoefs(q, pre []float64) (fallback float64) {
+	pre = pre[:len(q)+1]
+	var acc float64
+	pre[0] = 0
+	for s, v := range q {
+		if v < 0 {
+			fallback += -v
+			v = 0
+			q[s] = 0
+		}
+		acc += v
+		pre[s+1] = acc
+	}
+	return fallback
 }
 
 // updatePass computes next[t] = Σ_s q[s]·A[s][t]·p[t] + fallback·p[t] (the
@@ -443,15 +473,11 @@ func denomRows(w *bandedWeights, counts []int, p, pre, q []float64, lo, hi int) 
 //     (weights, coefficients, and estimate entries are all ≥ 0) returns the
 //     accumulator unchanged, so every partial sum matches the skipping loop.
 //
-// Columns are evaluated through their folds as rows are in denomPass: the
+// Columns are evaluated through their folds as rows are in coefPass: the
 // cells outside the run by scaledDot64 in increasing s, the run as
 // (v·(Q[runHi] − Q[runLo]))·p[t], where Q holds the prefix sums of q that
-// the pass takes first when the matrix has a run. A column without a run
-// folds exactly as before.
+// foldCoefs wrote into pre. A column without a run folds exactly as before.
 func updatePass(w *bandedWeights, q, p, pre, next []float64, fallback float64, workers int) {
-	if w.runs {
-		prefixSums(q, pre)
-	}
 	if workers == 1 {
 		updateCols(w, q, p, pre, next, fallback, 0, w.k)
 		return
@@ -481,4 +507,36 @@ func updateCols(w *bandedWeights, q, p, pre, next []float64, fallback float64, l
 		}
 		next[t] = acc
 	}
+}
+
+// closePass ends an iteration: it makes next the new estimate p and
+// returns the total variation between the two estimates. It sums next
+// serially in index order, then divides every entry by the sum or, when the
+// sum is not a positive finite number, sets the uniform distribution — the
+// two branches of stats.Normalize. In the same index-order loop it
+// accumulates |p − v|, halved at the end as stats.TotalVariation does,
+// writes v into p, and writes the prefix sums of the new p into pre for the
+// next row pass.
+func closePass(next, p, pre []float64) float64 {
+	p = p[:len(next)]
+	pre = pre[:len(next)+1]
+	var sum float64
+	for _, x := range next {
+		sum += x
+	}
+	uniform := !(sum > 0) || math.IsInf(sum, 1)
+	u := 1 / float64(len(next))
+	var l1, acc float64
+	pre[0] = 0
+	for i, x := range next {
+		v := u
+		if !uniform {
+			v = x / sum
+		}
+		l1 += math.Abs(p[i] - v)
+		p[i] = v
+		acc += v
+		pre[i+1] = acc
+	}
+	return l1 / 2
 }

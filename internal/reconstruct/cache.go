@@ -27,9 +27,13 @@ type weightKey struct {
 
 // DefaultWeightCacheEntries bounds the shared transition-matrix cache.
 // Global/ByClass training over a realistic schema touches a few dozen
-// distinct geometries; the bound only exists to keep pathological callers
-// (scans over thousands of partitions) from growing the cache without limit.
-const DefaultWeightCacheEntries = 128
+// distinct root geometries, and Local training a few hundred node
+// geometries more: the benchmark's four 20k-record Local tables, seeds 1–5,
+// touch 302–356 of them (about 10–11 MB of matrices) beside 34 root ones.
+// The bound keeps them all resident across trainings and only exists to
+// keep pathological callers (scans over thousands of partitions) from
+// growing the cache without limit.
+const DefaultWeightCacheEntries = 512
 
 // CacheStats reports the behaviour of one WeightCache.
 type CacheStats struct {
@@ -41,11 +45,12 @@ type CacheStats struct {
 }
 
 // WeightCache is a bounded LRU of banded transition matrices. The shared
-// instance serves all reconstructions by default (Global/ByClass training
-// reconstructs every attribute × class with the same geometry family, and
-// the eval scenarios repeat those trainings), while Local-mode training
-// creates a private per-training cache for its node sub-partition
-// geometries so they cannot evict the recurring root entries.
+// instance serves all reconstructions by default: Global/ByClass training
+// reconstructs every attribute × class with the same geometry family, Local
+// training's node sub-partitions repeat their geometries across nodes,
+// subtrees and trainings, and the eval scenarios repeat those trainings. A
+// caller that must not share matrices (a cold-cache measurement) passes its
+// own instance in Config.Cache.
 //
 // A WeightCache is safe for concurrent use. Cached matrices are shared and
 // treated as read-only by every consumer.

@@ -133,7 +133,7 @@ func TestWeightCacheLRUBound(t *testing.T) {
 }
 
 // TestPrivateWeightCache checks that Config.Cache isolates a workload from
-// the shared cache, as Local-mode training relies on.
+// the shared cache, as a measurement that must start cold relies on.
 func TestPrivateWeightCache(t *testing.T) {
 	vals, m, part := cachePerturbed(t, 2000)
 	ResetSharedWeightCache()
@@ -155,7 +155,7 @@ func TestPrivateWeightCache(t *testing.T) {
 // TestWeightCacheCanonicalTranslation verifies the canonicalised key: two
 // partitions with identical width/interval-count geometry at different
 // absolute positions share one matrix, which is what lets Local-mode node
-// sub-partitions re-hit the per-training cache.
+// sub-partitions re-hit the shared cache.
 func TestWeightCacheCanonicalTranslation(t *testing.T) {
 	m := noise.Uniform{Alpha: 7}
 	r := prng.New(5)

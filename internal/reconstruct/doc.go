@@ -31,19 +31,28 @@
 // count, grid offset, length, band radius) share one bitwise-identical
 // matrix, and the bounded LRU WeightCache exploits exactly that key.
 //
-// Each iteration runs as two fused band-limited mat-vec passes over the
-// slab — q = A·p (per-row denominators), then next = p ⊙ Aᵀq — with
-// iteration state in pooled scratch buffers (sync.Pool) so steady-state
-// callers allocate only the observation grid and the returned estimate;
-// an iteration itself allocates nothing.
+// Each observation row's share of the observations, cnt/n, is taken once
+// per reconstruction. Each iteration is then one loop of five passes: a
+// band-limited row pass over the slab that turns A·p into every row's
+// update coefficient share/(A·p), a serial pass that folds the rows the
+// estimate cannot explain into one fallback coefficient and takes the
+// coefficients' prefix sums, a band-limited column pass next = p ⊙ Aᵀq, a
+// serial sum of next, and a closing pass that normalizes next into p,
+// accumulates the total variation between the two and takes p's prefix
+// sums for the next iteration. Every sum keeps the index order of the
+// plain loop it replaced (normalize, total variation, copy), so the
+// estimate is the same bits. Iteration state lives in pooled scratch
+// buffers (sync.Pool) so steady-state callers allocate only the
+// observation grid and the returned estimate; an iteration itself
+// allocates nothing.
 //
 // # Run-compressed rows
 //
 // When a matrix is built, each row and each transposed column is described
 // once by a fold: its span of nonzero cells and at most one run of at
-// least eight bit-equal cells inside it. The passes take serial,
-// index-order prefix sums of p (and of the coefficients), add a run as
-// v·(P[hi] − P[lo]) and fold the cells outside it in index order. Under
+// least eight bit-equal cells inside it. The two mat-vec passes read the
+// serial, index-order prefix sums of p (and of the coefficients), add a
+// run as v·(P[hi] − P[lo]) and fold the cells outside it in index order. Under
 // uniform noise a Bayes row is one run of the density 1/(2α), so an
 // iteration costs O(m+k) instead of O(m·band); uniform EM rows form runs
 // where the interval width makes the CDF differences exact (widths 0.5, 1
@@ -56,10 +65,19 @@
 // is added (an explicit float64 conversion), so no architecture fuses a
 // multiply-add into the kernel.
 //
-// When the work left after that compression is large, both passes shard
-// over fixed chunk grids on internal/parallel; every per-interval fold runs
-// in index order and the prefix sums are serial, so the estimate is
-// bit-identical at any worker count.
+// When the work left after that compression is large, both mat-vec passes
+// shard over fixed chunk grids on internal/parallel; every per-interval
+// fold runs in index order and the prefix sums are serial, so the estimate
+// is bit-identical at any worker count.
+//
+// # Weight cache
+//
+// Matrices are cached in one bounded LRU shared by every reconstruction
+// (DefaultWeightCacheEntries): the root geometries of Global and ByClass
+// training, and the node sub-partitions of Local training, which keep the
+// root partition's width at varying offsets and so repeat their canonical
+// keys across nodes, subtrees and trainings. Config.Cache substitutes a
+// caller's own cache, for a measurement that must start cold.
 //
 // # Band and tail semantics
 //

@@ -58,7 +58,9 @@ func randomKernelGeometry(seed uint64) (w *bandedWeights, counts []int, p, q []f
 // including empty rows, clamped bands, zero coefficients, and the fallback
 // term — and every one with a run must come within 1e-12 of its largest
 // cell times the mass of the vector it folds, the error a run's prefix-sum
-// difference can add.
+// difference can add. coefPass must fold every row exactly as denomPass
+// does: its coefficient is the row's share over that denominator, or the
+// negated share where the denominator is not positive, bit for bit.
 func TestVectorKernelBitIdentity(t *testing.T) {
 	var runFolds, plainFolds int
 	f := func(seed uint64) bool {
@@ -89,6 +91,10 @@ func TestVectorKernelBitIdentity(t *testing.T) {
 		for _, v := range q {
 			qMass += v
 		}
+		frac := make([]float64, w.m)
+		for s, c := range counts {
+			frac[s] = float64(c) / 1000
+		}
 		for _, workers := range []int{1, 4} {
 			gotQ := make([]float64, w.m)
 			denomPass(w, counts, p, pre, gotQ, workers)
@@ -98,7 +104,23 @@ func TestVectorKernelBitIdentity(t *testing.T) {
 					return false
 				}
 			}
+			// coefPass folds each row as denomPass does, then divides.
+			coefs := make([]float64, w.m)
+			coefPass(w, frac, p, pre, coefs, workers)
+			for s, d := range gotQ {
+				want := -frac[s]
+				if frac[s] == 0 {
+					want = 0
+				} else if d > 0 {
+					want = frac[s] / d
+				}
+				if math.Float64bits(coefs[s]) != math.Float64bits(want) {
+					t.Logf("seed %d workers %d: coefficient %d = %x, share over denominator %x", seed, workers, s, coefs[s], want)
+					return false
+				}
+			}
 			gotNext := make([]float64, w.k)
+			prefixSums(q, pre)
 			updatePass(w, q, p, pre, gotNext, fallback, workers)
 			for c := range wantNext {
 				if !near(gotNext[c], wantNext[c], w.cols[c], w.tData[w.tOff[c]:w.tOff[c+1]], qMass*p[c]) {
@@ -314,4 +336,125 @@ func TestRunIterationWorkerDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestIterateMatchesPassLoop is the fused loop's contract: over random
+// geometries — uniform, Gaussian and Laplace noise, Bayes and EM, with and
+// without a prior, with empty observation rows and with rows the estimate
+// cannot explain (their shares go to the fallback), serial and chunked —
+// iterate must return the pass loop's estimate, iteration count,
+// convergence and final delta (passIterate) bit for bit.
+func TestIterateMatchesPassLoop(t *testing.T) {
+	var priors, emptyRows, fallbackRows, chunked, runs int
+	f := func(seed uint64) bool {
+		r := prng.New(seed)
+		width := []float64{0.5, 1, 2, 0.1 + r.Float64()*5}[r.Intn(4)]
+		k := 2 + r.Intn(119)
+		if r.Intn(4) == 0 {
+			k = 200 + r.Intn(200) // wide enough for the chunked passes
+		}
+		lo := float64(r.Intn(101) - 50)
+		part, err := NewPartition(lo, lo+float64(k)*width, k)
+		if err != nil {
+			return false
+		}
+		width = part.Width()
+		var model noise.Model
+		switch r.Intn(3) {
+		case 0:
+			model = noise.Uniform{Alpha: width * (0.5 + r.Float64()*40)}
+		case 1:
+			model = noise.Gaussian{Sigma: width * (0.3 + r.Float64()*15)}
+		default:
+			model = noise.Laplace{B: width * (0.3 + r.Float64()*10)}
+		}
+		alg := Algorithm(r.Intn(2))
+		vals := make([]float64, 200+r.Intn(3000))
+		mid, spread := part.Lo+r.Float64()*(part.Hi-part.Lo), (part.Hi-part.Lo)/(1+r.Float64()*6)
+		for i := range vals {
+			v := mid + (r.Float64()-0.5)*spread
+			vals[i] = min(max(v, part.Lo), part.Hi) + model.Sample(r)
+		}
+		band, err := supportRadius(model, width)
+		if err != nil {
+			return false
+		}
+		if r.Intn(2) == 0 {
+			// A few values beyond the band on either side: rows whose band
+			// misses the domain, and the empty rows between them and the
+			// rest.
+			for i := 0; i < 1+r.Intn(5); i++ {
+				off := float64(band+2+r.Intn(30)) * width
+				if r.Intn(2) == 0 {
+					vals[i] = part.Hi + off
+				} else {
+					vals[i] = part.Lo - off
+				}
+			}
+		}
+		obs := newObservationGrid(vals, part, model)
+		radius := min(obs.band, denseRadius(k, obs.lowIdx, len(obs.counts)))
+		w := computeWeights(model, alg, width, k, obs.lowIdx, len(obs.counts), radius, 1)
+		cfg := Config{Partition: part, Noise: model, Algorithm: alg, MaxIters: 40}
+		if r.Intn(2) == 0 {
+			cfg.Prior = make([]float64, k)
+			for t := range cfg.Prior {
+				cfg.Prior[t] = 0.05 + r.Float64()
+			}
+			priors++
+		}
+		for s, c := range obs.counts {
+			f := w.rows[s]
+			switch {
+			case c == 0:
+				emptyRows++
+			case f.lo == f.hi:
+				fallbackRows++
+			}
+		}
+		if w.runs {
+			runs++
+		}
+		for _, workers := range []int{1, 4} {
+			cfg.Workers = workers
+			rcfg, err := cfg.resolved()
+			if err != nil {
+				return false
+			}
+			if iterWorkers(rcfg, w) > 1 {
+				chunked++
+			}
+			got, err := iterate(obs, w, rcfg)
+			if err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+			want, err := passIterate(obs, w, rcfg)
+			if err != nil {
+				t.Logf("seed %d: oracle: %v", seed, err)
+				return false
+			}
+			if got.Iters != want.Iters || got.Converged != want.Converged ||
+				math.Float64bits(got.Delta) != math.Float64bits(want.Delta) {
+				t.Logf("seed %d workers %d (%v %v, k %d): %d iterations (converged %v, delta %x), pass loop %d (%v, %x)",
+					seed, workers, model, alg, k, got.Iters, got.Converged, got.Delta, want.Iters, want.Converged, want.Delta)
+				return false
+			}
+			for b := range got.P {
+				if math.Float64bits(got.P[b]) != math.Float64bits(want.P[b]) {
+					t.Logf("seed %d workers %d (%v %v, k %d): P[%d] = %x, pass loop %x", seed, workers, model, alg, k, b, got.P[b], want.P[b])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if priors == 0 || emptyRows == 0 || fallbackRows == 0 || chunked == 0 || runs == 0 {
+		t.Fatalf("%d priors, %d empty rows, %d fallback rows, %d chunked runs, %d matrices with a run: the geometries miss a kind",
+			priors, emptyRows, fallbackRows, chunked, runs)
+	}
+	t.Logf("%d priors, %d empty rows, %d fallback rows, %d chunked runs, %d matrices with a run", priors, emptyRows, fallbackRows, chunked, runs)
 }

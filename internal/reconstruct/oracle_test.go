@@ -5,15 +5,17 @@ import (
 	"math"
 
 	"ppdm/internal/noise"
+	"ppdm/internal/parallel"
 	"ppdm/internal/stats"
 )
 
 // This file holds the reference forms tests check the production code
 // against: an unbounded observation grid, against which the bounded
 // collector grid is checked; dense transition rows, against which the
-// banded kernel is checked and benchmarked; and the plain fold, the two
+// banded kernel is checked and benchmarked; the plain fold, the two
 // iteration passes without folds or runs, against which the run kernel is
-// checked and benchmarked.
+// checked and benchmarked; and the pass loop, the iteration before its
+// passes were fused, which the fused loop must equal bit for bit.
 
 // newObservationGrid is the unbounded grid oracle: intervals of the
 // partition's width, aligned to its grid but extended on both sides to
@@ -183,4 +185,106 @@ func scalarIterate(obs observationGrid, w *bandedWeights, cfg Config) (Result, e
 	}
 	res.P = p
 	return res, nil
+}
+
+// passIterate is the pass loop iterate ran before its passes were fused,
+// kept as the oracle the fused loop must equal bit for bit: per iteration,
+// denomPass (q = A·p), a serial fold of q into update coefficients and the
+// fallback, updatePass after the prefix sums of q (next = p ⊙ Aᵀq), then
+// stats.Normalize, stats.TotalVariation and a copy — nine passes over k- or
+// m-long arrays, and the division cnt/n on every row of every iteration.
+func passIterate(obs observationGrid, w *bandedWeights, cfg Config) (Result, error) {
+	k := cfg.Partition.K
+	p, next := make([]float64, k), make([]float64, k)
+	q, pre := make([]float64, w.m), make([]float64, max(k, w.m)+1)
+	if cfg.Prior != nil {
+		copy(p, cfg.Prior)
+		stats.Normalize(p)
+	} else {
+		for t := range p {
+			p[t] = 1 / float64(k)
+		}
+	}
+	total := 0
+	for _, c := range obs.counts {
+		total += c
+	}
+	if total == 0 {
+		return Result{}, errors.New("no observations")
+	}
+	n := float64(total)
+	workers := iterWorkers(cfg, w)
+	var res Result
+	for iter := 1; iter <= cfg.MaxIters; iter++ {
+		denomPass(w, obs.counts, p, pre, q, workers)
+		var fallback float64
+		for s, cnt := range obs.counts {
+			if cnt == 0 {
+				continue
+			}
+			frac := float64(cnt) / n
+			if q[s] > 0 {
+				q[s] = frac / q[s]
+			} else {
+				q[s] = 0
+				fallback += frac
+			}
+		}
+		if w.runs {
+			prefixSums(q, pre)
+		}
+		updatePass(w, q, p, pre, next, fallback, workers)
+		stats.Normalize(next)
+		delta, err := stats.TotalVariation(p, next)
+		if err != nil {
+			return Result{}, err
+		}
+		copy(p, next)
+		res.Iters, res.Delta = iter, delta
+		if delta < cfg.Epsilon {
+			res.Converged = true
+			break
+		}
+	}
+	res.P = p
+	return res, nil
+}
+
+// denomPass computes the denominators q[s] = Σ_t A[s][t]·p[t] of every
+// observation row through its fold, as coefPass does before it divides,
+// after taking the prefix sums of p when the matrix has a run. A row
+// without observations gets 0.
+func denomPass(w *bandedWeights, counts []int, p, pre, q []float64, workers int) {
+	if w.runs {
+		prefixSums(p, pre)
+	}
+	if workers == 1 {
+		denomRows(w, counts, p, pre, q, 0, w.m)
+		return
+	}
+	parallel.ForEachChunk(w.m, iterRowChunk, workers, func(_, lo, hi int) {
+		denomRows(w, counts, p, pre, q, lo, hi)
+	})
+}
+
+// denomRows is denomPass over the rows [lo, hi).
+func denomRows(w *bandedWeights, counts []int, p, pre, q []float64, lo, hi int) {
+	for s := lo; s < hi; s++ {
+		if counts[s] == 0 {
+			q[s] = 0
+			continue
+		}
+		f := &w.rows[s]
+		var acc float64
+		if f.lo < f.runLo {
+			acc = dot64(w.data[f.at:f.at+f.runLo-f.lo], p[f.lo:])
+		}
+		if f.runLo < f.runHi {
+			acc += float64(f.v * (pre[f.runHi] - pre[f.runLo]))
+			if f.runHi < f.hi {
+				acc += dot64(w.data[f.at+f.runHi-f.lo:f.at+f.hi-f.lo], p[f.runHi:])
+			}
+		}
+		q[s] = acc
+	}
 }

@@ -66,9 +66,10 @@ type Config struct {
 	// negative values are rejected. The result is bit-identical for every
 	// worker count.
 	Workers int
-	// Cache, if non-nil, overrides the shared transition-matrix cache —
-	// Local-mode training passes a private per-training cache so its node
-	// sub-partition geometries cannot evict the recurring root entries.
+	// Cache, if non-nil, overrides the shared transition-matrix cache, for
+	// a caller that must not share matrices with the rest of the process —
+	// a measurement that starts from a cold cache, say. Training passes
+	// none: its root and node geometries all go through the shared cache.
 	Cache *WeightCache
 	// DisableWeightCache bypasses the transition-matrix cache (shared or
 	// Cache) entirely, for kernel tests and benchmarks that must not run
@@ -151,16 +152,23 @@ func (cfg Config) resolved() (Config, error) {
 // iterate runs the estimate on observation counts and their transition
 // weights, under a resolved config.
 //
-// Each iteration is two fused band-limited mat-vec passes over the flat
-// weight slab: denomPass computes q = A·p (the per-observation-interval
-// denominators), a serial index-ordered fold turns q into update
-// coefficients, and updatePass computes next = p ⊙ Aᵀq. Each pass reads a
-// row's or column's run of equal cells as one difference of prefix sums,
-// which it takes serially first, so an iteration under uniform noise costs
-// O(m+k) rather than O(m·band). Iteration state lives in pooled scratch
-// buffers, and when the work left after that compression is large both
-// passes shard over fixed chunk grids on internal/parallel — the estimate
-// is bit-identical at every worker count.
+// Every observation row's share cnt/n is taken once, before the first
+// iteration. Each iteration is then five passes: coefPass computes every
+// row's update coefficient share/(A·p) in one band-limited pass over the
+// flat weight slab; foldCoefs, serially and in index order, moves the share
+// of each row the estimate cannot explain into one fallback coefficient
+// and takes the coefficients' prefix sums; updatePass computes
+// next = p ⊙ Aᵀq (+ fallback·p); and closePass sums next, then divides by
+// the sum, accumulates the total variation and writes the new estimate and
+// its prefix sums. Both mat-vec passes read a row's or column's run of
+// equal cells as one difference of those prefix sums, so an iteration
+// under uniform noise costs O(m+k) rather than O(m·band). Every sum runs in
+// the index order of stats.Normalize and stats.TotalVariation, so the
+// estimate is the same bits as the pass loop that calls them
+// (TestIterateMatchesPassLoop). Iteration state lives in pooled scratch
+// buffers, and when the work left after the run compression is large both
+// mat-vec passes shard over fixed chunk grids on internal/parallel — the
+// estimate is bit-identical at every worker count.
 func iterate(obs observationGrid, weights *bandedWeights, cfg Config) (Result, error) {
 	k := cfg.Partition.K
 	m := len(obs.counts)
@@ -168,7 +176,7 @@ func iterate(obs observationGrid, weights *bandedWeights, cfg Config) (Result, e
 	sc := scratchPool.Get().(*iterScratch)
 	defer scratchPool.Put(sc)
 	sc.ensure(k, m)
-	p, next, q, pre := sc.p, sc.next, sc.q, sc.pre
+	p, next, frac, q, pre := sc.p, sc.next, sc.frac, sc.q, sc.pre
 
 	// Initialize the estimate.
 	if cfg.Prior != nil {
@@ -196,40 +204,19 @@ func iterate(obs observationGrid, weights *bandedWeights, cfg Config) (Result, e
 		return Result{}, errors.New("reconstruct: no observations")
 	}
 	n := float64(total)
+	for s, c := range obs.counts {
+		frac[s] = float64(c) / n
+	}
+	prefixSums(p, pre)
 	workers := iterWorkers(cfg, weights)
 	res := Result{}
 	for iter := 1; iter <= cfg.MaxIters; iter++ {
-		// Pass 1: per-row denominators q = A·p.
-		denomPass(weights, obs.counts, p, pre, q, workers)
-		// Serial index-ordered fold: q[s] becomes the row's update
-		// coefficient cnt/(n·denom). Rows whose denominator is not positive
-		// cannot be explained by the current estimate (possible with bounded
-		// noise and values far outside the domain); they retain the prior
-		// mass instead, folded into one fallback coefficient.
-		var fallback float64
-		for s, cnt := range obs.counts {
-			if cnt == 0 {
-				continue
-			}
-			frac := float64(cnt) / n
-			if q[s] > 0 {
-				q[s] = frac / q[s]
-			} else {
-				q[s] = 0
-				fallback += frac
-			}
-		}
-		// Pass 2: next = p ⊙ Aᵀq (+ fallback·p).
+		coefPass(weights, frac, p, pre, q, workers)
+		fallback := foldCoefs(q, pre)
 		updatePass(weights, q, p, pre, next, fallback, workers)
-		stats.Normalize(next)
-		delta, err := stats.TotalVariation(p, next)
-		if err != nil {
-			return Result{}, err
-		}
-		copy(p, next)
 		res.Iters = iter
-		res.Delta = delta
-		if delta < cfg.Epsilon {
+		res.Delta = closePass(next, p, pre)
+		if res.Delta < cfg.Epsilon {
 			res.Converged = true
 			break
 		}

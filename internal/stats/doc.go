@@ -1,5 +1,5 @@
 // Package stats provides the statistical substrate for the reproduction:
-// fixed-width histograms over closed domains, summary statistics,
+// fixed-width histograms over closed domains, sample quantiles,
 // distribution distances (L1, L2, Kolmogorov–Smirnov, chi-square), and
 // information-theoretic quantities (Shannon entropy, differential entropy,
 // mutual information) computed on binned data.

@@ -6,46 +6,6 @@ import (
 	"sort"
 )
 
-// Summary holds basic descriptive statistics of a sample.
-type Summary struct {
-	N        int
-	Mean     float64
-	Variance float64 // population variance (divide by N)
-	StdDev   float64
-	Min, Max float64
-}
-
-// Describe computes summary statistics of vs. It returns an error for empty
-// input or if any value is NaN.
-func Describe(vs []float64) (Summary, error) {
-	if len(vs) == 0 {
-		return Summary{}, errors.New("stats: Describe on empty sample")
-	}
-	s := Summary{N: len(vs), Min: vs[0], Max: vs[0]}
-	var sum float64
-	for _, v := range vs {
-		if math.IsNaN(v) {
-			return Summary{}, errors.New("stats: Describe on NaN value")
-		}
-		sum += v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.Mean = sum / float64(len(vs))
-	var ss float64
-	for _, v := range vs {
-		d := v - s.Mean
-		ss += d * d
-	}
-	s.Variance = ss / float64(len(vs))
-	s.StdDev = math.Sqrt(s.Variance)
-	return s, nil
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of vs using linear
 // interpolation between order statistics. vs is not modified.
 func Quantile(vs []float64, q float64) (float64, error) {
@@ -67,16 +27,4 @@ func Quantile(vs []float64, q float64) (float64, error) {
 	}
 	frac := pos - float64(i)
 	return sorted[i]*(1-frac) + sorted[i+1]*frac, nil
-}
-
-// Mean returns the arithmetic mean of vs, or 0 for an empty slice.
-func Mean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range vs {
-		sum += v
-	}
-	return sum / float64(len(vs))
 }

@@ -5,28 +5,6 @@ import (
 	"testing"
 )
 
-func TestDescribe(t *testing.T) {
-	s, err := Describe([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 8 || s.Mean != 5 || s.Min != 2 || s.Max != 9 {
-		t.Fatalf("Describe = %+v", s)
-	}
-	if math.Abs(s.Variance-4) > 1e-12 || math.Abs(s.StdDev-2) > 1e-12 {
-		t.Fatalf("variance/stddev = %v/%v, want 4/2", s.Variance, s.StdDev)
-	}
-}
-
-func TestDescribeErrors(t *testing.T) {
-	if _, err := Describe(nil); err == nil {
-		t.Error("Describe(nil) succeeded")
-	}
-	if _, err := Describe([]float64{1, math.NaN()}); err == nil {
-		t.Error("Describe with NaN succeeded")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	vs := []float64{9, 1, 3, 7, 5} // unsorted on purpose
 	cases := []struct {
@@ -68,14 +46,5 @@ func TestQuantileSingleElement(t *testing.T) {
 	got, err := Quantile([]float64{42}, 0.7)
 	if err != nil || got != 42 {
 		t.Fatalf("Quantile single = %v, %v", got, err)
-	}
-}
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean([1 2 3]) != 2")
 	}
 }

@@ -5,13 +5,15 @@ import (
 	"compress/gzip"
 	"io"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"ppdm/internal/dataset"
 	"ppdm/internal/prng"
 )
 
-func testSchema(t *testing.T) *dataset.Schema {
+func testSchema(t testing.TB) *dataset.Schema {
 	t.Helper()
 	s, err := dataset.NewSchema(
 		[]dataset.Attribute{
@@ -26,7 +28,7 @@ func testSchema(t *testing.T) *dataset.Schema {
 	return s
 }
 
-func testTable(t *testing.T, s *dataset.Schema, n int, seed uint64) *dataset.Table {
+func testTable(t testing.TB, s *dataset.Schema, n int, seed uint64) *dataset.Table {
 	t.Helper()
 	r := prng.New(seed)
 	tb := dataset.NewTable(s)
@@ -225,6 +227,101 @@ func TestReaderRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// readAll reads a gzipped stream to EOF in batches of batch records,
+// returning every record's values and labels.
+func readAll(raw []byte, s *dataset.Schema, batch int) (values []float64, labels []int, err error) {
+	r, err := NewReader(bytes.NewReader(raw), s, batch)
+	if err != nil {
+		return nil, nil, err
+	}
+	for {
+		b, err := r.Next()
+		if err == io.EOF {
+			return values, labels, nil
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		values, labels = append(values, b.Values...), append(labels, b.Labels...)
+	}
+}
+
+// FuzzStreamReader feeds arbitrary CSV text, gzipped, to the record-batch
+// decoder that the /classify endpoint and the shard workers read, and reads
+// it to EOF. A stream it accepts must re-encode through NewWriter and
+// WriteBatch and read back to the same labels and bit-equal values.
+func FuzzStreamReader(f *testing.F) {
+	s := testSchema(f)
+	var written bytes.Buffer
+	w, err := NewWriter(&written, s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := Copy(w, FromTable(testTable(f, s, 20, 5), 8)); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	gz, err := gzip.NewReader(&written)
+	if err != nil {
+		f.Fatal(err)
+	}
+	plain, err := io.ReadAll(gz)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(plain)                                                                       // a Writer stream
+	f.Add([]byte("x,y,class\n0.1,-49.99999999999999,A\n3.141592653589793,5e-324,B\n")) // full-precision values
+	f.Add([]byte("x,y,class\n"))                                                       // header only
+	f.Add([]byte("x,z,class\n1,2,A\n"))                                                // bad header
+	f.Add([]byte("x,y,class\n1,2,A\n3,B\n"))                                           // wrong field count
+	f.Add([]byte("x,y,class\nNaN,2,A\n1,+Inf,B\n-inf,0,A\n"))                          // non-finite text
+	f.Add([]byte("x,y,class\n12." + strings.Repeat("3", 5000) + ",-0,B\n"))            // overlong line
+	f.Fuzz(func(t *testing.T, text []byte) {
+		var in bytes.Buffer
+		zw := gzip.NewWriter(&in)
+		if _, err := zw.Write(text); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		values, labels, err := readAll(in.Bytes(), s, 3)
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		w, err := NewWriter(&out, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(labels) > 0 {
+			if err := w.WriteBatch(&Batch{Values: values, Labels: labels}); err != nil {
+				t.Fatalf("accepted records do not re-encode: %v", err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		backValues, backLabels, err := readAll(out.Bytes(), s, 0)
+		if err != nil {
+			t.Fatalf("re-encoded stream rejected: %v", err)
+		}
+		if !slices.Equal(backLabels, labels) {
+			t.Fatalf("labels %v read back as %v", labels, backLabels)
+		}
+		if len(backValues) != len(values) {
+			t.Fatalf("%d values read back as %d", len(values), len(backValues))
+		}
+		for i, v := range values {
+			if math.Float64bits(backValues[i]) != math.Float64bits(v) {
+				t.Fatalf("value %d: %v read back as %v", i, v, backValues[i])
+			}
+		}
+	})
 }
 
 func TestReaderRejectsBadHeader(t *testing.T) {

@@ -3,8 +3,6 @@ package synth
 import (
 	"math"
 	"testing"
-
-	"ppdm/internal/stats"
 )
 
 func TestSchemaShape(t *testing.T) {
@@ -94,21 +92,39 @@ func TestGenerateDomains(t *testing.T) {
 	}
 }
 
+// TestGenerateAttributeMoments checks the mean and standard deviation of
+// two uniform attributes: age on [20, 80] and salary on [20000, 150000],
+// whose standard deviations are their ranges over √12.
 func TestGenerateAttributeMoments(t *testing.T) {
 	tb, err := Generate(Config{Function: F1, N: 50000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	age, err := stats.Describe(tb.Column(AttrAge))
-	if err != nil {
-		t.Fatal(err)
+	moments := func(vs []float64) (mean, sd float64) {
+		for _, v := range vs {
+			mean += v
+		}
+		mean /= float64(len(vs))
+		for _, v := range vs {
+			sd += (v - mean) * (v - mean)
+		}
+		return mean, math.Sqrt(sd / float64(len(vs)))
 	}
-	if math.Abs(age.Mean-50) > 0.5 {
-		t.Errorf("age mean = %v, want ~50", age.Mean)
-	}
-	sal, _ := stats.Describe(tb.Column(AttrSalary))
-	if math.Abs(sal.Mean-85000) > 1000 {
-		t.Errorf("salary mean = %v, want ~85000", sal.Mean)
+	for _, c := range []struct {
+		name           string
+		attr           int
+		lo, hi, margin float64
+	}{
+		{"age", AttrAge, 20, 80, 0.5},
+		{"salary", AttrSalary, 20000, 150000, 1000},
+	} {
+		mean, sd := moments(tb.Column(c.attr))
+		if want := (c.lo + c.hi) / 2; math.Abs(mean-want) > c.margin {
+			t.Errorf("%s mean = %v, want ~%v", c.name, mean, want)
+		}
+		if want := (c.hi - c.lo) / math.Sqrt(12); math.Abs(sd-want) > c.margin {
+			t.Errorf("%s standard deviation = %v, want ~%v", c.name, sd, want)
+		}
 	}
 }
 
