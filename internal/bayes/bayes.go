@@ -13,7 +13,7 @@ import (
 )
 
 // DefaultSmoothing is the Laplace smoothing pseudo-count applied to every
-// (class, attribute, interval) cell.
+// (class, attribute, interval) cell and to the class priors.
 const DefaultSmoothing = 1.0
 
 // Config parameterizes Train.
@@ -28,13 +28,10 @@ type Config struct {
 	Intervals int
 	// Noise maps attribute index -> noise model; required for ByClass.
 	Noise map[int]noise.Model
-	// ReconAlgorithm, ReconMaxIters, ReconEpsilon tune the reconstruction;
-	// zero values use the same defaults as the tree pipeline.
+	// ReconAlgorithm selects the reconstruction update rule. Reconstruction
+	// stops where the tree pipeline's does: at core.DefaultReconEpsilon or
+	// at the reconstruct package's iteration cap.
 	ReconAlgorithm reconstruct.Algorithm
-	ReconMaxIters  int
-	ReconEpsilon   float64
-	// Smoothing is the Laplace pseudo-count (default DefaultSmoothing).
-	Smoothing float64
 }
 
 // Classifier is a trained naïve Bayes model.
@@ -62,15 +59,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.Intervals < 2 {
 		return cfg, fmt.Errorf("bayes: need >= 2 intervals, got %d", cfg.Intervals)
-	}
-	if cfg.Smoothing == 0 {
-		cfg.Smoothing = DefaultSmoothing
-	}
-	if cfg.Smoothing < 0 {
-		return cfg, fmt.Errorf("bayes: smoothing %v must be non-negative", cfg.Smoothing)
-	}
-	if cfg.ReconEpsilon == 0 {
-		cfg.ReconEpsilon = core.DefaultReconEpsilon
 	}
 	if cfg.Mode == core.ByClass && len(cfg.Noise) == 0 {
 		return cfg, errors.New("bayes: ByClass requires noise models")
@@ -102,23 +90,24 @@ func Train(train *dataset.Table, cfg Config) (*Classifier, error) {
 	return TrainStream(stream.FromTable(train, 0), cfg)
 }
 
-// distFromCounts normalizes pre-binned counts with Laplace smoothing; n is
-// the total observation count. It overwrites and returns counts.
-func distFromCounts(counts []float64, n, alpha float64) []float64 {
-	total := n + alpha*float64(len(counts))
+// distFromCounts normalizes pre-binned counts with Laplace smoothing
+// (DefaultSmoothing); n is the total observation count. It overwrites and
+// returns counts.
+func distFromCounts(counts []float64, n float64) []float64 {
+	total := n + DefaultSmoothing*float64(len(counts))
 	for b := range counts {
-		counts[b] = (counts[b] + alpha) / total
+		counts[b] = (counts[b] + DefaultSmoothing) / total
 	}
 	return counts
 }
 
 // smooth converts a reconstructed probability vector into expected counts
 // for n records and applies the same Laplace smoothing as counting would.
-func smooth(p []float64, n, alpha float64) []float64 {
+func smooth(p []float64, n float64) []float64 {
 	out := make([]float64, len(p))
-	total := n + alpha*float64(len(p))
+	total := n + DefaultSmoothing*float64(len(p))
 	for b, v := range p {
-		out[b] = (v*n + alpha) / total
+		out[b] = (v*n + DefaultSmoothing) / total
 	}
 	return out
 }

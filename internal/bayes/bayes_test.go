@@ -28,9 +28,6 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := Train(tb, Config{Mode: core.Original, Intervals: 1}); err == nil {
 		t.Error("1 interval accepted")
 	}
-	if _, err := Train(tb, Config{Mode: core.Original, Smoothing: -1}); err == nil {
-		t.Error("negative smoothing accepted")
-	}
 }
 
 func TestModelIsProperDistribution(t *testing.T) {

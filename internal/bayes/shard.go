@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"ppdm/internal/core"
 	"ppdm/internal/dataset"
@@ -150,9 +151,10 @@ func (t *TrainStats) Merge(o *TrainStats) error {
 }
 
 // Finalize turns the accumulated statistics into a classifier: priors from
-// the class counts, direct cells normalized with Laplace smoothing, and each
-// reconstructed cell run once through the banded EM kernel on its merged
-// collector counts.
+// the class counts, direct cells normalized with Laplace smoothing
+// (DefaultSmoothing), and each reconstructed cell run once through the
+// banded kernel on its merged collector counts, stopped at
+// core.DefaultReconEpsilon.
 func (t *TrainStats) Finalize() (*Classifier, error) {
 	if t.n == 0 {
 		return nil, errors.New("bayes: empty training stream")
@@ -168,7 +170,7 @@ func (t *TrainStats) Finalize() (*Classifier, error) {
 		Partitions: t.parts,
 	}
 	for c := 0; c < k; c++ {
-		clf.Priors[c] = (float64(t.classCounts[c]) + cfg.Smoothing) / (float64(t.n) + cfg.Smoothing*float64(k))
+		clf.Priors[c] = (float64(t.classCounts[c]) + DefaultSmoothing) / (float64(t.n) + DefaultSmoothing*float64(k))
 		clf.Cond[c] = make([][]float64, nAttrs)
 	}
 	for j := 0; j < nAttrs; j++ {
@@ -179,18 +181,17 @@ func (t *TrainStats) Finalize() (*Classifier, error) {
 				if col.N() > 0 {
 					res, err := col.Reconstruct(reconstruct.Config{
 						Algorithm: cfg.ReconAlgorithm,
-						MaxIters:  cfg.ReconMaxIters,
-						Epsilon:   cfg.ReconEpsilon,
+						Epsilon:   core.DefaultReconEpsilon,
 					})
 					if err != nil {
 						return nil, fmt.Errorf("bayes: reconstructing attribute %d class %d: %w", j, c, err)
 					}
-					dist = smooth(res.P, float64(col.N()), cfg.Smoothing)
+					dist = smooth(res.P, float64(col.N()))
 				} else {
-					dist = distFromCounts(make([]float64, t.parts[j].K), 0, cfg.Smoothing)
+					dist = distFromCounts(make([]float64, t.parts[j].K), 0)
 				}
 			} else {
-				dist = distFromCounts(t.hist[c][j], float64(t.classCounts[c]), cfg.Smoothing)
+				dist = distFromCounts(t.hist[c][j], float64(t.classCounts[c]))
 			}
 			clf.Cond[c][j] = dist
 		}
@@ -238,7 +239,10 @@ func (t *TrainStats) State() TrainStatsState {
 // honest shard could have produced is rejected: class counts must be
 // non-negative and sum to N, and every direct-binned histogram row must hold
 // non-negative whole counts summing to its class's count, since AddBatch
-// adds exactly one count per record to each such row.
+// adds exactly one count per record to each such row. Likewise the
+// collectors of every reconstructed attribute must sit on the config's
+// partition of it and hold their class's count, and the collector
+// statistics must carry the same class counts and N as the state.
 func NewTrainStatsFromState(s *dataset.Schema, cfg Config, state TrainStatsState) (*TrainStats, error) {
 	t, err := NewTrainStats(s, cfg)
 	if err != nil {
@@ -287,13 +291,30 @@ func NewTrainStatsFromState(s *dataset.Schema, cfg Config, state TrainStatsState
 		return nil, errors.New("bayes: state and config disagree on reconstruction collectors")
 	}
 	if state.Recon != nil {
+		if state.Recon.N != state.N || !slices.Equal(state.Recon.ClassCounts, state.ClassCounts) {
+			return nil, fmt.Errorf("bayes: state collectors count %v records per class (n=%d), its class counts are %v (n=%d)",
+				state.Recon.ClassCounts, state.Recon.N, state.ClassCounts, state.N)
+		}
 		stats, err := reconstruct.NewStreamStatsFromState(s, t.cfg.Noise, *state.Recon)
 		if err != nil {
 			return nil, err
 		}
 		for j, recon := range t.useRecon {
-			if recon && stats.ClassCollector(j, 0) == nil {
+			if !recon {
+				continue
+			}
+			if stats.ClassCollector(j, 0) == nil {
 				return nil, fmt.Errorf("bayes: state lacks collectors for reconstructed attribute %d", j)
+			}
+			for c, cnt := range state.ClassCounts {
+				col := stats.ClassCollector(j, c)
+				if p := col.Partition(); p != t.parts[j] {
+					return nil, fmt.Errorf("bayes: state class %d collector of attribute %d sits on %d intervals over [%v, %v], the model's partition has %d over [%v, %v]",
+						c, j, p.K, p.Lo, p.Hi, t.parts[j].K, t.parts[j].Lo, t.parts[j].Hi)
+				}
+				if col.N() != cnt {
+					return nil, fmt.Errorf("bayes: state class %d collector of attribute %d holds %d records, class count is %d", c, j, col.N(), cnt)
+				}
 			}
 		}
 		t.stats = stats

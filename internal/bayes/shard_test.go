@@ -3,60 +3,130 @@ package bayes
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"ppdm/internal/core"
+	"ppdm/internal/dataset"
 	"ppdm/internal/noise"
 	"ppdm/internal/stream"
 	"ppdm/internal/synth"
 )
 
-// TestTrainStatsStateRejectsBadCollectors feeds NewTrainStatsFromState a
-// shard state corrupted in each way a remote worker could send it: collector
-// counts of the wrong length, with a negative cell, or not summing to n;
-// direct-binned histogram cells that are not counts or do not sum to their
-// class count; and class counts that are negative or do not sum to N.
-func TestTrainStatsStateRejectsBadCollectors(t *testing.T) {
+// stateFixture holds the wire states of one shard's statistics over a
+// perturbed F2 sample: in ByClass with age left unreconstructed, so the
+// state carries direct-binned histogram rows next to the collectors; the
+// same ByClass shard accumulated on 5 intervals; and the shard in Original.
+type stateFixture struct {
+	schema              *dataset.Schema
+	byClass, original   Config
+	good, coarse, plain []byte
+}
+
+func newStateFixture(tb testing.TB) stateFixture {
+	tb.Helper()
 	clean, err := synth.Generate(synth.Config{Function: synth.F2, N: 2000, Seed: 3})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	models, err := noise.ModelsForAllAttrs(clean.Schema(), "gaussian", 1.0, noise.DefaultConfidence)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	perturbed, err := noise.PerturbTable(clean, models, 4)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	// Age stays unreconstructed, so the state carries direct-binned
-	// histogram rows next to the collectors.
 	delete(models, synth.AttrAge)
-	cfg := Config{Mode: core.ByClass, Noise: models}
-	st, err := NewTrainStats(perturbed.Schema(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	fx := stateFixture{
+		schema:   perturbed.Schema(),
+		byClass:  Config{Mode: core.ByClass, Noise: models},
+		original: Config{Mode: core.Original},
 	}
-	src := stream.FromTable(perturbed, perturbed.N())
-	b, err := src.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AddBatch(b); err != nil {
-		t.Fatal(err)
-	}
-	good, err := json.Marshal(st.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	decode := func() TrainStatsState {
-		var state TrainStatsState
-		if err := json.Unmarshal(good, &state); err != nil {
-			t.Fatal(err)
+	state := func(cfg Config) []byte {
+		st, err := NewTrainStats(fx.schema, cfg)
+		if err != nil {
+			tb.Fatal(err)
 		}
-		return state
+		b, err := stream.FromTable(perturbed, perturbed.N()).Next()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := st.AddBatch(b); err != nil {
+			tb.Fatal(err)
+		}
+		doc, err := json.Marshal(st.State())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return doc
 	}
-	if _, err := NewTrainStatsFromState(perturbed.Schema(), cfg, decode()); err != nil {
+	coarse := fx.byClass
+	coarse.Intervals = 5
+	fx.good, fx.coarse, fx.plain = state(fx.byClass), state(coarse), state(fx.original)
+	return fx
+}
+
+// decodeState unmarshals a fresh copy of a wire state.
+func decodeState(tb testing.TB, doc []byte) TrainStatsState {
+	tb.Helper()
+	var state TrainStatsState
+	if err := json.Unmarshal(doc, &state); err != nil {
+		tb.Fatal(err)
+	}
+	return state
+}
+
+// mismatches corrupt a valid ByClass state so that every collector is still
+// well-formed on its own and only the state's agreement with the
+// coordinator's partitions and with its own class counts is broken.
+func (fx stateFixture) mismatches(tb testing.TB) []stateCorruption {
+	coarse := decodeState(tb, fx.coarse)
+	return []stateCorruption{
+		// Accepted before, this state finalized salary on 5 intervals
+		// against a 50-interval partition, and Predict then indexed past
+		// the end of the 5-entry distribution.
+		{"collectors on a foreign grid", func(state *TrainStatsState) {
+			state.Recon.ByClass[synth.AttrSalary] = coarse.Recon.ByClass[synth.AttrSalary]
+		}},
+		{"class collector n not its class count", func(state *TrainStatsState) {
+			from, to := &state.Recon.ByClass[synth.AttrSalary][0], &state.Recon.ByClass[synth.AttrSalary][1]
+			for i, cnt := range from.Counts {
+				if cnt > 0 {
+					from.Counts[i]--
+					from.N--
+					to.Counts[i]++
+					to.N++
+					return
+				}
+			}
+			tb.Fatal("class 0 has an empty salary collector")
+		}},
+		{"collector class counts not the state's", func(state *TrainStatsState) {
+			state.Recon.ClassCounts[0]++
+			state.Recon.ClassCounts[1]--
+		}},
+	}
+}
+
+// stateCorruption names one way to corrupt a wire state.
+type stateCorruption struct {
+	name    string
+	corrupt func(state *TrainStatsState)
+}
+
+// TestTrainStatsStateRejectsBadCollectors feeds NewTrainStatsFromState a
+// shard state corrupted in each way a remote worker could send it: collector
+// counts of the wrong length, with a negative cell, or not summing to n;
+// collectors on a grid other than the coordinator's, holding a count other
+// than their class's, or beside class counts other than the state's;
+// direct-binned histogram cells that are not counts or do not sum to their
+// class count; and class counts that are negative or do not sum to N.
+func TestTrainStatsStateRejectsBadCollectors(t *testing.T) {
+	fx := newStateFixture(t)
+	cfg := fx.byClass
+	decode := func() TrainStatsState { return decodeState(t, fx.good) }
+	if _, err := NewTrainStatsFromState(fx.schema, cfg, decode()); err != nil {
 		t.Fatalf("valid state rejected: %v", err)
 	}
 	// ageRow returns class 1's age histogram row and the index of a cell
@@ -109,8 +179,68 @@ func TestTrainStatsStateRejectsBadCollectors(t *testing.T) {
 	} {
 		state := decode()
 		corrupt(&state)
-		if _, err := NewTrainStatsFromState(perturbed.Schema(), cfg, state); err == nil {
+		if _, err := NewTrainStatsFromState(fx.schema, cfg, state); err == nil {
 			t.Errorf("%s: corrupt state accepted", name)
 		}
 	}
+	for _, m := range fx.mismatches(t) {
+		state := decode()
+		m.corrupt(&state)
+		if _, err := NewTrainStatsFromState(fx.schema, cfg, state); err == nil {
+			t.Errorf("%s: corrupt state accepted", m.name)
+		}
+	}
+}
+
+// FuzzTrainStatsState decodes arbitrary JSON as a shard worker's reply. A
+// state NewTrainStatsFromState accepts, under the ByClass or the Original
+// config, must Finalize without panicking into a model with Partitions[j].K
+// entries in every Cond[c][j], and its State() must re-encode to a state
+// that is accepted again and equal.
+func FuzzTrainStatsState(f *testing.F) {
+	fx := newStateFixture(f)
+	f.Add(fx.good)
+	f.Add(fx.plain)
+	for _, m := range fx.mismatches(f) {
+		state := decodeState(f, fx.good)
+		m.corrupt(&state)
+		doc, err := json.Marshal(state)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doc)
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		var state TrainStatsState
+		if json.Unmarshal(doc, &state) != nil {
+			return
+		}
+		for _, cfg := range []Config{fx.byClass, fx.original} {
+			st, err := NewTrainStatsFromState(fx.schema, cfg, state)
+			if err != nil {
+				continue
+			}
+			again := st.State()
+			if clf, err := st.Finalize(); err == nil {
+				for c := range clf.Cond {
+					for j, dist := range clf.Cond[c] {
+						if len(dist) != clf.Partitions[j].K {
+							t.Fatalf("mode %v: Cond[%d][%d] has %d entries, partition has %d", cfg.Mode, c, j, len(dist), clf.Partitions[j].K)
+						}
+					}
+				}
+			}
+			redoc, err := json.Marshal(again)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := NewTrainStatsFromState(fx.schema, cfg, decodeState(t, redoc))
+			if err != nil {
+				t.Fatalf("mode %v: re-encoded state rejected: %v", cfg.Mode, err)
+			}
+			if !reflect.DeepEqual(back.State(), again) {
+				t.Fatalf("mode %v: re-encoded state reads back differently", cfg.Mode)
+			}
+		}
+	})
 }

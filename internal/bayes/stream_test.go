@@ -36,7 +36,7 @@ func referenceTrain(train *dataset.Table, cfg Config) (*Classifier, error) {
 	}
 	counts := train.ClassCounts()
 	for c := 0; c < k; c++ {
-		clf.Priors[c] = (float64(counts[c]) + cfg.Smoothing) / (float64(train.N()) + cfg.Smoothing*float64(k))
+		clf.Priors[c] = (float64(counts[c]) + DefaultSmoothing) / (float64(train.N()) + DefaultSmoothing*float64(k))
 		clf.Cond[c] = make([][]float64, s.NumAttrs())
 	}
 	for j := 0; j < s.NumAttrs(); j++ {
@@ -49,20 +49,19 @@ func referenceTrain(train *dataset.Table, cfg Config) (*Classifier, error) {
 					Partition: parts[j],
 					Noise:     model,
 					Algorithm: cfg.ReconAlgorithm,
-					MaxIters:  cfg.ReconMaxIters,
-					Epsilon:   cfg.ReconEpsilon,
+					Epsilon:   core.DefaultReconEpsilon,
 				})
 				if err != nil {
 					return nil, err
 				}
-				clf.Cond[c][j] = smooth(res.P, float64(len(values)), cfg.Smoothing)
+				clf.Cond[c][j] = smooth(res.P, float64(len(values)))
 				continue
 			}
 			bins := make([]float64, parts[j].K)
 			for _, v := range values {
 				bins[parts[j].Bin(v)]++
 			}
-			clf.Cond[c][j] = distFromCounts(bins, float64(len(values)), cfg.Smoothing)
+			clf.Cond[c][j] = distFromCounts(bins, float64(len(values)))
 		}
 	}
 	return clf, nil

@@ -453,7 +453,7 @@ func orderedAssignBenchInput(b *testing.B) (values, p []float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := reconstruct.Reconstruct(values, reconCfg(Config{ReconEpsilon: DefaultReconEpsilon}, parts[j], models[j]))
+	res, err := reconstruct.Reconstruct(values, reconCfg(Config{}, parts[j], models[j]))
 	if err != nil {
 		b.Fatal(err)
 	}

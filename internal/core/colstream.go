@@ -1,13 +1,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 
-	"ppdm/internal/parallel"
 	"ppdm/internal/reconstruct"
 	"ppdm/internal/stream"
 	"ppdm/internal/tree"
@@ -15,15 +13,17 @@ import (
 
 // TrainStream is the out-of-core counterpart of Train for the decision-tree
 // learner: it consumes the training set as a record stream and never
-// materializes the table. One streaming pass builds SPRINT-style columnar
-// attribute lists in fixed-size segments spilled to files — binning
-// unperturbed attributes on the fly and parking perturbed raw columns on
-// disk — then each perturbed attribute is reconstructed and re-assigned one
-// column at a time, and the tree grows from the spilled lists through a
-// bounded segment cache (tree.SpillSource). Peak memory is one raw column
-// per reconstruction worker plus the class list, the live rowID lists, and
-// the cache budget — independent of how many attributes the table has and,
-// for the column store, of how many records flowed through.
+// materializes the table. It is the one-shard case of sharded training:
+// SpillShard's streaming pass builds SPRINT-style columnar attribute lists
+// in fixed-size segments spilled to files — binning unperturbed attributes
+// on the fly and parking perturbed raw columns on disk — then
+// MergeShardSpills reconstructs and re-assigns each perturbed attribute one
+// column at a time, removing its raw column once it is re-binned, and grows
+// the tree from the spilled lists through a bounded segment cache
+// (tree.SpillSource). Peak memory is one raw column per reconstruction
+// worker plus the class list, the live rowID lists, and the cache budget —
+// independent of how many attributes the table has and, for the column
+// store, of how many records flowed through.
 //
 // The trained classifier is byte-identical to Train on the materialized
 // table at every worker count: the spill codec round-trips values exactly,
@@ -34,70 +34,16 @@ import (
 // not: it re-reconstructs node-conditional distributions from raw perturbed
 // values at every tree node, which requires the materialized table.
 func TrainStream(src stream.Source, cfg Config) (*Classifier, error) {
-	if src == nil {
-		return nil, errors.New("core: nil training stream")
-	}
-	if cfg.Mode == Local {
-		return nil, errors.New("core: Local mode trains from node-local raw values and needs the materialized table; use Train")
-	}
-	// The adaptive leaf minimum scales with the training-set size, which a
-	// stream only reveals after the spill pass; remember whether it was
-	// requested and resolve it then.
-	adaptiveLeaf := cfg.Tree.MinLeaf == 0
-	cfg, err := cfg.normalized(1)
+	sh, err := SpillShard(src, cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := src.Schema()
-	parts, err := attrPartitions(s, cfg.Intervals)
-	if err != nil {
-		return nil, err
-	}
-
-	dir, err := os.MkdirTemp(cfg.SpillDir, "ppdm-spill-*")
-	if err != nil {
-		return nil, fmt.Errorf("core: creating spill directory: %w", err)
-	}
-	defer os.RemoveAll(dir)
-
-	sp := &spill{dir: dir}
-	defer sp.closeAll()
-
-	labels, err := spillColumns(src, parts, cfg, sp)
-	if err != nil {
-		return nil, err
-	}
-	n := len(labels)
-	if n == 0 {
-		return nil, errors.New("core: empty training stream")
-	}
-	if adaptiveLeaf {
-		cfg.Tree.MinLeaf = adaptiveMinLeaf(n)
-	}
-
-	if err := assignSpilledColumns(labels, s.NumClasses(), parts, cfg, sp); err != nil {
-		return nil, err
-	}
-
-	readers := make([]*stream.SegmentReader, s.NumAttrs())
-	bins := make([]int, s.NumAttrs())
-	for j := range readers {
-		c := sp.cols[j]
-		readers[j] = stream.NewSegmentReader(c.binFile, c.binIndex)
-		bins[j] = parts[j].K
-	}
-	treeSrc, err := tree.NewSpillSource(readers, bins, labels, s.NumClasses(), cfg.ColumnCacheSegments)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := tree.Grow(treeSrc, cfg.Tree)
-	if err != nil {
-		return nil, err
-	}
-	return newClassifier(cfg.Mode, tr, s, parts)
+	defer sh.Close()
+	return MergeShardSpills([]*ShardSpill{sh}, cfg)
 }
 
-// spill tracks the per-attribute segment files of one TrainStream run.
+// spill tracks the per-attribute segment files of one shard's spill pass,
+// or the re-binned columns of one merge.
 type spill struct {
 	dir  string
 	cols []*spillCol
@@ -105,8 +51,8 @@ type spill struct {
 
 // spillCol is one attribute's spill state. Direct-binned attributes write
 // interval indices straight into binFile during the streaming pass;
-// perturbed attributes park raw values in rawFile first and gain binFile
-// during re-assignment.
+// perturbed attributes park raw values in rawFile, which the merge consumes:
+// it re-bins them into a binFile of its own and then drops rawFile.
 type spillCol struct {
 	direct bool
 
@@ -133,6 +79,16 @@ func (sp *spill) closeAll() {
 			c.binFile.Close()
 		}
 	}
+}
+
+// dropRaw closes and removes the column's raw file once the merge has
+// re-binned it. A file left behind by a failed remove still goes with the
+// shard directory at ShardSpill.Close, so the errors are not reported.
+func (c *spillCol) dropRaw() {
+	name := c.rawFile.Name()
+	c.rawFile.Close()
+	c.rawFile = nil
+	os.Remove(name)
 }
 
 // create opens a segment file for attribute j with the given suffix.
@@ -236,41 +192,12 @@ func spillColumns(src stream.Source, parts []reconstruct.Partition, cfg Config, 
 	return labels, nil
 }
 
-// assignSpilledColumns runs the reconstruction-and-reassignment step for
-// every perturbed attribute, one column in memory at a time (columns are
-// processed in parallel bounded by Workers, so peak raw-column memory is
-// Workers × one column), dropping each raw file once it has been binned.
-func assignSpilledColumns(labels []int, classes int, parts []reconstruct.Partition, cfg Config, sp *spill) error {
-	var work []int
-	for j, c := range sp.cols {
-		if !c.direct {
-			work = append(work, j)
-		}
-	}
-	return parallel.ForEach(len(work), cfg.Workers, func(i int) error {
-		j := work[i]
-		c := sp.cols[j]
-		raw := stream.NewSegmentReader(c.rawFile, c.rawIdx)
-		if err := sp.rebin(j, c, raw, labels, classes, parts[j], cfg); err != nil {
-			return err
-		}
-		// The raw column is dead weight from here on; drop it early so the
-		// spill footprint never holds raw and binned copies of every
-		// attribute at once.
-		name := c.rawFile.Name()
-		c.rawFile.Close()
-		c.rawFile = nil
-		os.Remove(name)
-		return nil
-	})
-}
-
-// rebin is the reconstruct-and-rebin step shared by TrainStream and
-// MergeShardSpills: it reads perturbed attribute j's raw column from raw
-// into one n-length slice, reconstructs and re-assigns it with exactly the
-// per-column code of the in-memory path (globalColumns/byClassColumns), so
-// the interval assignments match it bit for bit, and writes them to a new
-// bins file of sp on the tree.SegLen grid, recorded in c.
+// rebin is MergeShardSpills' reconstruct-and-rebin step: it reads perturbed
+// attribute j's raw column from raw into one n-length slice, reconstructs
+// and re-assigns it with exactly the per-column code of the in-memory path
+// (globalColumns/byClassColumns), so the interval assignments match it bit
+// for bit, and writes them to a new bins file of sp on the tree.SegLen grid,
+// recorded in c.
 func (sp *spill) rebin(j int, c *spillCol, raw *stream.SegmentReader, labels []int, classes int, part reconstruct.Partition, cfg Config) error {
 	if raw.N() != len(labels) {
 		return fmt.Errorf("core: spilled column %d holds %d values, the class list has %d records", j, raw.N(), len(labels))

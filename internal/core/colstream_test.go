@@ -2,12 +2,17 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"ppdm/internal/dataset"
 	"ppdm/internal/noise"
 	"ppdm/internal/stream"
 	"ppdm/internal/synth"
+	"ppdm/internal/tree"
 )
 
 // colstreamData generates a perturbed benchmark table plus its noise models.
@@ -105,30 +110,86 @@ func TestTrainStreamBatchSizeInvariance(t *testing.T) {
 	}
 }
 
-// TestTrainStreamTinyCache forces constant cache thrashing (2 resident
-// segments across 9 attributes) and still demands the identical model —
-// the bounded-memory guarantee must never alter results.
-func TestTrainStreamTinyCache(t *testing.T) {
-	perturbed, models := colstreamData(t, 3000, 13)
-	base := Config{Mode: ByClass, Noise: models}
-	want, err := Train(perturbed, base)
-	if err != nil {
+// failingSource passes through its first `after` batches, then fails.
+type failingSource struct {
+	stream.Source
+	after int
+}
+
+func (s *failingSource) Next() (*stream.Batch, error) {
+	if s.after == 0 {
+		return nil, errors.New("source failed mid-stream")
+	}
+	s.after--
+	return s.Source.Next()
+}
+
+// TestSpillLifecycle checks what out-of-core training leaves on disk. With
+// SpillDir set, TrainStream leaves the directory empty, both when it
+// succeeds and when its source fails mid-stream. MergeShardSpills over
+// three shards leaves no raw-column file in any shard, a second merge of
+// the same shards fails on the consumed column, and Close removes the rest.
+func TestSpillLifecycle(t *testing.T) {
+	const shardCount = 3
+	perturbed, models := colstreamData(t, (shardCount-1)*tree.SegLen+500, 17)
+	cfg := Config{Mode: ByClass, Noise: models, SpillDir: t.TempDir()}
+	empty := func(when string) {
+		t.Helper()
+		entries, err := os.ReadDir(cfg.SpillDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			t.Errorf("%s: spill directory still holds %s", when, e.Name())
+		}
+	}
+
+	if _, err := TrainStream(stream.FromTable(perturbed, 1000), cfg); err != nil {
 		t.Fatal(err)
 	}
-	small := base
-	small.ColumnCacheSegments = 2
-	got, err := TrainStream(stream.FromTable(perturbed, 0), small)
-	if err != nil {
+	empty("after TrainStream")
+	if _, err := TrainStream(&failingSource{Source: stream.FromTable(perturbed, 1000), after: 5}, cfg); err == nil {
+		t.Fatal("TrainStream succeeded over a failing source")
+	}
+	empty("after a failed TrainStream")
+
+	// Deal the records on the unit grid, as internal/cluster does: unit u
+	// goes to shard u%3, renumbered from 0 within the shard.
+	shards := make([]*ShardSpill, shardCount)
+	for s := range shards {
+		var rows []int
+		for lo := s * tree.SegLen; lo < perturbed.N(); lo += shardCount * tree.SegLen {
+			for r := lo; r < min(lo+tree.SegLen, perturbed.N()); r++ {
+				rows = append(rows, r)
+			}
+		}
+		sub, err := perturbed.Subset(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shards[s], err = SpillShard(stream.FromTable(sub, 0), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := MergeShardSpills(shards, cfg); err != nil {
 		t.Fatal(err)
 	}
-	var wantDoc, gotDoc bytes.Buffer
-	if err := want.Save(&wantDoc); err != nil {
-		t.Fatal(err)
+	for s, sh := range shards {
+		raw, err := filepath.Glob(filepath.Join(sh.dir, "*.vals"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raw) != 0 {
+			t.Errorf("shard %d still holds raw columns after the merge: %v", s, raw)
+		}
 	}
-	if err := got.Save(&gotDoc); err != nil {
-		t.Fatal(err)
+	if _, err := MergeShardSpills(shards, cfg); err == nil || !strings.Contains(err.Error(), "consumed") {
+		t.Errorf("second merge of the same shards: err = %v, want the consumed raw column named", err)
 	}
-	if !bytes.Equal(wantDoc.Bytes(), gotDoc.Bytes()) {
-		t.Error("tiny segment cache changed the trained classifier")
+	for _, sh := range shards {
+		if err := sh.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	empty("after Close")
 }

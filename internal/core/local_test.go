@@ -27,7 +27,7 @@ func buildLocalSource(t *testing.T, n int) (*localSource, map[int]noise.Model) {
 	}
 	cfg := Config{
 		Mode: Local, Noise: models,
-		Intervals: DefaultIntervals, LocalMinRecords: 200, ReconEpsilon: 1e-3,
+		Intervals: DefaultIntervals, LocalMinRecords: 200,
 	}
 	s := perturbed.Schema()
 	parts := make([]reconstruct.Partition, s.NumAttrs())

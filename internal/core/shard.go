@@ -20,11 +20,13 @@ import (
 // deals tree.SegLen-sized record units round-robin across shards, runs
 // SpillShard per shard in parallel, and hands the results to
 // MergeShardSpills; because the spill grid equals the deal grid, the merged
-// column store is byte-identical to what a single-node TrainStream pass over
-// the whole stream would have produced.
+// column store is the one a single shard holding the whole stream would
+// give, which is how TrainStream trains.
 //
-// Callers own the spill until Close; MergeShardSpills reads but does not
-// close it.
+// MergeShardSpills consumes the raw columns: it removes each one as soon as
+// its attribute is re-binned, so a second merge of the same shards fails,
+// naming the consumed column. Callers still own the spill and Close it,
+// which removes the directly-binned columns and the shard's directory.
 type ShardSpill struct {
 	dir    string
 	sp     *spill
@@ -33,12 +35,13 @@ type ShardSpill struct {
 	schema *dataset.Schema
 }
 
-// SpillShard runs the streaming spill pass of TrainStream over one shard's
-// record substream. The source must present the shard's records with
-// shard-local Start offsets (0, batch, 2×batch, …) — the cluster dealer
-// renumbers them — and, for the merge to reproduce single-node training,
-// must consist of whole tree.SegLen record units in global order, with only
-// the globally-last unit allowed to be short.
+// SpillShard runs the streaming spill pass of out-of-core training over one
+// shard's record substream (TrainStream's single shard is the whole
+// stream). The source must present the shard's records with shard-local
+// Start offsets (0, batch, 2×batch, …) — the cluster dealer renumbers them
+// — and, for the merge to reproduce single-node training, must consist of
+// whole tree.SegLen record units in global order, with only the
+// globally-last unit allowed to be short.
 func SpillShard(src stream.Source, cfg Config) (*ShardSpill, error) {
 	if src == nil {
 		return nil, errors.New("core: nil training stream")
@@ -87,16 +90,19 @@ func (ss *ShardSpill) Close() error {
 	return nil
 }
 
-// MergeShardSpills completes distributed tree training: it interleaves the
+// MergeShardSpills completes out-of-core tree training: it interleaves the
 // shards' spilled columns back into global record order on the tree.SegLen
 // unit grid (unit u lives in shard u%N), reconstructs and re-assigns each
 // perturbed attribute once on the full merged column — the very same
-// per-column code as single-node training, so the interval assignments
-// cannot drift — and grows the tree from the merged column store. The
-// result is byte-identical to TrainStream over the unpartitioned stream.
+// per-column code as in-memory training, so the interval assignments cannot
+// drift — and grows the tree from the merged column store. The result is
+// byte-identical to Train on the materialized table, at any shard count.
 //
-// The shards must all come from SpillShard with the same schema and config;
-// they remain open (and are still owned by the caller) after the merge.
+// Each merged raw column is read exactly once; after re-binning attribute
+// j, the merge closes and removes every shard's raw file for j, so no raw
+// column outlives its re-binning. The shards must all come from SpillShard
+// with the same schema and config; the caller still owns them and must
+// Close them after the merge.
 func MergeShardSpills(shards []*ShardSpill, cfg Config) (*Classifier, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("core: no shards to merge")
@@ -166,11 +172,20 @@ func MergeShardSpills(shards []*ShardSpill, cfg Config) (*Classifier, error) {
 	}
 
 	// Reconstruct and re-assign each merged perturbed column, in parallel
-	// bounded by Workers, through the same step as TrainStream.
+	// bounded by Workers, so peak raw-column memory is Workers × one
+	// column. The raw columns are dead weight once re-binned; dropping them
+	// right away keeps the spill from holding raw and binned copies of
+	// every attribute at once.
 	err = parallel.ForEach(len(perturbed), cfg.Workers, func(i int) error {
 		j := perturbed[i]
 		msp.cols[j] = &spillCol{}
-		return msp.rebin(j, msp.cols[j], rawReaders[j], labels, s.NumClasses(), parts[j], cfg)
+		if err := msp.rebin(j, msp.cols[j], rawReaders[j], labels, s.NumClasses(), parts[j], cfg); err != nil {
+			return err
+		}
+		for _, sh := range shards {
+			sh.sp.cols[j].dropRaw()
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -179,7 +194,7 @@ func MergeShardSpills(shards []*ShardSpill, cfg Config) (*Classifier, error) {
 		readers[j] = stream.NewSegmentReader(msp.cols[j].binFile, msp.cols[j].binIndex)
 	}
 
-	treeSrc, err := tree.NewSpillSource(readers, bins, labels, s.NumClasses(), cfg.ColumnCacheSegments)
+	treeSrc, err := tree.NewSpillSource(readers, bins, labels, s.NumClasses(), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -243,6 +258,9 @@ func mergedColumn(shards []*ShardSpill, j, n, units int) (*stream.SegmentReader,
 		}
 		f, idx := c.binFile, c.binIndex
 		if !direct {
+			if c.rawFile == nil {
+				return nil, false, fmt.Errorf("core: shard %d attribute %d: raw column already consumed by an earlier merge", s, j)
+			}
 			f, idx = c.rawFile, c.rawIdx
 		}
 		files[s] = f

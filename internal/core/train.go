@@ -42,11 +42,9 @@ type Config struct {
 	// without an entry are treated as unperturbed and binned directly.
 	Noise map[int]noise.Model
 	// ReconAlgorithm selects reconstruct.Bayes (default) or reconstruct.EM.
+	// Every reconstruction stops at DefaultReconEpsilon or at the
+	// reconstruct package's iteration cap.
 	ReconAlgorithm reconstruct.Algorithm
-	// ReconMaxIters and ReconEpsilon tune the reconstruction loop; zero
-	// values use the reconstruct package defaults.
-	ReconMaxIters int
-	ReconEpsilon  float64
 	// Tree configures the decision-tree learner.
 	Tree tree.Config
 	// LocalMinRecords is Local mode's re-reconstruction threshold (default
@@ -57,16 +55,12 @@ type Config struct {
 	// negative values are rejected. The trained model is bit-identical for
 	// every worker count.
 	Workers int
-	// SpillDir is where the out-of-core path (TrainStream) keeps its column
-	// segment files; "" uses the operating system's temp directory. The
-	// spill is scratch of one training run and is removed before TrainStream
-	// returns. In-memory Train ignores it.
+	// SpillDir is where the out-of-core path (SpillShard, MergeShardSpills
+	// and TrainStream through them) keeps its column segment files; "" uses
+	// the operating system's temp directory. The spill is scratch of one
+	// training run and is removed before TrainStream returns. In-memory
+	// Train ignores it.
 	SpillDir string
-	// ColumnCacheSegments bounds the decoded column segments
-	// TrainStream's tree growth holds in memory at once, across all
-	// attributes (0 = tree.DefaultCacheSegments). In-memory Train ignores
-	// it; the trained model is identical for every value.
-	ColumnCacheSegments int
 }
 
 // Classifier is a trained privacy-preserving decision-tree model: the tree
@@ -79,8 +73,8 @@ type Classifier struct {
 	Partitions []reconstruct.Partition
 
 	// flat is the contiguous-array form of Tree that every prediction path
-	// walks. newClassifier builds it in Train, TrainStream,
-	// MergeShardSpills and Load; a Classifier assembled any other way has
+	// walks. newClassifier builds it in Train, MergeShardSpills (which
+	// TrainStream runs) and Load; a Classifier assembled any other way has
 	// none, and its prediction methods return an error.
 	flat *tree.FlatClassifier
 }
@@ -138,9 +132,11 @@ func Train(train *dataset.Table, cfg Config) (*Classifier, error) {
 }
 
 // normalized applies defaults and validates the knobs shared by the
-// in-memory (Train) and out-of-core (TrainStream) paths. n is the training
-// set size, which scales the adaptive leaf minimum; both paths therefore
-// resolve the identical tree configuration for the same data.
+// in-memory path (Train) and the out-of-core one (SpillShard and
+// MergeShardSpills, which TrainStream runs). n is the training set size,
+// which scales the adaptive leaf minimum; a stream reveals it only at the
+// merge, which resolves that minimum itself, so both paths resolve the
+// identical tree configuration for the same data.
 func (cfg Config) normalized(n int) (Config, error) {
 	if !cfg.Mode.Valid() {
 		return cfg, fmt.Errorf("core: invalid mode %d", int(cfg.Mode))
@@ -156,9 +152,6 @@ func (cfg Config) normalized(n int) (Config, error) {
 	}
 	if cfg.LocalMinRecords == 0 {
 		cfg.LocalMinRecords = DefaultLocalMinRecords
-	}
-	if cfg.ReconEpsilon == 0 {
-		cfg.ReconEpsilon = DefaultReconEpsilon
 	}
 	if cfg.Mode.NeedsNoise() && len(cfg.Noise) == 0 {
 		return cfg, fmt.Errorf("core: mode %v requires noise models", cfg.Mode)
@@ -232,16 +225,17 @@ func directColumns(t *dataset.Table, parts []reconstruct.Partition, cfg Config) 
 	})
 }
 
-// reconCfg assembles the reconstruction configuration for one attribute. The
-// inner weight precompute stays serial: the per-attribute (and per-class)
-// callers below already run in parallel, and the matrices are cached anyway.
+// reconCfg assembles the reconstruction configuration for one attribute:
+// the configured algorithm, stopped at DefaultReconEpsilon or at the
+// reconstruct package's iteration cap. The inner weight precompute stays
+// serial: the per-attribute (and per-class) callers below already run in
+// parallel, and the matrices are cached anyway.
 func reconCfg(cfg Config, part reconstruct.Partition, m noise.Model) reconstruct.Config {
 	return reconstruct.Config{
 		Partition: part,
 		Noise:     m,
 		Algorithm: cfg.ReconAlgorithm,
-		MaxIters:  cfg.ReconMaxIters,
-		Epsilon:   cfg.ReconEpsilon,
+		Epsilon:   DefaultReconEpsilon,
 		Workers:   1,
 	}
 }

@@ -178,7 +178,7 @@ func TestLocalModeComparableToByClass(t *testing.T) {
 	perturbed, _ := noise.PerturbTable(train, models, 22)
 
 	cfgByClass := Config{Mode: ByClass, Noise: models}
-	cfgLocal := Config{Mode: Local, Noise: models, ReconMaxIters: 100}
+	cfgLocal := Config{Mode: Local, Noise: models}
 
 	bcClf, err := Train(perturbed, cfgByClass)
 	if err != nil {

@@ -83,13 +83,8 @@ func NewTableFromDense(s *Schema, values []float64, labels []int) (*Table, error
 }
 
 // Row returns record i's values. The returned slice aliases the table's
-// storage; callers must not modify it (use RowCopy to mutate).
+// storage; callers must not modify it (use SetValue to mutate).
 func (t *Table) Row(i int) []float64 { return t.rows[i] }
-
-// RowCopy returns an independent copy of record i's values.
-func (t *Table) RowCopy(i int) []float64 {
-	return append([]float64(nil), t.rows[i]...)
-}
 
 // Label returns record i's class code.
 func (t *Table) Label(i int) int { return t.labels[i] }

@@ -76,9 +76,6 @@ func runOne(s *Spec, cfg Config) Result {
 	)
 	switch res.Kind {
 	case KindClassify:
-		if s.Classify.Workers != 0 {
-			workers = s.Classify.Workers
-		}
 		m, err = runClassify(s, cfg.Scale, workers)
 	case KindReconstruct:
 		m, err = runReconstruct(s.Reconstruct, cfg.Scale, workers)
@@ -156,11 +153,7 @@ func runClassify(s *Spec, scale float64, workers int) (measured, error) {
 	metrics := map[string]float64{}
 	if mode != core.Original {
 		ns := c.Noise
-		conf := ns.Confidence
-		if conf == 0 {
-			conf = noise.DefaultConfidence
-		}
-		models, err = noise.ModelsForAllAttrs(clean.Schema(), ns.Family, ns.Privacy, conf)
+		models, err = noise.ModelsForAllAttrs(clean.Schema(), ns.Family, ns.Privacy, noise.DefaultConfidence)
 		if err != nil {
 			return measured{}, err
 		}
@@ -168,7 +161,7 @@ func runClassify(s *Spec, scale float64, workers int) (measured, error) {
 		if err != nil {
 			return measured{}, err
 		}
-		metrics[MetricPrivacy], err = meanIntervalPrivacy(clean.Schema(), models, conf)
+		metrics[MetricPrivacy], err = meanIntervalPrivacy(clean.Schema(), models)
 		if err != nil {
 			return measured{}, err
 		}
@@ -206,7 +199,7 @@ func runClassify(s *Spec, scale float64, workers int) (measured, error) {
 	} else {
 		ccfg := core.Config{
 			Mode: mode, Intervals: c.Intervals, Noise: models,
-			ReconAlgorithm: alg, Workers: workers, ColumnCacheSegments: c.SpillCacheSegments,
+			ReconAlgorithm: alg, Workers: workers,
 		}
 		var model *core.Classifier
 		switch {
@@ -232,16 +225,16 @@ func runClassify(s *Spec, scale float64, workers int) (measured, error) {
 }
 
 // meanIntervalPrivacy averages the paper's confidence-interval privacy
-// level (1.0 = 100% of the attribute's domain width) across the perturbed
-// attributes.
-func meanIntervalPrivacy(s *dataset.Schema, models map[int]noise.Model, conf float64) (float64, error) {
+// level (1.0 = 100% of the attribute's domain width, at the paper's 95%
+// confidence) across the perturbed attributes.
+func meanIntervalPrivacy(s *dataset.Schema, models map[int]noise.Model) (float64, error) {
 	sum, n := 0.0, 0
 	for j, a := range s.Attrs {
 		m, ok := models[j]
 		if !ok {
 			continue
 		}
-		level, err := privacy.IntervalPrivacy(m, a.Width(), conf)
+		level, err := privacy.IntervalPrivacy(m, a.Width(), noise.DefaultConfidence)
 		if err != nil {
 			return 0, fmt.Errorf("attribute %q: %w", a.Name, err)
 		}

@@ -129,8 +129,6 @@ type NoiseSpec struct {
 	Family string `json:"family"`
 	// Privacy is the paper's privacy level (1.0 = 100%).
 	Privacy float64 `json:"privacy"`
-	// Confidence is the privacy confidence level (0 = the paper's 95%).
-	Confidence float64 `json:"confidence,omitempty"`
 	// Seed drives the perturbation.
 	Seed uint64 `json:"seed"`
 	// Algorithm is the reconstruction update rule, "bayes" (default) or
@@ -165,12 +163,6 @@ type ClassifySpec struct {
 	// model is byte-identical to single-node training, which the
 	// cluster-merge scenario pins. Requires Stream; 0 trains single-node.
 	Shards int `json:"shards,omitempty"`
-	// SpillCacheSegments bounds the streamed tree path's column-segment
-	// cache (0 = default).
-	SpillCacheSegments int `json:"spill_cache_segments,omitempty"`
-	// Workers overrides the run's worker bound for this scenario (0 =
-	// inherit); results are identical for every value.
-	Workers int `json:"workers,omitempty"`
 }
 
 // ReconstructSpec configures a distribution-recovery series on [0, 100]:
@@ -537,9 +529,6 @@ func (n *NoiseSpec) validate() error {
 	if n.Privacy <= 0 {
 		return fmt.Errorf("noise privacy level %v must be positive", n.Privacy)
 	}
-	if n.Confidence < 0 || n.Confidence >= 1 {
-		return fmt.Errorf("noise confidence %v must be in [0, 1) (0 selects the default)", n.Confidence)
-	}
 	return validAlgorithm(n.Algorithm)
 }
 
@@ -596,14 +585,8 @@ func (c *ClassifySpec) validate() error {
 	if c.Shards > 0 && !c.Stream {
 		return errors.New("shards requires stream (the deal grid rides the record stream)")
 	}
-	if !c.Stream && (c.Batch != 0 || c.SpillCacheSegments != 0) {
-		return errors.New("batch/spill_cache_segments apply only with stream")
-	}
-	if c.SpillCacheSegments < 0 {
-		return fmt.Errorf("spill_cache_segments %d must not be negative", c.SpillCacheSegments)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("workers %d must not be negative (0 inherits the run's bound)", c.Workers)
+	if !c.Stream && c.Batch != 0 {
+		return errors.New("batch sizes apply only with stream")
 	}
 	return nil
 }

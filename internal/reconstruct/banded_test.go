@@ -36,7 +36,7 @@ func TestBandedMatchesDenseUniform(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cfg := Config{Partition: part, Noise: m, Algorithm: alg, MaxIters: 60, DisableWeightCache: true}
+		cfg := Config{Partition: part, Noise: m, Algorithm: alg, MaxIters: 60, Cache: NewWeightCache(1)}
 		banded, err := Reconstruct(vals, cfg)
 		if err != nil {
 			return false
@@ -73,7 +73,7 @@ func TestBandedWithinTailBound(t *testing.T) {
 		m    noise.Model
 	}{{"gaussian", gauss}, {"laplace", lap}} {
 		vals := bandedPerturbed(20000, tc.m, 42)
-		cfg := Config{Partition: part, Noise: tc.m, DisableWeightCache: true}
+		cfg := Config{Partition: part, Noise: tc.m, Cache: NewWeightCache(1)}
 		dense, err := reconstructDense(vals, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestBandedActuallyBands(t *testing.T) {
 	part, _ := NewPartition(0, 100, 100)
 	vals := bandedPerturbed(5000, m, 7)
 	obs := newObservationGrid(vals, part, m)
-	banded := transitionWeights(Config{Partition: part, Noise: m, DisableWeightCache: true}, obs)
+	banded := transitionWeights(Config{Partition: part, Noise: m, Cache: NewWeightCache(1)}, obs)
 	dr := denseRadius(part.K, obs.lowIdx, len(obs.counts))
 	dense := computeWeights(m, Bayes, part.Width(), part.K, obs.lowIdx, len(obs.counts), dr, 1)
 	if got, limit := len(banded.data), len(dense.data)/4; got > limit {
@@ -134,7 +134,7 @@ func TestIterationWorkerDeterminism(t *testing.T) {
 			for i, workers := range []int{1, 8} {
 				cfg := Config{
 					Partition: part, Noise: m, Algorithm: alg,
-					Workers: workers, DisableWeightCache: true, MaxIters: 40,
+					Workers: workers, Cache: NewWeightCache(1), MaxIters: 40,
 				}
 				run := Reconstruct
 				if dense {
@@ -276,7 +276,7 @@ func TestBandRadiusResolution(t *testing.T) {
 	// a gaussian so wide its band exceeds the grid collapses to dense
 	m := noise.Gaussian{Sigma: 500}
 	obs := newObservationGrid([]float64{-10, 50, 120}, part, m)
-	if got, dense := transitionWeights(Config{Partition: part, Noise: m, DisableWeightCache: true}, obs).radius,
+	if got, dense := transitionWeights(Config{Partition: part, Noise: m, Cache: NewWeightCache(1)}, obs).radius,
 		denseRadius(part.K, obs.lowIdx, len(obs.counts)); got != dense {
 		t.Errorf("wide gaussian: radius %d, want dense %d", got, dense)
 	}

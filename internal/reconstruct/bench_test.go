@@ -34,7 +34,7 @@ func benchReconKernel(b *testing.B, m noise.Model, k int, run func([]float64, Co
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run(vals, Config{Partition: part, Noise: m, DisableWeightCache: true}); err != nil {
+		if _, err := run(vals, Config{Partition: part, Noise: m, Cache: NewWeightCache(1)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -128,7 +128,7 @@ func (c *WeightCache) Reset() {
 }
 
 // sharedWeightCache serves every reconstruction that does not bring its own
-// cache (Config.Cache) and does not opt out (Config.DisableWeightCache).
+// cache (Config.Cache).
 var sharedWeightCache = NewWeightCache(DefaultWeightCacheEntries)
 
 // SharedWeightCacheStats reports the shared transition-matrix cache's
@@ -168,7 +168,7 @@ func transitionWeights(cfg Config, obs observationGrid) *bandedWeights {
 	if cache == nil {
 		cache = sharedWeightCache
 	}
-	cacheable := !cfg.DisableWeightCache && cacheableModel(cfg.Noise)
+	cacheable := cacheableModel(cfg.Noise)
 	key := weightKey{alg: cfg.Algorithm, width: width, k: k, lowIdx: obs.lowIdx, nObs: len(obs.counts), radius: radius}
 	if cacheable {
 		key.model = cfg.Noise

@@ -50,8 +50,9 @@ func TestWeightWorkerDeterminism(t *testing.T) {
 }
 
 // TestWeightCacheHitAndBypass checks that identical geometries share one
-// matrix, that DisableWeightCache really bypasses the cache, and that the
-// hit/miss counters record both.
+// matrix, that a fresh Config.Cache really bypasses the shared cache with a
+// cold, bitwise-identical matrix, and that the hit/miss counters record
+// both.
 func TestWeightCacheHitAndBypass(t *testing.T) {
 	vals, m, part := cachePerturbed(t, 5000)
 	ResetSharedWeightCache()
@@ -66,13 +67,16 @@ func TestWeightCacheHitAndBypass(t *testing.T) {
 	if st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
 		t.Errorf("counters after miss+hit: %+v", st)
 	}
-	cfg.DisableWeightCache = true
+	cfg.Cache = NewWeightCache(1)
 	w3 := transitionWeights(cfg, obs)
 	if w3 == w1 {
-		t.Error("DisableWeightCache still returned the cached matrix")
+		t.Error("a fresh Config.Cache still returned the shared cache's matrix")
 	}
 	if st := SharedWeightCacheStats(); st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("bypassed lookup moved the counters: %+v", st)
+		t.Errorf("bypassed lookup moved the shared counters: %+v", st)
+	}
+	if st := cfg.Cache.Stats(); st.Misses != 1 || st.Hits != 0 {
+		t.Errorf("fresh cache counters after one lookup: %+v", st)
 	}
 	if len(w1.data) != len(w3.data) {
 		t.Fatalf("bypassed matrix has %d entries, cached has %d", len(w3.data), len(w1.data))

@@ -317,13 +317,14 @@ func TestRunIterationWorkerDeterminism(t *testing.T) {
 		vals[i] = r.Uniform(0, 20000) + m.Sample(r)
 	}
 	for _, alg := range []Algorithm{Bayes, EM} {
-		cfg := Config{Partition: part, Noise: m, Algorithm: alg, DisableWeightCache: true, MaxIters: 10}
+		cfg := Config{Partition: part, Noise: m, Algorithm: alg, Cache: NewWeightCache(1), MaxIters: 10}
 		if w := transitionWeights(cfg, newObservationGrid(vals, part, m)); !w.runs || w.work < iterWorkMin {
 			t.Fatalf("alg %v: runs %v, work %d against the threshold %d: the grid misses the run path", alg, w.runs, w.work, iterWorkMin)
 		}
 		var ps [2][]float64
 		for i, workers := range []int{1, 8} {
 			cfg.Workers = workers
+			cfg.Cache = NewWeightCache(1) // each worker count computes its own matrix
 			res, err := Reconstruct(vals, cfg)
 			if err != nil {
 				t.Fatal(err)

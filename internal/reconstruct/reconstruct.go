@@ -68,14 +68,11 @@ type Config struct {
 	Workers int
 	// Cache, if non-nil, overrides the shared transition-matrix cache, for
 	// a caller that must not share matrices with the rest of the process —
-	// a measurement that starts from a cold cache, say. Training passes
-	// none: its root and node geometries all go through the shared cache.
+	// a measurement, kernel test or benchmark that starts from a cold
+	// cache, say, passes a fresh NewWeightCache. Training passes none: its
+	// root and node geometries all go through the shared cache. Cached or
+	// not, the computed matrix is bitwise identical.
 	Cache *WeightCache
-	// DisableWeightCache bypasses the transition-matrix cache (shared or
-	// Cache) entirely, for kernel tests and benchmarks that must not run
-	// warm against matrices a previous run left behind. Cached or not, the
-	// computed matrix is bitwise identical.
-	DisableWeightCache bool
 }
 
 // Result reports the reconstructed distribution and convergence behaviour.

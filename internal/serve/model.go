@@ -63,18 +63,12 @@ type Model struct {
 	infoJSON []byte
 }
 
-// CacheKey renders the discretized form of a record — the vector of
-// partition interval indices — as a compact byte-string cache key. Records
-// that land in the same intervals are classified identically by either
-// learner's discretized model, which is what makes the prediction cache
-// sound.
-func (m *Model) CacheKey(rec []float64) string {
-	return string(m.appendKey(make([]byte, 0, 3*len(rec)), rec))
-}
-
-// appendKey appends the CacheKey encoding of rec to buf and returns the
-// extended slice — the allocation-free form the micro-batcher renders keys
-// with before probing the cache.
+// appendKey appends the discretized form of a record — the vector of
+// partition interval indices, as uvarints — to buf and returns the extended
+// slice: the compact cache key the micro-batcher renders, without
+// allocating, before probing the cache. Records that land in the same
+// intervals are classified identically by either learner's discretized
+// model, which is what makes the prediction cache sound.
 func (m *Model) appendKey(buf []byte, rec []float64) []byte {
 	for j, v := range rec {
 		buf = appendUvarint(buf, uint64(m.Partitions[j].Bin(v)))

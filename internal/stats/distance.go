@@ -19,68 +19,11 @@ func L1(p, q []float64) (float64, error) {
 	return d, nil
 }
 
-// L2 returns the Euclidean distance between two probability vectors.
-func L2(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("stats: L2 length mismatch %d vs %d", len(p), len(q))
-	}
-	var ss float64
-	for i := range p {
-		d := p[i] - q[i]
-		ss += d * d
-	}
-	return math.Sqrt(ss), nil
-}
-
 // TotalVariation returns the total variation distance between two
 // probability vectors: half the L1 distance, in [0, 1].
 func TotalVariation(p, q []float64) (float64, error) {
 	d, err := L1(p, q)
 	return d / 2, err
-}
-
-// KS returns the Kolmogorov–Smirnov statistic between two binned
-// distributions: the maximum absolute difference of their CDFs, in [0, 1].
-func KS(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("stats: KS length mismatch %d vs %d", len(p), len(q))
-	}
-	var cp, cq, worst float64
-	for i := range p {
-		cp += p[i]
-		cq += q[i]
-		if d := math.Abs(cp - cq); d > worst {
-			worst = d
-		}
-	}
-	return worst, nil
-}
-
-// ChiSquare returns the chi-square statistic of observed counts against
-// expected probabilities: Σ (obs_i − n·exp_i)² / (n·exp_i). Bins whose
-// expected probability is zero contribute nothing when the observed count is
-// also zero, and +Inf otherwise.
-func ChiSquare(observed []int, expected []float64) (float64, error) {
-	if len(observed) != len(expected) {
-		return 0, fmt.Errorf("stats: ChiSquare length mismatch %d vs %d", len(observed), len(expected))
-	}
-	n := 0
-	for _, o := range observed {
-		n += o
-	}
-	var chi2 float64
-	for i, o := range observed {
-		e := float64(n) * expected[i]
-		if e == 0 {
-			if o != 0 {
-				return math.Inf(1), nil
-			}
-			continue
-		}
-		d := float64(o) - e
-		chi2 += d * d / e
-	}
-	return chi2, nil
 }
 
 // IsDistribution reports whether p is a valid probability vector: all

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Entropy returns the Shannon entropy of the probability vector p in bits.
 // Zero-probability bins contribute nothing. Negative entries make the result
@@ -32,85 +29,4 @@ func DifferentialEntropy(p []float64, binWidth float64) float64 {
 // would need to have the same uncertainty.
 func EntropyPrivacy(p []float64, binWidth float64) float64 {
 	return math.Exp2(DifferentialEntropy(p, binWidth))
-}
-
-// JointCounts is a 2-D contingency table of two binned variables.
-type JointCounts struct {
-	Rows, Cols int
-	counts     []int
-	total      int
-}
-
-// NewJointCounts returns an empty rows×cols contingency table.
-func NewJointCounts(rows, cols int) (*JointCounts, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("stats: joint counts need positive dims, got %dx%d", rows, cols)
-	}
-	return &JointCounts{Rows: rows, Cols: cols, counts: make([]int, rows*cols)}, nil
-}
-
-// Add records one co-observation of row bin r and column bin c.
-func (j *JointCounts) Add(r, c int) error {
-	if r < 0 || r >= j.Rows || c < 0 || c >= j.Cols {
-		return fmt.Errorf("stats: joint index (%d,%d) out of %dx%d", r, c, j.Rows, j.Cols)
-	}
-	j.counts[r*j.Cols+c]++
-	j.total++
-	return nil
-}
-
-// Total returns the number of co-observations.
-func (j *JointCounts) Total() int { return j.total }
-
-// MutualInformation returns the empirical mutual information I(R;C) in bits.
-// An empty table has zero mutual information.
-func (j *JointCounts) MutualInformation() float64 {
-	if j.total == 0 {
-		return 0
-	}
-	n := float64(j.total)
-	rowSum := make([]float64, j.Rows)
-	colSum := make([]float64, j.Cols)
-	for r := 0; r < j.Rows; r++ {
-		for c := 0; c < j.Cols; c++ {
-			v := float64(j.counts[r*j.Cols+c])
-			rowSum[r] += v
-			colSum[c] += v
-		}
-	}
-	var mi float64
-	for r := 0; r < j.Rows; r++ {
-		for c := 0; c < j.Cols; c++ {
-			v := float64(j.counts[r*j.Cols+c])
-			if v == 0 {
-				continue
-			}
-			pxy := v / n
-			px := rowSum[r] / n
-			py := colSum[c] / n
-			mi += pxy * math.Log2(pxy/(px*py))
-		}
-	}
-	if mi < 0 { // numerical noise
-		mi = 0
-	}
-	return mi
-}
-
-// GiniImpurity returns the gini index 1 − Σ (c_i/n)² of class counts; 0 for
-// a pure or empty node.
-func GiniImpurity(counts []int) float64 {
-	n := 0
-	for _, c := range counts {
-		n += c
-	}
-	if n == 0 {
-		return 0
-	}
-	g := 1.0
-	for _, c := range counts {
-		p := float64(c) / float64(n)
-		g -= p * p
-	}
-	return g
 }

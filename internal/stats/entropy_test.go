@@ -56,90 +56,3 @@ func TestDifferentialEntropyUniform(t *testing.T) {
 		t.Errorf("EntropyPrivacy = %v, want %v", priv, width)
 	}
 }
-
-func TestJointCountsValidation(t *testing.T) {
-	if _, err := NewJointCounts(0, 5); err == nil {
-		t.Error("NewJointCounts(0,5) succeeded")
-	}
-	j, err := NewJointCounts(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Add(2, 0); err == nil {
-		t.Error("out-of-range Add succeeded")
-	}
-	if err := j.Add(-1, 0); err == nil {
-		t.Error("negative Add succeeded")
-	}
-}
-
-func TestMutualInformationIndependent(t *testing.T) {
-	// Perfectly independent uniform variables: MI ≈ 0.
-	j, _ := NewJointCounts(2, 2)
-	for r := 0; r < 2; r++ {
-		for c := 0; c < 2; c++ {
-			for i := 0; i < 100; i++ {
-				if err := j.Add(r, c); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	if mi := j.MutualInformation(); mi > 1e-9 {
-		t.Errorf("MI of independent = %v, want 0", mi)
-	}
-}
-
-func TestMutualInformationPerfectCopy(t *testing.T) {
-	// Y = X with 2 equally likely values: MI = 1 bit.
-	j, _ := NewJointCounts(2, 2)
-	for i := 0; i < 100; i++ {
-		_ = j.Add(0, 0)
-		_ = j.Add(1, 1)
-	}
-	if mi := j.MutualInformation(); math.Abs(mi-1) > 1e-9 {
-		t.Errorf("MI of perfect copy = %v, want 1", mi)
-	}
-}
-
-func TestMutualInformationEmpty(t *testing.T) {
-	j, _ := NewJointCounts(3, 3)
-	if j.MutualInformation() != 0 {
-		t.Error("MI of empty table != 0")
-	}
-	if j.Total() != 0 {
-		t.Error("Total of empty table != 0")
-	}
-}
-
-func TestMutualInformationNonNegativeRandom(t *testing.T) {
-	r := prng.New(77)
-	for trial := 0; trial < 50; trial++ {
-		j, _ := NewJointCounts(4, 6)
-		n := 50 + r.Intn(200)
-		for i := 0; i < n; i++ {
-			_ = j.Add(r.Intn(4), r.Intn(6))
-		}
-		if mi := j.MutualInformation(); mi < 0 {
-			t.Fatalf("negative MI: %v", mi)
-		}
-	}
-}
-
-func TestGiniImpurity(t *testing.T) {
-	cases := []struct {
-		counts []int
-		want   float64
-	}{
-		{[]int{10, 0}, 0},
-		{[]int{0, 0}, 0},
-		{[]int{5, 5}, 0.5},
-		{[]int{1, 1, 1, 1}, 0.75},
-		{[]int{9, 1}, 1 - 0.81 - 0.01},
-	}
-	for _, c := range cases {
-		if got := GiniImpurity(c.counts); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("GiniImpurity(%v) = %v, want %v", c.counts, got, c.want)
-		}
-	}
-}

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bufio"
 	"compress/gzip"
 	"encoding/csv"
 	"fmt"
@@ -174,19 +173,3 @@ func (r *Reader) Next() (*Batch, error) {
 
 // Close releases the gzip reader. It does not close the underlying reader.
 func (r *Reader) Close() error { return r.gz.Close() }
-
-// SniffGzip reports whether r begins with the gzip magic bytes, returning a
-// replacement reader that yields the full original byte stream (the peeked
-// prefix is not consumed). It lets one entry point — an HTTP endpoint, a
-// CLI flag — accept either a gzipped record-batch stream or another
-// encoding on the same channel, so a file written by the streaming
-// generator can be POSTed to the serving daemon as-is. An empty or
-// one-byte stream sniffs as non-gzip with no error.
-func SniffGzip(r io.Reader) (io.Reader, bool, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(2)
-	if err != nil && err != io.EOF {
-		return br, false, fmt.Errorf("stream: sniffing gzip magic: %w", err)
-	}
-	return br, len(magic) == 2 && magic[0] == 0x1f && magic[1] == 0x8b, nil
-}

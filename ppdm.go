@@ -384,8 +384,9 @@ func Train(train *Table, cfg TrainConfig) (*Classifier, error) { return core.Tra
 // TrainStream builds the decision-tree classifier from a record source
 // without ever materializing the table: one streaming pass spills columnar
 // (SPRINT-style) attribute lists to binary segment files, perturbed
-// columns are reconstructed and re-assigned one at a time, and the tree
-// grows from the spilled lists through a bounded segment cache. The model
+// columns are reconstructed and re-assigned one at a time (each raw column
+// is deleted once re-binned), and the tree grows from the spilled lists
+// through a bounded segment cache — the sharded merge over one shard. The model
 // is byte-identical to Train on the materialized table at every worker
 // count and batch size. All modes except Local are supported.
 func TrainStream(src RecordSource, cfg TrainConfig) (*Classifier, error) {
