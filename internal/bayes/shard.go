@@ -237,11 +237,11 @@ func (t *TrainStats) State() TrainStatsState {
 // NewTrainStatsFromState reconstitutes shard statistics from their wire
 // state, validating them against the schema and config. A state that no
 // honest shard could have produced is rejected: class counts must be
-// non-negative and sum to N, and every direct-binned histogram row must hold
-// non-negative whole counts summing to its class's count, since AddBatch
-// adds exactly one count per record to each such row. Likewise the
-// collectors of every reconstructed attribute must sit on the config's
-// partition of it and hold their class's count, and the collector
+// non-negative and sum to N without overflowing, and every direct-binned
+// histogram row must hold non-negative whole counts summing to its class's
+// count, since AddBatch adds exactly one count per record to each such row.
+// Likewise the collectors of every reconstructed attribute must sit on the
+// config's partition of it and hold their class's count, and the collector
 // statistics must carry the same class counts and N as the state.
 func NewTrainStatsFromState(s *dataset.Schema, cfg Config, state TrainStatsState) (*TrainStats, error) {
 	t, err := NewTrainStats(s, cfg)
@@ -256,6 +256,9 @@ func NewTrainStatsFromState(s *dataset.Schema, cfg Config, state TrainStatsState
 	for c, cnt := range state.ClassCounts {
 		if cnt < 0 {
 			return nil, fmt.Errorf("bayes: state class %d has negative count %d", c, cnt)
+		}
+		if cnt > math.MaxInt-n {
+			return nil, fmt.Errorf("bayes: state class counts overflow their sum at class %d", c)
 		}
 		n += cnt
 	}
@@ -303,11 +306,11 @@ func NewTrainStatsFromState(s *dataset.Schema, cfg Config, state TrainStatsState
 			if !recon {
 				continue
 			}
-			if stats.ClassCollector(j, 0) == nil {
-				return nil, fmt.Errorf("bayes: state lacks collectors for reconstructed attribute %d", j)
-			}
 			for c, cnt := range state.ClassCounts {
 				col := stats.ClassCollector(j, c)
+				if col == nil {
+					return nil, fmt.Errorf("bayes: state lacks collectors for reconstructed attribute %d", j)
+				}
 				if p := col.Partition(); p != t.parts[j] {
 					return nil, fmt.Errorf("bayes: state class %d collector of attribute %d sits on %d intervals over [%v, %v], the model's partition has %d over [%v, %v]",
 						c, j, p.K, p.Lo, p.Hi, t.parts[j].K, t.parts[j].Lo, t.parts[j].Hi)

@@ -121,7 +121,8 @@ type stateCorruption struct {
 // collectors on a grid other than the coordinator's, holding a count other
 // than their class's, or beside class counts other than the state's;
 // direct-binned histogram cells that are not counts or do not sum to their
-// class count; and class counts that are negative or do not sum to N.
+// class count; and class counts that are negative, do not sum to N, or
+// overflow their sum.
 func TestTrainStatsStateRejectsBadCollectors(t *testing.T) {
 	fx := newStateFixture(t)
 	cfg := fx.byClass
@@ -189,6 +190,21 @@ func TestTrainStatsStateRejectsBadCollectors(t *testing.T) {
 		if _, err := NewTrainStatsFromState(fx.schema, cfg, state); err == nil {
 			t.Errorf("%s: corrupt state accepted", m.name)
 		}
+	}
+	// Class counts whose sum overflows int, with N set to the wrapped sum
+	// and every histogram row holding its class's count.
+	state := decodeState(t, fx.plain)
+	const half = 1 << 62
+	state.ClassCounts = []int{half, half}
+	state.N = state.ClassCounts[0] + state.ClassCounts[1]
+	for c := range state.Hist {
+		for _, row := range state.Hist[c] {
+			clear(row)
+			row[0] = half
+		}
+	}
+	if _, err := NewTrainStatsFromState(fx.schema, fx.original, state); err == nil {
+		t.Error("class counts whose sum overflows accepted")
 	}
 }
 

@@ -11,17 +11,19 @@ import (
 	"ppdm/internal/tree"
 )
 
-// Defaults used when the corresponding Config field is zero.
+// Defaults used when the corresponding Config field is zero, and the
+// reconstruction stopping threshold, which no Config field overrides.
 const (
 	// DefaultIntervals is the per-attribute interval count used for both
 	// reconstruction and tree splits. Attributes with a declared Step get
 	// fewer (see effectiveIntervals).
 	DefaultIntervals = 50
-	// DefaultReconEpsilon is the reconstruction stopping threshold used in
-	// training. It is looser than the reconstruct package default on
-	// purpose: early stopping regularizes the deconvolution, and running it
-	// to tighter tolerances measurably over-sharpens the estimated
-	// distributions and hurts downstream accuracy.
+	// DefaultReconEpsilon is the reconstruction stopping threshold every
+	// training run uses, naive Bayes included. It is looser than the
+	// reconstruct package default on purpose: early stopping regularizes
+	// the deconvolution, and running it to tighter tolerances measurably
+	// over-sharpens the estimated distributions and hurts downstream
+	// accuracy.
 	DefaultReconEpsilon = 1e-3
 	// DefaultLocalMinRecords is the node size below which Local mode stops
 	// re-reconstructing and falls back to the root ByClass counting

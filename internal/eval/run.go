@@ -69,18 +69,17 @@ func Run(specs []*Spec, cfg Config) (*Report, error) {
 // runOne executes one scenario and evaluates its gates.
 func runOne(s *Spec, cfg Config) Result {
 	res := Result{Name: s.Name, Kind: s.EffectiveKind()}
-	workers := cfg.Workers
 	var (
 		m   measured
 		err error
 	)
 	switch res.Kind {
 	case KindClassify:
-		m, err = runClassify(s, cfg.Scale, workers)
+		m, err = runClassify(s, cfg.Scale, cfg.Workers)
 	case KindReconstruct:
-		m, err = runReconstruct(s.Reconstruct, cfg.Scale, workers)
+		m, err = runReconstruct(s.Reconstruct, cfg.Scale, cfg.Workers)
 	case KindAssoc:
-		m, err = runAssoc(s, cfg.Scale, workers)
+		m, err = runAssoc(s, cfg.Scale, cfg.Workers)
 	case KindResponse:
 		m, err = runResponse(s.Response, cfg.Scale)
 	default:
