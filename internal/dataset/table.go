@@ -83,7 +83,7 @@ func NewTableFromDense(s *Schema, values []float64, labels []int) (*Table, error
 }
 
 // Row returns record i's values. The returned slice aliases the table's
-// storage; callers must not modify it (use SetValue to mutate).
+// storage; callers must not modify it (SetValue changes a value in place).
 func (t *Table) Row(i int) []float64 { return t.rows[i] }
 
 // Label returns record i's class code.
