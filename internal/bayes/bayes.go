@@ -162,34 +162,11 @@ func (c *Classifier) predictBins(bins []int) int {
 	return best
 }
 
-// Evaluate classifies every record of the clean test table.
+// Evaluate classifies every record of the clean test table: EvaluateStream
+// over the table.
 func (c *Classifier) Evaluate(test *dataset.Table) (core.Evaluation, error) {
 	if test == nil || test.N() == 0 {
 		return core.Evaluation{}, errors.New("bayes: empty test table")
 	}
-	if test.Schema().NumAttrs() != len(c.Partitions) {
-		return core.Evaluation{}, fmt.Errorf("bayes: test table has %d attributes, classifier expects %d",
-			test.Schema().NumAttrs(), len(c.Partitions))
-	}
-	k := len(c.Priors)
-	ev := core.Evaluation{N: test.N(), Confusion: make([][]int, k)}
-	for i := range ev.Confusion {
-		ev.Confusion[i] = make([]int, k)
-	}
-	for i := 0; i < test.N(); i++ {
-		pred, err := c.Predict(test.Row(i))
-		if err != nil {
-			return core.Evaluation{}, err
-		}
-		actual := test.Label(i)
-		if actual >= k {
-			return core.Evaluation{}, fmt.Errorf("bayes: test label %d outside model's %d classes", actual, k)
-		}
-		ev.Confusion[actual][pred]++
-		if pred == actual {
-			ev.Correct++
-		}
-	}
-	ev.Accuracy = float64(ev.Correct) / float64(ev.N)
-	return ev, nil
+	return c.EvaluateStream(stream.FromTable(test, 0))
 }

@@ -20,35 +20,20 @@ func fail(stderr io.Writer, err error) int {
 	return 1
 }
 
-// writeTableCSV writes a table to the named file, or to stdout for "-".
-func writeTableCSV(t *dataset.Table, path string, stdout io.Writer) error {
-	if path == "-" || path == "" {
-		return t.WriteCSV(stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// readBenchmarkCSV loads a CSV file in the synthetic-benchmark schema.
+// readBenchmarkCSV loads a plain CSV file in the synthetic-benchmark schema.
 func readBenchmarkCSV(path string) (*dataset.Table, error) {
-	f, err := os.Open(path)
+	src, closeFn, err := openRecordStream(path, false, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return dataset.ReadCSV(f, synth.Schema())
+	defer closeFn()
+	return stream.Collect(src)
 }
 
-// writeRecordStream drains src into a gzipped record-batch file (or stdout
-// for "-"), one batch in memory at a time, and returns the record count.
-func writeRecordStream(src stream.Source, path string, stdout io.Writer) (int, error) {
+// writeRecordStream drains src into a CSV file (or stdout for "-"), gzipped
+// when gzipped is set, one batch in memory at a time, and returns the
+// record count.
+func writeRecordStream(src stream.Source, path string, gzipped bool, stdout io.Writer) (int, error) {
 	out := stdout
 	var f *os.File
 	if path != "-" && path != "" {
@@ -59,8 +44,12 @@ func writeRecordStream(src stream.Source, path string, stdout io.Writer) (int, e
 		}
 		out = f
 	}
+	newWriter := stream.NewCSVWriter
+	if gzipped {
+		newWriter = stream.NewWriter
+	}
 	n := 0
-	w, err := stream.NewWriter(out, src.Schema())
+	w, err := newWriter(out, src.Schema())
 	if err == nil {
 		_, err = stream.Copy(w, src)
 		if cerr := w.Close(); err == nil {
@@ -76,10 +65,10 @@ func writeRecordStream(src stream.Source, path string, stdout io.Writer) (int, e
 	return n, err
 }
 
-// openRecordStream opens a gzipped record-batch file (or stdin for "-") in
-// the synthetic-benchmark schema. The returned close function releases the
-// file handle.
-func openRecordStream(path string, batch int) (*stream.Reader, func() error, error) {
+// openRecordStream opens a CSV record file (or stdin for "-") in the
+// synthetic-benchmark schema, gunzipping it when gzipped is set. The
+// returned close function releases the file handle.
+func openRecordStream(path string, gzipped bool, batch int) (*stream.Reader, func() error, error) {
 	in := io.Reader(os.Stdin)
 	closeFn := func() error { return nil }
 	if path != "-" && path != "" {
@@ -90,7 +79,11 @@ func openRecordStream(path string, batch int) (*stream.Reader, func() error, err
 		in = f
 		closeFn = f.Close
 	}
-	r, err := stream.NewReader(in, synth.Schema(), batch)
+	newReader := stream.NewCSVReader
+	if gzipped {
+		newReader = stream.NewReader
+	}
+	r, err := newReader(in, synth.Schema(), batch)
 	if err != nil {
 		closeFn()
 		return nil, nil, err

@@ -10,12 +10,12 @@ import (
 	"ppdm/internal/synth"
 )
 
-// Gen generates synthetic benchmark data, optionally perturbed. By default
-// it materializes the table and writes plain CSV; with -stream it pipes
-// gzipped record batches straight from the generator (and perturber) to the
-// output, never holding the full table — peak memory is O(batch) however
-// large -n is, and `gunzip` of the streamed output is byte-identical to the
-// in-memory CSV for the same seeds.
+// Gen generates synthetic benchmark data, optionally perturbed. It pipes
+// record batches straight from the generator (and perturber) to the
+// output, never holding the full table, so peak memory is O(batch) however
+// large -n is. The output is plain CSV; -stream adds a gzip layer (the
+// batch stream ppdm-train -stream and ppdm-serve read), and `gunzip` of it
+// is byte-identical to the plain CSV for the same seeds.
 //
 // Usage: ppdm-gen [-fn F2] [-n 100000] [-seed 1] [-label-noise 0]
 // [-perturb uniform|gaussian] [-privacy 1.0] [-conf 0.95] [-noise-seed 2]
@@ -32,8 +32,8 @@ func Gen(args []string, stdout, stderr io.Writer) int {
 	conf := fs.Float64("conf", noise.DefaultConfidence, "confidence level of the privacy guarantee")
 	noiseSeed := fs.Uint64("noise-seed", 2, "perturbation seed")
 	workers := fs.Int("workers", 0, "worker goroutines for generation and perturbation (0 = all cores); output is identical for any value")
-	streamMode := fs.Bool("stream", false, "write gzipped record batches instead of CSV, without materializing the table")
-	batch := fs.Int("batch", 0, fmt.Sprintf("records per streamed batch (0 = %d); output is identical for any value", stream.DefaultBatchSize))
+	streamMode := fs.Bool("stream", false, "gzip the CSV output (a gzipped batch stream, as ppdm-train -stream reads)")
+	batch := fs.Int("batch", 0, fmt.Sprintf("records per batch (0 = %d); output is identical for any value", stream.DefaultBatchSize))
 	out := fs.String("o", "-", "output file (\"-\" = stdout)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -53,43 +53,27 @@ func Gen(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *streamMode {
-		var src stream.Source
-		src, err = synth.Stream(cfg, *batch)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		if models != nil {
-			src, err = noise.PerturbStream(src, models, *noiseSeed, *workers)
-			if err != nil {
-				return fail(stderr, err)
-			}
-		}
-		written, err := writeRecordStream(src, *out, stdout)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		if *out != "-" && *out != "" {
-			fmt.Fprintf(stderr, "streamed %d records to %s (gzipped batches)\n", written, *out)
-		}
-		return 0
-	}
-
-	table, err := synth.Generate(cfg)
+	var src stream.Source
+	src, err = synth.Stream(cfg, *batch)
 	if err != nil {
 		return fail(stderr, err)
 	}
 	if models != nil {
-		table, err = noise.PerturbTableWorkers(table, models, *noiseSeed, *workers)
+		src, err = noise.PerturbStream(src, models, *noiseSeed, *workers)
 		if err != nil {
 			return fail(stderr, err)
 		}
 	}
-	if err := writeTableCSV(table, *out, stdout); err != nil {
+	written, err := writeRecordStream(src, *out, *streamMode, stdout)
+	if err != nil {
 		return fail(stderr, err)
 	}
 	if *out != "-" && *out != "" {
-		fmt.Fprintf(stderr, "wrote %d records to %s\n", table.N(), *out)
+		if *streamMode {
+			fmt.Fprintf(stderr, "streamed %d records to %s (gzipped batches)\n", written, *out)
+		} else {
+			fmt.Fprintf(stderr, "wrote %d records to %s\n", written, *out)
+		}
 	}
 	return 0
 }

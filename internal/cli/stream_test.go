@@ -205,3 +205,36 @@ func TestGenStreamBadBatchStillWorks(t *testing.T) {
 		t.Errorf("stdout stream has %d lines, want 101", lines)
 	}
 }
+
+// In-memory ppdm-train reads a .gz -test file as a gzipped batch stream,
+// as the -test help says, and scores it exactly as the plain CSV.
+func TestTrainInMemoryGzipTestInput(t *testing.T) {
+	dir := t.TempDir()
+	trainCsv := filepath.Join(dir, "train.csv")
+	testCsv := filepath.Join(dir, "test.csv")
+	testGz := filepath.Join(dir, "test.csv.gz")
+	if _, errOut, code := runCmd(t, genCmd, []string{"-fn", "F2", "-n", "3000", "-seed", "3", "-perturb", "gaussian", "-o", trainCsv}); code != 0 {
+		t.Fatalf("gen train: %s", errOut)
+	}
+	test := []string{"-fn", "F2", "-n", "500", "-seed", "5"}
+	if _, errOut, code := runCmd(t, genCmd, append(append([]string{}, test...), "-o", testCsv)); code != 0 {
+		t.Fatalf("gen test: %s", errOut)
+	}
+	if _, errOut, code := runCmd(t, genCmd, append(append([]string{}, test...), "-stream", "-o", testGz)); code != 0 {
+		t.Fatalf("gen test -stream: %s", errOut)
+	}
+	for _, learner := range []string{"tree", "nb"} {
+		args := []string{"-train", trainCsv, "-mode", "byclass", "-family", "gaussian", "-learner", learner}
+		plain, errOut, code := runCmd(t, trainCmd, append(append([]string{}, args...), "-test", testCsv))
+		if code != 0 {
+			t.Fatalf("%s: plain test CSV: %s", learner, errOut)
+		}
+		gz, errOut, code := runCmd(t, trainCmd, append(append([]string{}, args...), "-test", testGz))
+		if code != 0 {
+			t.Fatalf("%s: gzipped test stream: %s", learner, errOut)
+		}
+		if want := strings.ReplaceAll(plain, testCsv, testGz); gz != want {
+			t.Errorf("%s: gzipped test output\n%s\nwant\n%s", learner, gz, want)
+		}
+	}
+}

@@ -30,8 +30,11 @@ import (
 // from them through a bounded segment cache, emitting a model byte-identical
 // to the in-memory path. Every mode except local streams (local
 // re-reconstructs from raw node-local values and needs the materialized
-// table). A -test file ending in .gz is streamed too; otherwise it is read
-// as plain CSV.
+// table).
+//
+// The -test file is evaluated batch by batch in every mode: a path ending
+// in .gz (or "-" for stdin) is read as a gzipped batch stream, any other
+// path as plain CSV.
 //
 // With -shards N the streamed training input is dealt across N logical
 // shards (cluster.UnitLen record units, round-robin), trained per shard in
@@ -136,12 +139,8 @@ func Train(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	testTable, err := readBenchmarkCSV(*testPath)
-	if err != nil {
-		return fail(stderr, err)
-	}
 
-	var ev core.Evaluation
+	var clf evaluator
 	var treeClf *core.Classifier
 	var save func(w io.Writer) error
 	switch *learner {
@@ -151,26 +150,24 @@ func Train(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(stderr, err)
 		}
-		save = treeClf.Save
-		ev, err = treeClf.Evaluate(testTable)
+		clf, save = treeClf, treeClf.Save
 	case "nb":
 		cfg := bayes.Config{Mode: mode, Intervals: *intervals, ReconAlgorithm: alg, Noise: models}
-		var nb *bayes.Classifier
-		nb, err = bayes.Train(trainTable, cfg)
+		nb, err := bayes.Train(trainTable, cfg)
 		if err != nil {
 			return fail(stderr, err)
 		}
-		save = nb.Save
-		ev, err = nb.Evaluate(testTable)
+		clf, save = nb, nb.Save
 	default:
 		return fail(stderr, fmt.Errorf("unknown learner %q (want tree or nb)", *learner))
 	}
+	ev, testN, err := evaluateTestInput(clf, *testPath, *batch)
 	if err != nil {
 		return fail(stderr, err)
 	}
 
 	printEvaluation(stdout, *learner, mode, trainTable.Schema(),
-		trainTable.N(), testTable.N(), *trainPath, *testPath, ev, treeClf, *printTree)
+		trainTable.N(), testN, *trainPath, *testPath, ev, treeClf, *printTree)
 
 	if *savePath != "" {
 		if err := saveModel(*savePath, save, stderr); err != nil {
@@ -181,40 +178,29 @@ func Train(args []string, stdout, stderr io.Writer) int {
 }
 
 // evaluator is the surface shared by the tree and naive-Bayes classifiers
-// that the test-set dispatch needs.
+// that the test-set evaluation needs.
 type evaluator interface {
-	Evaluate(test *dataset.Table) (core.Evaluation, error)
 	EvaluateStream(src stream.Source) (core.Evaluation, error)
 }
 
-// evaluateTestInput evaluates a trained classifier on the test input,
-// streaming it batch by batch when the path names a gzipped record stream
-// (".gz" suffix, or "-" for stdin) and reading plain CSV otherwise. It
-// returns the evaluation and the number of test records.
+// evaluateTestInput evaluates a trained classifier on the test input batch
+// by batch: a gzipped record stream when the path ends in ".gz" (or is "-"
+// for stdin), plain CSV otherwise. It returns the evaluation and the number
+// of test records.
 func evaluateTestInput(clf evaluator, testPath string, batch int) (core.Evaluation, int, error) {
-	if strings.HasSuffix(testPath, ".gz") || testPath == "-" {
-		src, closeTest, err := openRecordStream(testPath, batch)
-		if err != nil {
-			return core.Evaluation{}, 0, err
-		}
-		ev, err := clf.EvaluateStream(src)
-		if cerr := closeTest(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return core.Evaluation{}, 0, err
-		}
-		return ev, ev.N, nil
-	}
-	testTable, err := readBenchmarkCSV(testPath)
+	gzipped := strings.HasSuffix(testPath, ".gz") || testPath == "-"
+	src, closeTest, err := openRecordStream(testPath, gzipped, batch)
 	if err != nil {
 		return core.Evaluation{}, 0, err
 	}
-	ev, err := clf.Evaluate(testTable)
+	ev, err := clf.EvaluateStream(src)
+	if cerr := closeTest(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return core.Evaluation{}, 0, err
 	}
-	return ev, testTable.N(), nil
+	return ev, ev.N, nil
 }
 
 // saveModel writes a trained model as JSON to path crash-safely
@@ -236,7 +222,7 @@ func saveModel(path string, save func(w io.Writer) error, stderr io.Writer) erro
 // byte.
 func trainStreamedTree(trainPath, testPath, savePath string, cfg core.Config, batch, shards int,
 	printTree bool, stdout, stderr io.Writer) int {
-	src, closeTrain, err := openRecordStream(trainPath, batch)
+	src, closeTrain, err := openRecordStream(trainPath, true, batch)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -274,7 +260,7 @@ func trainStreamedTree(trainPath, testPath, savePath string, cfg core.Config, ba
 // O(batch + classes × attributes × intervals) memory is held at once.
 func trainStreamedNB(trainPath, testPath, savePath string, mode core.Mode, alg reconstruct.Algorithm,
 	models map[int]noise.Model, intervals, batch int, opts *cluster.Options, stdout, stderr io.Writer) int {
-	src, closeTrain, err := openRecordStream(trainPath, batch)
+	src, closeTrain, err := openRecordStream(trainPath, true, batch)
 	if err != nil {
 		return fail(stderr, err)
 	}

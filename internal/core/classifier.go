@@ -131,8 +131,9 @@ type Evaluation struct {
 	Confusion [][]int
 }
 
-// Evaluate classifies every record of the test table and reports accuracy.
-// As in the paper, the test data should be clean (unperturbed).
+// Evaluate classifies every record of the test table and reports accuracy:
+// EvaluateStream over the table. As in the paper, the test data should be
+// clean (unperturbed).
 func (c *Classifier) Evaluate(test *dataset.Table) (Evaluation, error) {
 	if c.flat == nil {
 		return Evaluation{}, errNotBuilt
@@ -140,36 +141,11 @@ func (c *Classifier) Evaluate(test *dataset.Table) (Evaluation, error) {
 	if test == nil || test.N() == 0 {
 		return Evaluation{}, errors.New("core: empty test table")
 	}
-	if test.Schema().NumAttrs() != len(c.Partitions) {
-		return Evaluation{}, fmt.Errorf("core: test table has %d attributes, classifier expects %d",
-			test.Schema().NumAttrs(), len(c.Partitions))
-	}
-	k := c.Tree.NumClasses
-	ev := Evaluation{N: test.N(), Confusion: make([][]int, k)}
-	for i := range ev.Confusion {
-		ev.Confusion[i] = make([]int, k)
-	}
-	for i := 0; i < test.N(); i++ {
-		pred, err := c.Predict(test.Row(i))
-		if err != nil {
-			return Evaluation{}, err
-		}
-		actual := test.Label(i)
-		if actual >= k {
-			return Evaluation{}, fmt.Errorf("core: test label %d outside model's %d classes", actual, k)
-		}
-		ev.Confusion[actual][pred]++
-		if pred == actual {
-			ev.Correct++
-		}
-	}
-	ev.Accuracy = float64(ev.Correct) / float64(ev.N)
-	return ev, nil
+	return c.EvaluateStream(stream.FromTable(test, 0))
 }
 
 // EvaluateStream classifies every record of a streamed clean test set,
-// holding only one batch in memory at a time — the out-of-core counterpart
-// of Evaluate, with identical results for the same records.
+// holding only one batch in memory at a time.
 func (c *Classifier) EvaluateStream(src stream.Source) (Evaluation, error) {
 	if c.flat == nil {
 		return Evaluation{}, errNotBuilt

@@ -1,13 +1,8 @@
 package dataset
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
-	"testing/quick"
-
-	"ppdm/internal/prng"
 )
 
 func testSchema(t *testing.T) *Schema {
@@ -170,40 +165,6 @@ func TestSubset(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	tb := NewTable(testSchema(t))
-	for i := 0; i < 100; i++ {
-		_ = tb.Append([]float64{float64(i%60 + 20), 1000, 0}, i%2)
-	}
-	train, test, err := tb.Split(0.8, prng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if train.N() != 80 || test.N() != 20 {
-		t.Errorf("split sizes %d/%d", train.N(), test.N())
-	}
-	if _, _, err := tb.Split(0, prng.New(1)); err == nil {
-		t.Error("Split(0) accepted")
-	}
-	if _, _, err := tb.Split(1, prng.New(1)); err == nil {
-		t.Error("Split(1) accepted")
-	}
-}
-
-func TestShufflePreservesRecordLabelPairs(t *testing.T) {
-	tb := NewTable(testSchema(t))
-	for i := 0; i < 50; i++ {
-		// encode the label in the value so we can verify pairing
-		_ = tb.Append([]float64{float64(i), float64(i % 2), 0}, i%2)
-	}
-	tb.Shuffle(prng.New(9))
-	for i := 0; i < tb.N(); i++ {
-		if int(tb.Row(i)[1]) != tb.Label(i) {
-			t.Fatal("Shuffle broke record/label pairing")
-		}
-	}
-}
-
 func TestCheckDomains(t *testing.T) {
 	tb := NewTable(testSchema(t))
 	_ = tb.Append([]float64{30, 50000, 2}, 0)
@@ -213,95 +174,6 @@ func TestCheckDomains(t *testing.T) {
 	_ = tb.Append([]float64{30, 50000, 2.5}, 0) // non-integral categorical
 	if err := tb.CheckDomains(); err == nil {
 		t.Error("invalid categorical not flagged")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	tb := NewTable(testSchema(t))
-	_ = tb.Append([]float64{30.25, 50000, 2}, 0)
-	_ = tb.Append([]float64{45, 149999.5, 4}, 1)
-
-	var buf bytes.Buffer
-	if err := tb.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf, tb.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.N() != tb.N() {
-		t.Fatalf("round trip N = %d", back.N())
-	}
-	for i := 0; i < tb.N(); i++ {
-		if back.Label(i) != tb.Label(i) {
-			t.Fatalf("label %d changed", i)
-		}
-		for j := range tb.Row(i) {
-			if back.Row(i)[j] != tb.Row(i)[j] {
-				t.Fatalf("value (%d,%d) changed: %v != %v", i, j, back.Row(i)[j], tb.Row(i)[j])
-			}
-		}
-	}
-}
-
-// Property: CSV round-trips arbitrary finite values exactly.
-func TestCSVRoundTripProperty(t *testing.T) {
-	schema := MustSchema(
-		[]Attribute{NumericAttr("x", -1e6, 1e6), NumericAttr("y", -1e6, 1e6)},
-		[]string{"neg", "pos"},
-	)
-	f := func(seed uint64, nRaw uint8) bool {
-		r := prng.New(seed)
-		n := int(nRaw%40) + 1
-		tb := NewTable(schema)
-		for i := 0; i < n; i++ {
-			vals := []float64{r.Uniform(-1e6, 1e6), r.Gaussian(0, 1e4)}
-			if err := tb.Append(vals, r.Intn(2)); err != nil {
-				return false
-			}
-		}
-		var buf bytes.Buffer
-		if err := tb.WriteCSV(&buf); err != nil {
-			return false
-		}
-		back, err := ReadCSV(&buf, schema)
-		if err != nil || back.N() != tb.N() {
-			return false
-		}
-		for i := 0; i < tb.N(); i++ {
-			if back.Label(i) != tb.Label(i) {
-				return false
-			}
-			for j := range tb.Row(i) {
-				if back.Row(i)[j] != tb.Row(i)[j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	s := testSchema(t)
-	cases := []struct {
-		name, in string
-	}{
-		{"empty", ""},
-		{"bad header", "foo,salary,elevel,class\n"},
-		{"missing class col", "age,salary,elevel,notclass\n"},
-		{"bad float", "age,salary,elevel,class\nxyz,1,2,A\n"},
-		{"unknown class", "age,salary,elevel,class\n30,1,2,Z\n"},
-		{"short row", "age,salary,elevel,class\n30,1,A\n"},
-		{"nan value", "age,salary,elevel,class\nNaN,1,2,A\n"},
-	}
-	for _, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c.in), s); err == nil {
-			t.Errorf("%s: ReadCSV succeeded, want error", c.name)
-		}
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package dataset implements the tabular-data substrate used by the
-// reproduction: typed schemas, in-memory record tables, class labels, random
-// splits, and CSV interchange. It corresponds to the data model the SIGMOD
-// 2000 paper assumes throughout — fixed-schema records of sensitive numeric
-// attributes plus a class label (§1, §5.1) — and carries no algorithmic
-// logic of its own.
+// reproduction: typed schemas, in-memory record tables and class labels. It
+// corresponds to the data model the SIGMOD 2000 paper assumes throughout —
+// fixed-schema records of sensitive numeric attributes plus a class label
+// (§1, §5.1) — and carries no algorithmic logic of its own.
 //
 // A record is a fixed-length []float64 plus an integer class label.
 // Categorical attributes are stored as float64-encoded small integers; their
@@ -14,5 +13,7 @@
 //
 // Tables materialize every record in memory; for tables larger than memory
 // the same records can flow through the pipeline as batches via
-// internal/stream, which shares this package's schema and CSV conventions.
+// internal/stream, which shares this package's schema and holds the one CSV
+// codec (a table is read with stream.NewCSVReader and stream.Collect, and
+// written with stream.NewCSVWriter and stream.FromTable).
 package dataset

@@ -3,8 +3,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-
-	"ppdm/internal/prng"
 )
 
 // Table is an in-memory collection of records sharing one Schema.
@@ -52,9 +50,9 @@ func (t *Table) Append(values []float64, label int) error {
 
 // NewTableFromDense builds a table over s from a dense row-major values
 // slice (length n·NumAttrs) and n labels, applying the same validation as
-// Append. The rows alias values' storage — ownership transfers to the table
-// and the caller must not reuse the slice. This is the bulk-ingest path for
-// generators that fill a flat buffer in parallel; it performs no per-record
+// Append. The table adopts both slices — ownership transfers to it and the
+// caller must not reuse them. This is how a record batch (a generated,
+// perturbed or decoded stream) becomes a table; it performs no per-record
 // allocation or copying.
 func NewTableFromDense(s *Schema, values []float64, labels []int) (*Table, error) {
 	t := NewTable(s)
@@ -78,7 +76,7 @@ func NewTableFromDense(s *Schema, values []float64, labels []int) (*Table, error
 		// clobber its neighbour.
 		t.rows[i] = values[i*nAttrs : (i+1)*nAttrs : (i+1)*nAttrs]
 	}
-	t.labels = append([]int(nil), labels...)
+	t.labels = labels
 	return t, nil
 }
 
@@ -156,34 +154,6 @@ func (t *Table) Subset(idx []int) (*Table, error) {
 		}
 	}
 	return out, nil
-}
-
-// Split randomly partitions the table into a training table with
-// round(frac·N) records and a test table with the rest, using r for the
-// permutation. frac must be in (0, 1).
-func (t *Table) Split(frac float64, r *prng.Source) (train, test *Table, err error) {
-	if !(frac > 0 && frac < 1) {
-		return nil, nil, fmt.Errorf("dataset: split fraction %v not in (0,1)", frac)
-	}
-	perm := r.Perm(t.N())
-	nTrain := int(math.Round(frac * float64(t.N())))
-	train, err = t.Subset(perm[:nTrain])
-	if err != nil {
-		return nil, nil, err
-	}
-	test, err = t.Subset(perm[nTrain:])
-	if err != nil {
-		return nil, nil, err
-	}
-	return train, test, nil
-}
-
-// Shuffle permutes the records in place.
-func (t *Table) Shuffle(r *prng.Source) {
-	r.Shuffle(t.N(), func(i, j int) {
-		t.rows[i], t.rows[j] = t.rows[j], t.rows[i]
-		t.labels[i], t.labels[j] = t.labels[j], t.labels[i]
-	})
 }
 
 // CheckDomains verifies that every stored value lies inside its attribute's

@@ -117,7 +117,11 @@ func loadData(s *Spec, d *DataSpec, scale float64, minDef int) (*dataset.Table, 
 			return nil, err
 		}
 		defer f.Close()
-		return dataset.ReadCSV(f, synth.Schema())
+		src, err := stream.NewCSVReader(f, synth.Schema(), 0)
+		if err != nil {
+			return nil, err
+		}
+		return stream.Collect(src)
 	}
 	fn, err := synth.ParseFunction(d.Function)
 	if err != nil {

@@ -15,11 +15,10 @@
 // noise (the local differential-privacy mechanism) and Warner's randomized
 // response for categorical attributes.
 //
-// Perturbation comes in two shapes: PerturbTable transforms a materialized
-// table in parallel, and PerturbStream perturbs record batches as they flow
-// (the paper's collection model — each record is randomized before it
-// reaches the server) with O(batch) memory. Both draw chunk c's noise from
-// the c-th substream of the seed over the fixed PerturbChunk grid, so the
-// outputs are byte-identical to each other at any worker count and batch
-// size.
+// PerturbStream perturbs record batches as they flow (the paper's
+// collection model — each record is randomized before it reaches the
+// server) with O(batch) memory, and PerturbTable runs it over a
+// materialized table as one batch. Chunk c's noise comes from the c-th
+// substream of the seed over the fixed PerturbChunk grid, so the output is
+// the same at any worker count and batch size.
 package noise

@@ -2,16 +2,17 @@ package noise
 
 import (
 	"fmt"
+	"io"
 
 	"ppdm/internal/dataset"
-	"ppdm/internal/parallel"
-	"ppdm/internal/prng"
+	"ppdm/internal/stream"
 )
 
-// PerturbChunk is the fixed record-chunk length of the parallel perturbation.
-// Each chunk draws its noise from an independent PRNG substream derived from
-// the seed and the chunk index, so the chunk grid — and therefore the output
-// — depends only on the table size and the seed, never on the worker count.
+// PerturbChunk is the fixed record-chunk length of perturbation. Each chunk
+// draws its noise from an independent PRNG substream derived from the seed
+// and the chunk index, so the chunk grid — and therefore the output —
+// depends only on the record count and the seed, never on the worker count
+// or the batch size.
 const PerturbChunk = 2048
 
 // PerturbTable returns a deep copy of t in which each attribute listed in
@@ -24,38 +25,32 @@ func PerturbTable(t *dataset.Table, models map[int]Model, seed uint64) (*dataset
 }
 
 // PerturbTableWorkers is PerturbTable with an explicit worker count
-// (0 = all cores). The output is bit-identical for every worker count: noise
-// for records [c·PerturbChunk, (c+1)·PerturbChunk) always comes from the c-th
-// substream of the seed, regardless of which worker processes the chunk.
+// (0 = all cores). It runs PerturbStream over the whole table as one batch
+// and adopts the perturbed batch, so the output is bit-identical to the
+// streamed perturbation at every worker count and batch size.
 func PerturbTableWorkers(t *dataset.Table, models map[int]Model, seed uint64, workers int) (*dataset.Table, error) {
-	byAttr, err := modelsByAttr(models, t.Schema().NumAttrs(), "table")
+	src, err := PerturbStream(stream.FromTable(t, t.N()), models, seed, workers)
 	if err != nil {
 		return nil, err
 	}
-	out := t.Clone()
-	srcs := prng.SplitN(seed, parallel.NumChunks(out.N(), PerturbChunk))
-	parallel.ForEachChunk(out.N(), PerturbChunk, workers, func(c, lo, hi int) {
-		r := srcs[c]
-		for i := lo; i < hi; i++ {
-			row := out.Row(i)
-			for j, m := range byAttr {
-				if m != nil {
-					out.SetValue(i, j, row[j]+m.Sample(r))
-				}
-			}
-		}
-	})
-	return out, nil
+	b, err := src.Next()
+	if err == io.EOF {
+		return dataset.NewTable(t.Schema()), nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return dataset.NewTableFromDense(t.Schema(), b.Values, b.Labels)
 }
 
-// modelsByAttr checks a model map against a source of nAttrs attributes and
+// modelsByAttr checks a model map against a schema of nAttrs attributes and
 // resolves it into an attribute-indexed slice, nil meaning unperturbed, so
 // the per-value loops index a slice instead of looking up the map.
-func modelsByAttr(models map[int]Model, nAttrs int, source string) ([]Model, error) {
+func modelsByAttr(models map[int]Model, nAttrs int) ([]Model, error) {
 	byAttr := make([]Model, nAttrs)
 	for j, m := range models {
 		if j < 0 || j >= nAttrs {
-			return nil, fmt.Errorf("noise: model for attribute %d, %s has %d attributes", j, source, nAttrs)
+			return nil, fmt.Errorf("noise: model for attribute %d, records have %d attributes", j, nAttrs)
 		}
 		if m == nil {
 			return nil, fmt.Errorf("noise: nil model for attribute %d", j)

@@ -21,12 +21,12 @@ type perturbStream struct {
 // before it reaches the server, with O(batch) memory however large the
 // table. Noise for global record i always comes from the i/PerturbChunk-th
 // substream of the seed (tracked across batch boundaries by a
-// stream.ChunkCursor), so the streamed output is byte-identical to
-// PerturbTableWorkers on the materialized table, at any worker count and
-// any batch size. Batches are perturbed in place: the returned source yields
-// the upstream batches with their values modified.
+// stream.ChunkCursor), so the output is the same at any worker count and
+// any batch size; PerturbTableWorkers is this stream over one batch.
+// Batches are perturbed in place: the returned source yields the upstream
+// batches with their values modified.
 func PerturbStream(src stream.Source, models map[int]Model, seed uint64, workers int) (stream.Source, error) {
-	byAttr, err := modelsByAttr(models, src.Schema().NumAttrs(), "stream")
+	byAttr, err := modelsByAttr(models, src.Schema().NumAttrs())
 	if err != nil {
 		return nil, err
 	}
@@ -56,8 +56,8 @@ func (p *perturbStream) Next() (*stream.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Spans own independent chunk substreams and disjoint record ranges,
-	// mirroring PerturbTableWorkers' chunk loop exactly.
+	// Spans own independent chunk substreams and disjoint record ranges, so
+	// they run in parallel.
 	parallel.ForEach(len(spans), p.workers, func(si int) error {
 		sp := spans[si]
 		r := sp.R

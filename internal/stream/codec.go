@@ -10,25 +10,36 @@ import (
 	"ppdm/internal/dataset"
 )
 
-// Writer encodes record batches as a gzipped CSV stream. The decompressed
-// payload is exactly what dataset.Table.WriteCSV would produce for the same
-// records — a header row of attribute names plus "class", then one row per
-// record — so streamed files interoperate with every CSV consumer after a
-// plain gunzip, and the streamed gen/perturb path can be byte-compared
-// against the in-memory path.
+// Writer encodes record batches as CSV: a header row of attribute names plus
+// "class", then one row per record, each value in the shortest form that
+// parses back to the same float64. NewCSVWriter writes the CSV plain;
+// NewWriter writes the same CSV under a gzip layer, so `gunzip` of a
+// gzipped stream equals the plain file byte for byte.
 type Writer struct {
 	schema *dataset.Schema
-	gz     *gzip.Writer
+	gz     *gzip.Writer // nil for plain CSV
 	cw     *csv.Writer
 	row    []string
 	n      int
 }
 
-// NewWriter starts a gzipped record-batch stream on w and writes the CSV
-// header. Close must be called to flush; it does not close w.
+// NewCSVWriter starts a plain CSV record stream on w and writes the header.
+// Close must be called to flush; it does not close w.
+func NewCSVWriter(w io.Writer, s *dataset.Schema) (*Writer, error) {
+	return newWriter(w, nil, s)
+}
+
+// NewWriter starts a gzipped CSV record stream on w and writes the header.
+// Close must be called to flush; it does not close w.
 func NewWriter(w io.Writer, s *dataset.Schema) (*Writer, error) {
 	gz := gzip.NewWriter(w)
-	cw := csv.NewWriter(gz)
+	return newWriter(gz, gz, s)
+}
+
+// newWriter writes the CSV header to w; gz, when set, is the gzip layer w
+// writes through.
+func newWriter(w io.Writer, gz *gzip.Writer, s *dataset.Schema) (*Writer, error) {
+	cw := csv.NewWriter(w)
 	header := make([]string, 0, s.NumAttrs()+1)
 	for _, a := range s.Attrs {
 		header = append(header, a.Name)
@@ -65,37 +76,52 @@ func (w *Writer) WriteBatch(b *Batch) error {
 	return nil
 }
 
-// Close flushes the CSV buffer and the gzip stream. It does not close the
-// underlying writer.
+// Close flushes the CSV buffer and, for a gzipped stream, the gzip layer.
+// It does not close the underlying writer.
 func (w *Writer) Close() error {
 	w.cw.Flush()
 	if err := w.cw.Error(); err != nil {
 		return fmt.Errorf("stream: flushing: %w", err)
 	}
+	if w.gz == nil {
+		return nil
+	}
 	return w.gz.Close()
 }
 
-// Reader decodes a gzipped record-batch stream written by Writer (or any
-// gzipped CSV in the dataset.Table.WriteCSV format), re-chunking it into
-// batches of the requested size. It implements Source.
+// Reader decodes a CSV record stream in the Writer's format, re-chunking it
+// into batches of the requested size. NewCSVReader reads plain CSV and
+// NewReader gzipped CSV. It implements Source.
 type Reader struct {
 	schema *dataset.Schema
-	gz     *gzip.Reader
+	gz     *gzip.Reader // nil for plain CSV
 	cr     *csv.Reader
 	batch  int
 	next   int
 	done   bool
 }
 
-// NewReader opens a gzipped record-batch stream and validates its header
-// against the schema. batch is the records-per-batch granularity of Next
-// (0 = DefaultBatchSize); it need not match the writer's batching.
+// NewCSVReader opens a plain CSV record stream and validates its header
+// against the schema: the schema's attribute names in order, then "class".
+// batch is the records-per-batch granularity of Next (0 =
+// DefaultBatchSize); it need not match the writer's batching.
+func NewCSVReader(r io.Reader, s *dataset.Schema, batch int) (*Reader, error) {
+	return newReader(r, nil, s, batch)
+}
+
+// NewReader is NewCSVReader for a gzipped CSV record stream.
 func NewReader(r io.Reader, s *dataset.Schema, batch int) (*Reader, error) {
 	gz, err := gzip.NewReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("stream: opening gzip stream: %w", err)
 	}
-	cr := csv.NewReader(gz)
+	return newReader(gz, gz, s, batch)
+}
+
+// newReader reads and validates the CSV header from r; gz, when set, is the
+// gzip layer r reads through.
+func newReader(r io.Reader, gz *gzip.Reader, s *dataset.Schema, batch int) (*Reader, error) {
+	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = s.NumAttrs() + 1
 	cr.ReuseRecord = true
 	header, err := cr.Read()
@@ -171,5 +197,11 @@ func (r *Reader) Next() (*Batch, error) {
 	return b, nil
 }
 
-// Close releases the gzip reader. It does not close the underlying reader.
-func (r *Reader) Close() error { return r.gz.Close() }
+// Close releases the gzip layer of a gzipped stream; for plain CSV it does
+// nothing. It does not close the underlying reader.
+func (r *Reader) Close() error {
+	if r.gz == nil {
+		return nil
+	}
+	return r.gz.Close()
+}

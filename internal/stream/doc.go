@@ -8,20 +8,24 @@
 // source and the collector never holds the true table. This package realizes
 // that model. A Source yields record batches in strict global order; every
 // record carries an implicit global index (Batch.Start plus its offset), so
-// downstream stages can align their work to the same fixed chunk grids the
-// in-memory paths use (synth.GenChunk, noise.PerturbChunk) and derive
-// per-chunk PRNG substreams with prng.Splitter. Streamed output is therefore
-// byte-identical to the in-memory path for the same seed at any worker count
-// and any batch size.
+// downstream stages can align their work to fixed chunk grids
+// (synth.GenChunk, noise.PerturbChunk) and derive per-chunk PRNG substreams
+// with prng.Splitter. Output is therefore a pure function of the seed at any
+// worker count and any batch size. The in-memory record stages are these
+// streamed stages run over the whole table as one batch — synth.Generate
+// takes the one batch of synth.Stream, and noise.PerturbTable and the
+// classifiers' Evaluate methods stream the table through FromTable — so
+// each stage has one implementation.
 //
 // The package provides:
 //
 //   - Batch / Source — the record-batch contract shared by all stages.
 //   - FromTable / Collect — adapters between streams and in-memory tables.
-//   - Writer / Reader — a gzipped CSV interchange format for piping record
-//     batches through files or stdin/stdout. The compressed payload is
-//     exactly the CSV that dataset.Table.WriteCSV would produce, so
-//     `gunzip` of a streamed file equals the in-memory CSV byte for byte.
+//   - Writer / Reader — the one CSV codec for piping record batches through
+//     files or stdin/stdout: a header row of attribute names plus "class",
+//     then one row per record. NewCSVWriter/NewCSVReader write and read it
+//     plain; NewWriter/NewReader add a gzip layer, so `gunzip` of a gzipped
+//     stream equals the plain CSV byte for byte.
 //
 // Peak memory of a streaming pipeline is O(batch × stages), independent of
 // the total record count.

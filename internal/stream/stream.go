@@ -130,8 +130,9 @@ func (s *tableSource) Next() (*Batch, error) {
 }
 
 // Collect materializes a stream into an in-memory table — the inverse of
-// FromTable, used by tests and by callers that need random access after a
-// streamed transform. It validates batch ordering and contents.
+// FromTable, used to read a CSV file into a table and by callers that need
+// random access after a streamed transform. It validates batch ordering and
+// contents, and rejects a stream without records.
 func Collect(src Source) (*dataset.Table, error) {
 	s := src.Schema()
 	var values []float64

@@ -150,16 +150,12 @@ func TestFromTableBatchBoundaries(t *testing.T) {
 	}
 }
 
-// The compressed payload must be exactly the CSV WriteCSV produces, so
-// streamed files interoperate with plain-CSV consumers after a gunzip.
+// The compressed payload must be exactly the CSV NewCSVWriter writes, so
+// gzipped streams interoperate with plain-CSV consumers after a gunzip.
 func TestWriterMatchesWriteCSV(t *testing.T) {
 	s := testSchema(t)
 	tb := testTable(t, s, 123, 3)
-
-	var want bytes.Buffer
-	if err := tb.WriteCSV(&want); err != nil {
-		t.Fatal(err)
-	}
+	want := writeCSV(t, tb)
 
 	var compressed bytes.Buffer
 	w, err := NewWriter(&compressed, s)
@@ -184,8 +180,8 @@ func TestWriterMatchesWriteCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Error("gunzipped stream differs from WriteCSV output")
+	if !bytes.Equal(got, want) {
+		t.Error("gunzipped stream differs from NewCSVWriter output")
 	}
 }
 
@@ -229,51 +225,70 @@ func TestReaderRoundTrip(t *testing.T) {
 	}
 }
 
-// readAll reads a gzipped stream to EOF in batches of batch records,
-// returning every record's values and labels.
-func readAll(raw []byte, s *dataset.Schema, batch int) (values []float64, labels []int, err error) {
-	r, err := NewReader(bytes.NewReader(raw), s, batch)
+// readAll reads a stream to EOF in batches of batch records through
+// newReader (NewReader or NewCSVReader), returning every batch.
+func readAll(newReader func(io.Reader, *dataset.Schema, int) (*Reader, error),
+	raw []byte, s *dataset.Schema, batch int) ([]*Batch, error) {
+	r, err := newReader(bytes.NewReader(raw), s, batch)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	var batches []*Batch
 	for {
 		b, err := r.Next()
 		if err == io.EOF {
-			return values, labels, nil
+			return batches, nil
 		}
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		values, labels = append(values, b.Values...), append(labels, b.Labels...)
+		batches = append(batches, b)
 	}
 }
 
-// FuzzStreamReader feeds arbitrary CSV text, gzipped, to the record-batch
-// decoder that the /classify endpoint and the shard workers read, and reads
-// it to EOF. A stream it accepts must re-encode through NewWriter and
-// WriteBatch and read back to the same labels and bit-equal values.
+// gzipBytes compresses data.
+func gzipBytes(t testing.TB, data []byte) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	zw := gzip.NewWriter(&out)
+	if _, err := zw.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// sameBatches reports whether two batch sequences hold the same starts,
+// labels and bit-equal values.
+func sameBatches(a, b []*Batch) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Start != b[i].Start || !slices.Equal(a[i].Labels, b[i].Labels) ||
+			len(a[i].Values) != len(b[i].Values) {
+			return false
+		}
+		for j, v := range a[i].Values {
+			if math.Float64bits(v) != math.Float64bits(b[i].Values[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzStreamReader feeds arbitrary CSV text raw to NewCSVReader and gzipped
+// to NewReader — the decoders that ppdm-train, ppdm-eval, the /classify
+// endpoint and the shard workers read — and reads both to EOF. They must
+// return the same batches or both fail. A stream they accept must re-encode
+// through NewWriter and WriteBatch and read back to the same labels and
+// bit-equal values.
 func FuzzStreamReader(f *testing.F) {
 	s := testSchema(f)
-	var written bytes.Buffer
-	w, err := NewWriter(&written, s)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if _, err := Copy(w, FromTable(testTable(f, s, 20, 5), 8)); err != nil {
-		f.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		f.Fatal(err)
-	}
-	gz, err := gzip.NewReader(&written)
-	if err != nil {
-		f.Fatal(err)
-	}
-	plain, err := io.ReadAll(gz)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(plain)                                                                       // a Writer stream
+	f.Add(writeCSV(f, testTable(f, s, 20, 5)))                                         // a Writer stream
 	f.Add([]byte("x,y,class\n0.1,-49.99999999999999,A\n3.141592653589793,5e-324,B\n")) // full-precision values
 	f.Add([]byte("x,y,class\n"))                                                       // header only
 	f.Add([]byte("x,z,class\n1,2,A\n"))                                                // bad header
@@ -281,45 +296,36 @@ func FuzzStreamReader(f *testing.F) {
 	f.Add([]byte("x,y,class\nNaN,2,A\n1,+Inf,B\n-inf,0,A\n"))                          // non-finite text
 	f.Add([]byte("x,y,class\n12." + strings.Repeat("3", 5000) + ",-0,B\n"))            // overlong line
 	f.Fuzz(func(t *testing.T, text []byte) {
-		var in bytes.Buffer
-		zw := gzip.NewWriter(&in)
-		if _, err := zw.Write(text); err != nil {
-			t.Fatal(err)
+		batches, err := readAll(NewReader, gzipBytes(t, text), s, 3)
+		plain, plainErr := readAll(NewCSVReader, text, s, 3)
+		if (err == nil) != (plainErr == nil) {
+			t.Fatalf("gzipped read error %v, plain read error %v", err, plainErr)
 		}
-		if err := zw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		values, labels, err := readAll(in.Bytes(), s, 3)
 		if err != nil {
 			return
+		}
+		if !sameBatches(batches, plain) {
+			t.Fatal("plain and gzipped reads return different batches")
 		}
 		var out bytes.Buffer
 		w, err := NewWriter(&out, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(labels) > 0 {
-			if err := w.WriteBatch(&Batch{Values: values, Labels: labels}); err != nil {
+		for _, b := range batches {
+			if err := w.WriteBatch(b); err != nil {
 				t.Fatalf("accepted records do not re-encode: %v", err)
 			}
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		backValues, backLabels, err := readAll(out.Bytes(), s, 0)
+		back, err := readAll(NewReader, out.Bytes(), s, 3)
 		if err != nil {
 			t.Fatalf("re-encoded stream rejected: %v", err)
 		}
-		if !slices.Equal(backLabels, labels) {
-			t.Fatalf("labels %v read back as %v", labels, backLabels)
-		}
-		if len(backValues) != len(values) {
-			t.Fatalf("%d values read back as %d", len(values), len(backValues))
-		}
-		for i, v := range values {
-			if math.Float64bits(backValues[i]) != math.Float64bits(v) {
-				t.Fatalf("value %d: %v read back as %v", i, v, backValues[i])
-			}
+		if !sameBatches(back, batches) {
+			t.Fatal("re-encoded stream reads back to different records")
 		}
 	})
 }

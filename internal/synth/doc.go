@@ -14,12 +14,12 @@
 // treatment where every attribute is independently perturbed with additive
 // noise.
 //
-// Generation comes in two shapes: Generate materializes the whole table in
-// parallel, and Stream yields the byte-identical records as a bounded-memory
-// record stream (see internal/stream). Both decompose the work into
-// GenChunk-sized chunks with per-chunk PRNG substreams, so output depends
-// only on (Function, N, Seed, LabelNoise) — never on the worker count or
-// batch size.
+// Stream yields the records as a bounded-memory record stream (see
+// internal/stream), and Generate materializes the whole table as the
+// stream's single batch. Generation decomposes the work into GenChunk-sized
+// chunks with per-chunk PRNG substreams, so output depends only on
+// (Function, N, Seed, LabelNoise) — never on the worker count or batch
+// size.
 //
 // Plateau, Triangles and Bimodal draw the one-dimensional sample shapes of
 // the paper's §3.2 reconstruction figures on [0, 100]; ppdm-eval's

@@ -11,10 +11,10 @@ import (
 
 // Streamer generates the benchmark as a record stream: batches are drawn on
 // demand, so a table of any size flows through the pipeline with O(batch)
-// memory. The records are byte-identical to Generate's for the same Config —
-// each GenChunk-sized grid chunk draws from the same prng.SplitN substreams,
-// tracked across batch boundaries by stream.ChunkCursor — at any worker
-// count and any batch size. It implements stream.Source.
+// memory. Each GenChunk-sized grid chunk draws from its own prng.SplitN
+// substream, tracked across batch boundaries by stream.ChunkCursor, so the
+// records are the same at any worker count and any batch size. It
+// implements stream.Source.
 type Streamer struct {
 	cfg    Config
 	schema *dataset.Schema
@@ -23,8 +23,8 @@ type Streamer struct {
 	noise  *stream.ChunkCursor
 }
 
-// Stream returns a Streamer yielding the same records Generate(cfg) would
-// materialize, batch records at a time (0 = stream.DefaultBatchSize).
+// Stream returns a Streamer yielding cfg.N records, batch records at a time
+// (0 = stream.DefaultBatchSize). It validates cfg.
 func Stream(cfg Config, batch int) (*Streamer, error) {
 	if !cfg.Function.Valid() {
 		return nil, fmt.Errorf("synth: invalid function %d", int(cfg.Function))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ppdm/internal/dataset"
-	"ppdm/internal/parallel"
 	"ppdm/internal/prng"
 )
 
@@ -186,9 +185,9 @@ type Config struct {
 	Workers int
 }
 
-// GenChunk is the fixed record-chunk length of parallel generation. Chunk c
-// always draws from the c-th attribute and label-noise substreams of the
-// seed, so the output depends only on (Function, N, Seed, LabelNoise).
+// GenChunk is the fixed record-chunk length of generation. Chunk c always
+// draws from the c-th attribute and label-noise substreams of the seed, so
+// the output depends only on (Function, N, Seed, LabelNoise).
 const GenChunk = 4096
 
 // labelNoiseSeedMix separates the label-noise substreams from the attribute
@@ -197,38 +196,19 @@ const GenChunk = 4096
 const labelNoiseSeedMix = 0xA15A15A15A15A15A
 
 // Generate draws N records from the attribute distributions, labels each
-// with cfg.Function, and returns the table. Generation is deterministic in
-// cfg.Seed and independent of cfg.Workers.
+// with cfg.Function, and returns the table: the single batch of
+// Stream(cfg, cfg.N), adopted without a copy. Generation is deterministic
+// in cfg.Seed and independent of cfg.Workers.
 func Generate(cfg Config) (*dataset.Table, error) {
-	if !cfg.Function.Valid() {
-		return nil, fmt.Errorf("synth: invalid function %d", int(cfg.Function))
+	g, err := Stream(cfg, cfg.N)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("synth: N must be positive, got %d", cfg.N)
+	b, err := g.Next()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.LabelNoise < 0 || cfg.LabelNoise > 1 {
-		return nil, fmt.Errorf("synth: label noise %v not in [0,1]", cfg.LabelNoise)
-	}
-	chunks := parallel.NumChunks(cfg.N, GenChunk)
-	srcs := prng.SplitN(cfg.Seed, chunks)
-	noiseSrcs := prng.SplitN(cfg.Seed^labelNoiseSeedMix, chunks)
-	// One flat backing array for all records: chunks write disjoint slices
-	// of it, and the table adopts it wholesale — no per-record copying.
-	buf := make([]float64, cfg.N*numAttrs)
-	labels := make([]int, cfg.N)
-	parallel.ForEachChunk(cfg.N, GenChunk, cfg.Workers, func(c, lo, hi int) {
-		r, noiseRNG := srcs[c], noiseSrcs[c]
-		for i := lo; i < hi; i++ {
-			rec := buf[i*numAttrs : (i+1)*numAttrs]
-			sampleRecord(r, rec)
-			label := cfg.Function.Classify(rec)
-			if cfg.LabelNoise > 0 && noiseRNG.Bernoulli(cfg.LabelNoise) {
-				label = 1 - label
-			}
-			labels[i] = label
-		}
-	})
-	return dataset.NewTableFromDense(Schema(), buf, labels)
+	return dataset.NewTableFromDense(g.Schema(), b.Values, b.Labels)
 }
 
 // sampleRecord fills rec with one draw from the published attribute

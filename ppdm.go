@@ -76,10 +76,10 @@ type (
 	RecordBatch = stream.Batch
 	// RecordSource yields successive record batches in global order.
 	RecordSource = stream.Source
-	// StreamWriter encodes record batches as a gzipped CSV stream.
+	// StreamWriter encodes record batches as CSV, plain or gzipped.
 	StreamWriter = stream.Writer
-	// StreamReader decodes a gzipped record-batch stream; it implements
-	// RecordSource.
+	// StreamReader decodes a CSV record stream, plain or gzipped; it
+	// implements RecordSource.
 	StreamReader = stream.Reader
 	// StreamStats holds bounded-memory per-attribute, per-class sufficient
 	// statistics collected from a record stream.
@@ -247,8 +247,16 @@ func CategoricalAttr(name string, card int) Attribute { return dataset.Categoric
 // NewTable returns an empty table over the schema.
 func NewTable(s *Schema) *Table { return dataset.NewTable(s) }
 
-// ReadCSV parses a table written by Table.WriteCSV.
-func ReadCSV(r io.Reader, s *Schema) (*Table, error) { return dataset.ReadCSV(r, s) }
+// ReadCSV reads a plain CSV table in the format NewCSVWriter writes: a
+// header of the schema's attribute names plus "class", then one row per
+// record. A file without records is an error.
+func ReadCSV(r io.Reader, s *Schema) (*Table, error) {
+	src, err := stream.NewCSVReader(r, s, 0)
+	if err != nil {
+		return nil, err
+	}
+	return stream.Collect(src)
+}
 
 // BenchmarkSchema returns the paper benchmark's nine-attribute schema.
 func BenchmarkSchema() *Schema { return synth.Schema() }
@@ -269,8 +277,12 @@ func StreamTable(t *Table, batch int) RecordSource { return stream.FromTable(t, 
 // inverse of StreamTable.
 func CollectTable(src RecordSource) (*Table, error) { return stream.Collect(src) }
 
+// NewCSVWriter starts a plain CSV record stream on w; ReadCSV reads it back.
+// Write a table with CopyStream(w, StreamTable(t, 0)), then Close.
+func NewCSVWriter(w io.Writer, s *Schema) (*StreamWriter, error) { return stream.NewCSVWriter(w, s) }
+
 // NewStreamWriter starts a gzipped record-batch stream on w; the compressed
-// payload is exactly the CSV Table.WriteCSV would produce.
+// payload is exactly the CSV NewCSVWriter writes.
 func NewStreamWriter(w io.Writer, s *Schema) (*StreamWriter, error) { return stream.NewWriter(w, s) }
 
 // NewStreamReader opens a gzipped record-batch stream written by

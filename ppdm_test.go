@@ -87,7 +87,14 @@ func TestPublicCSVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tb.WriteCSV(&buf); err != nil {
+	w, err := ppdm.NewCSVWriter(&buf, tb.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ppdm.CopyStream(w, ppdm.StreamTable(tb, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ppdm.ReadCSV(&buf, ppdm.BenchmarkSchema())

@@ -63,7 +63,14 @@ func inMemoryCSV(t *testing.T, n, workers int) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := perturbed.WriteCSV(&buf); err != nil {
+	w, err := ppdm.NewCSVWriter(&buf, perturbed.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ppdm.CopyStream(w, ppdm.StreamTable(perturbed, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
