@@ -246,11 +246,3 @@ func (s *Source) ShuffleInts(p []int) {
 		p[i], p[j] = p[j], p[i]
 	}
 }
-
-// Shuffle permutes n elements in place using the provided swap function.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}

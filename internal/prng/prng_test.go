@@ -270,23 +270,6 @@ func TestUint64nBoundary(t *testing.T) {
 	}
 }
 
-func TestShuffleSwapCount(t *testing.T) {
-	s := New(19)
-	data := []string{"a", "b", "c", "d", "e"}
-	orig := append([]string(nil), data...)
-	s.Shuffle(len(data), func(i, j int) { data[i], data[j] = data[j], data[i] })
-	// still a permutation of the originals
-	seen := map[string]int{}
-	for _, v := range data {
-		seen[v]++
-	}
-	for _, v := range orig {
-		if seen[v] != 1 {
-			t.Fatalf("Shuffle lost element %q: %v", v, data)
-		}
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {

@@ -212,19 +212,19 @@ func TestBatcherInvalidGroupFailsAlone(t *testing.T) {
 // TestLRUEviction checks the bound holds and the oldest entry leaves first.
 func TestLRUEviction(t *testing.T) {
 	c := newLRU(2)
-	c.put("a", 1)
-	c.put("b", 2)
-	if _, ok := c.get("a"); !ok { // refresh a; b is now oldest
+	c.putBytes([]byte("a"), 1)
+	c.putBytes([]byte("b"), 2)
+	if _, ok := c.getBytes([]byte("a")); !ok { // refresh a; b is now oldest
 		t.Fatal("a missing")
 	}
-	c.put("c", 3)
-	if _, ok := c.get("b"); ok {
+	c.putBytes([]byte("c"), 3)
+	if _, ok := c.getBytes([]byte("b")); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if v, ok := c.get("a"); !ok || v != 1 {
+	if v, ok := c.getBytes([]byte("a")); !ok || v != 1 {
 		t.Fatal("a lost")
 	}
-	if v, ok := c.get("c"); !ok || v != 3 {
+	if v, ok := c.getBytes([]byte("c")); !ok || v != 3 {
 		t.Fatal("c lost")
 	}
 	if _, _, size := c.stats(); size != 2 {

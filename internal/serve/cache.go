@@ -35,24 +35,11 @@ func newLRU(cap int) *lru {
 	return &lru{cap: cap, order: list.New(), items: make(map[string]*list.Element, cap)}
 }
 
-// get returns the cached class for key, marking it most recently used.
-func (c *lru) get(key string) (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return 0, false
-	}
-	c.hits++
-	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).class, true
-}
-
-// getBytes is get for a key rendered into a byte buffer. The string(key)
-// conversion is written directly inside the map index expression, where the
-// compiler elides the copy, so probing allocates nothing — which is what
-// keeps the steady-state cache-hit path of the micro-batcher off the heap.
+// getBytes returns the cached class for a key rendered into a byte buffer,
+// marking it most recently used. The string(key) conversion is written
+// directly inside the map index expression, where the compiler elides the
+// copy, so probing allocates nothing — which is what keeps the
+// steady-state cache-hit path of the micro-batcher off the heap.
 func (c *lru) getBytes(key []byte) (int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -66,28 +53,11 @@ func (c *lru) getBytes(key []byte) (int, bool) {
 	return el.Value.(*lruEntry).class, true
 }
 
-// put inserts or refreshes key, evicting the least recently used entry when
-// the cache is full.
-func (c *lru) put(key string, class int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).class = class
-		c.order.MoveToFront(el)
-		return
-	}
-	if c.order.Len() >= c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry).key)
-	}
-	c.items[key] = c.order.PushFront(&lruEntry{key: key, class: class})
-}
-
-// putBytes is put for a key rendered into a byte buffer: the refresh probe
-// uses the allocation-free map index, and the key string is materialized
-// only when a new entry is actually inserted (the miss path, which
-// allocates for the entry anyway).
+// putBytes inserts or refreshes a key rendered into a byte buffer,
+// evicting the least recently used entry when the cache is full. The
+// refresh probe uses the allocation-free map index, and the key string is
+// materialized only when a new entry is actually inserted (the miss path,
+// which allocates for the entry anyway).
 func (c *lru) putBytes(key []byte, class int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
