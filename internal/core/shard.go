@@ -215,8 +215,13 @@ func unitSize(u, n, units int) int {
 }
 
 // interleaveLabels reassembles the global class list from the shards' local
-// lists on the round-robin unit grid, validating the dealing as it goes.
+// lists on the round-robin unit grid, validating the dealing as it goes. A
+// single shard already holds every unit in global order, so its own list is
+// returned without a copy; the merge only reads it.
 func interleaveLabels(shards []*ShardSpill, n, units int) ([]int, error) {
+	if len(shards) == 1 {
+		return shards[0].labels, nil
+	}
 	labels := make([]int, 0, n)
 	off := make([]int, len(shards))
 	for u := 0; u < units; u++ {
