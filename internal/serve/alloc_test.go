@@ -148,3 +148,44 @@ func TestSubmitAllocs(t *testing.T) {
 		b.Close()
 	}
 }
+
+// spaceReader yields n ASCII spaces: a request body of any size that the
+// test never holds in memory.
+type spaceReader struct{ n int }
+
+func (r *spaceReader) Read(p []byte) (int, error) {
+	if r.n == 0 {
+		return 0, io.EOF
+	}
+	k := min(len(p), r.n)
+	for i := range p[:k] {
+		p[i] = ' '
+	}
+	r.n -= k
+	return k, nil
+}
+
+// TestClassifyBodyCap: a JSON /classify body one byte over maxClassifyBody
+// gets a 413 with a JSON error, and a body at the cap is read whole without
+// the buffer growing past the cap and the one byte that detects an excess.
+func TestClassifyBodyCap(t *testing.T) {
+	s := newAllocServer(t)
+	req := httptest.NewRequest(http.MethodPost, "/classify", io.NopCloser(&spaceReader{n: maxClassifyBody + 1}))
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap body: status %d, want 413: %s", w.Code, w.Body)
+	}
+	var resp struct{ Error string }
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.Error == "" {
+		t.Fatalf("over-cap body: response %q is not a JSON error (%v)", w.Body, err)
+	}
+
+	buf, err := readBody(&spaceReader{n: maxClassifyBody}, make([]byte, 0, 512))
+	if err != nil || len(buf) != maxClassifyBody {
+		t.Fatalf("body at the cap: read %d bytes, %v", len(buf), err)
+	}
+	if cap(buf) > maxClassifyBody+1 {
+		t.Fatalf("buffer grew to %d bytes, cap is %d", cap(buf), maxClassifyBody)
+	}
+}

@@ -266,15 +266,30 @@ type classifyScratch struct {
 
 var classifyScratchPool = sync.Pool{New: func() any { return new(classifyScratch) }}
 
-// readBody reads r to EOF into buf, reusing its capacity and growing
-// geometrically (via append) only when the body outgrows it.
+// maxClassifyBody caps a JSON /classify body: 64 MiB, three times the
+// ~20.5 MB body of 500,000 records. Larger bulk jobs belong on the gzipped
+// CSV path, which streams in bounded memory.
+const maxClassifyBody = 64 << 20
+
+// errBodyTooLarge rejects a JSON /classify body over maxClassifyBody.
+var errBodyTooLarge = fmt.Errorf("JSON body over %d bytes; send bulk records as a gzipped CSV stream", maxClassifyBody)
+
+// readBody reads r to EOF into buf, reusing its capacity and doubling it
+// only when the body outgrows it. A body over maxClassifyBody bytes returns
+// errBodyTooLarge; buf never grows past the cap and the one byte that shows
+// the body exceeds it.
 func readBody(r io.Reader, buf []byte) ([]byte, error) {
 	for {
 		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+			grown := make([]byte, len(buf), min(2*cap(buf), maxClassifyBody+1))
+			copy(grown, buf)
+			buf = grown
 		}
 		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
+		if len(buf) > maxClassifyBody {
+			return buf, errBodyTooLarge
+		}
 		if err == io.EOF {
 			return buf, nil
 		}
@@ -332,6 +347,10 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 
 	body, err := readBody(r.Body, sc.body[:n])
 	sc.body = body[:0] // keep the grown capacity for the next request
+	if errors.Is(err, errBodyTooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 		return
