@@ -11,7 +11,7 @@ import (
 )
 
 // `ppdm-gen -stream` must write gzipped batches whose payload is exactly
-// the CSV the in-memory path writes for the same seeds.
+// the plain CSV ppdm-gen writes for the same seeds, at any batch size.
 func TestGenStreamMatchesCSV(t *testing.T) {
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "plain.csv")
