@@ -9,19 +9,31 @@
 // passes the usual statistical batteries.
 //
 // A Source is not safe for concurrent use; derive independent streams with
-// Split when parallelism is needed.
+// Split when parallelism is needed. Every draw writes the Source's state, so
+// each Source is padded to cache lines of its own: workers that draw from
+// sibling substreams never write to a shared line.
 package prng
 
 import "math"
 
 // Source is a deterministic xoshiro256++ random number generator.
 // The zero value is not usable; construct with New.
+//
+// Every draw writes the state fields, and the chunked stages hand sibling
+// substreams, allocated back to back by a Splitter, to different workers.
+// The padding puts at least 64 bytes, a cache line, after the state, so two
+// Sources never share a line at any alignment, and it makes a Source 128
+// bytes, a size class whose heap objects sit on line pairs of their own.
+// Without it, two workers drawing from neighbouring substreams keep stealing
+// each other's line, and parallel perturbation runs no faster than serial.
 type Source struct {
 	s0, s1, s2, s3 uint64
 
-	// cached second output of the last Box–Muller transform
+	// cached second variate of the last Marsaglia polar step
 	gauss    float64
 	hasGauss bool
+
+	_ [128 - 5*8 - 1]byte
 }
 
 // New returns a Source seeded from the given seed. Two Sources built from

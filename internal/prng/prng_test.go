@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -308,5 +309,30 @@ func TestSplitN(t *testing.T) {
 	}
 	if out := SplitN(9, 0); len(out) != 0 {
 		t.Fatalf("SplitN(9, 0) returned %d sources", len(out))
+	}
+}
+
+// TestSourceLayout pins the padding that keeps sibling substreams off each
+// other's cache lines: a Source fills a 128-byte size class, and at least
+// 64 bytes follow its last state field, so the state of two Sources never
+// shares a 64-byte line, wherever they are placed.
+func TestSourceLayout(t *testing.T) {
+	var s Source
+	size := unsafe.Sizeof(s)
+	if size < 128 {
+		t.Errorf("Source is %d bytes, want at least 128", size)
+	}
+	stateEnd := unsafe.Offsetof(s.hasGauss) + unsafe.Sizeof(s.hasGauss)
+	for _, end := range []uintptr{
+		unsafe.Offsetof(s.s0) + unsafe.Sizeof(s.s0),
+		unsafe.Offsetof(s.s1) + unsafe.Sizeof(s.s1),
+		unsafe.Offsetof(s.s2) + unsafe.Sizeof(s.s2),
+		unsafe.Offsetof(s.s3) + unsafe.Sizeof(s.s3),
+		unsafe.Offsetof(s.gauss) + unsafe.Sizeof(s.gauss),
+	} {
+		stateEnd = max(stateEnd, end)
+	}
+	if stateEnd+64 > size {
+		t.Errorf("Source state ends at byte %d of %d, want at least 64 bytes of padding after it", stateEnd, size)
 	}
 }
