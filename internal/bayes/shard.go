@@ -8,6 +8,7 @@ import (
 
 	"ppdm/internal/core"
 	"ppdm/internal/dataset"
+	"ppdm/internal/parallel"
 	"ppdm/internal/reconstruct"
 	"ppdm/internal/stream"
 )
@@ -23,10 +24,12 @@ import (
 //
 // A TrainStats is not safe for concurrent use.
 type TrainStats struct {
-	cfg         Config
-	schema      *dataset.Schema
-	parts       []reconstruct.Partition
-	useRecon    []bool
+	cfg      Config
+	schema   *dataset.Schema
+	parts    []reconstruct.Partition
+	useRecon []bool
+	// direct lists the attributes binned straight into hist.
+	direct      []int
 	stats       *reconstruct.StreamStats
 	hist        [][][]float64
 	classCounts []int
@@ -68,13 +71,20 @@ func NewTrainStats(s *dataset.Schema, cfg Config) (*TrainStats, error) {
 			return nil, err
 		}
 	}
+	var direct []int
+	for j, recon := range useRecon {
+		if !recon {
+			direct = append(direct, j)
+		}
+	}
+	// AddBatch bins each attribute on its own worker. Eight spare cells, a
+	// 64-byte cache line, keep every row off the line of the next heap
+	// object, which may be another attribute's row.
 	hist := make([][][]float64, k)
 	for c := 0; c < k; c++ {
 		hist[c] = make([][]float64, nAttrs)
-		for j := 0; j < nAttrs; j++ {
-			if !useRecon[j] {
-				hist[c][j] = make([]float64, parts[j].K)
-			}
+		for _, j := range direct {
+			hist[c][j] = make([]float64, parts[j].K, parts[j].K+8)
 		}
 	}
 	return &TrainStats{
@@ -82,13 +92,21 @@ func NewTrainStats(s *dataset.Schema, cfg Config) (*TrainStats, error) {
 		schema:      s,
 		parts:       parts,
 		useRecon:    useRecon,
+		direct:      direct,
 		stats:       stats,
 		hist:        hist,
 		classCounts: make([]int, k),
 	}, nil
 }
 
-// AddBatch folds one record batch into the statistics.
+// parallelMinRecords is the batch size below which AddBatch bins serially:
+// a smaller batch costs less than starting the workers.
+const parallelMinRecords = 2048
+
+// AddBatch folds one record batch into the statistics. The reconstructed
+// attributes are collected by StreamStats.AddBatch, and the direct cells are
+// binned the same way, one task per attribute, each writing only its own
+// attribute's rows.
 func (t *TrainStats) AddBatch(b *stream.Batch) error {
 	// StreamStats.AddBatch runs the same validation internally; don't scan
 	// the batch twice.
@@ -99,16 +117,22 @@ func (t *TrainStats) AddBatch(b *stream.Batch) error {
 	} else if err := stream.CheckBatch(t.schema, b); err != nil {
 		return err
 	}
-	for i := 0; i < b.N(); i++ {
-		row := b.Row(i)
-		label := b.Labels[i]
+	for _, label := range b.Labels {
 		t.classCounts[label]++
-		for j := range t.parts {
-			if !t.useRecon[j] {
-				t.hist[label][j][t.parts[j].Bin(row[j])]++
-			}
-		}
 	}
+	workers := 0
+	if b.N() < parallelMinRecords {
+		workers = 1
+	}
+	na := len(t.parts)
+	parallel.ForEach(len(t.direct), workers, func(d int) error {
+		j := t.direct[d]
+		part := t.parts[j]
+		for i, label := range b.Labels {
+			t.hist[label][j][part.Bin(b.Values[i*na+j])]++
+		}
+		return nil
+	})
 	t.n += b.N()
 	return nil
 }
@@ -154,7 +178,8 @@ func (t *TrainStats) Merge(o *TrainStats) error {
 // the class counts, direct cells normalized with Laplace smoothing
 // (DefaultSmoothing), and each reconstructed cell run once through the
 // banded kernel on its merged collector counts, stopped at
-// core.DefaultReconEpsilon.
+// core.DefaultReconEpsilon. Each (attribute, class) cell is a task of its
+// own at GOMAXPROCS workers.
 func (t *TrainStats) Finalize() (*Classifier, error) {
 	if t.n == 0 {
 		return nil, errors.New("bayes: empty training stream")
@@ -173,28 +198,31 @@ func (t *TrainStats) Finalize() (*Classifier, error) {
 		clf.Priors[c] = (float64(t.classCounts[c]) + DefaultSmoothing) / (float64(t.n) + DefaultSmoothing*float64(k))
 		clf.Cond[c] = make([][]float64, nAttrs)
 	}
-	for j := 0; j < nAttrs; j++ {
-		for c := 0; c < k; c++ {
-			var dist []float64
-			if t.useRecon[j] {
-				col := t.stats.ClassCollector(j, c)
-				if col.N() > 0 {
-					res, err := col.Reconstruct(reconstruct.Config{
-						Algorithm: cfg.ReconAlgorithm,
-						Epsilon:   core.DefaultReconEpsilon,
-					})
-					if err != nil {
-						return nil, fmt.Errorf("bayes: reconstructing attribute %d class %d: %w", j, c, err)
-					}
-					dist = smooth(res.P, float64(col.N()))
-				} else {
-					dist = distFromCounts(make([]float64, t.parts[j].K), 0)
+	err := parallel.ForEach(nAttrs*k, 0, func(i int) error {
+		j, c := i/k, i%k
+		var dist []float64
+		if t.useRecon[j] {
+			col := t.stats.ClassCollector(j, c)
+			if col.N() > 0 {
+				res, err := col.Reconstruct(reconstruct.Config{
+					Algorithm: cfg.ReconAlgorithm,
+					Epsilon:   core.DefaultReconEpsilon,
+				})
+				if err != nil {
+					return fmt.Errorf("bayes: reconstructing attribute %d class %d: %w", j, c, err)
 				}
+				dist = smooth(res.P, float64(col.N()))
 			} else {
-				dist = distFromCounts(t.hist[c][j], float64(t.classCounts[c]))
+				dist = distFromCounts(make([]float64, t.parts[j].K), 0)
 			}
-			clf.Cond[c][j] = dist
+		} else {
+			dist = distFromCounts(t.hist[c][j], float64(t.classCounts[c]))
 		}
+		clf.Cond[c][j] = dist
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return clf, nil
 }

@@ -1,9 +1,13 @@
 package bayes
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"ppdm/internal/core"
@@ -259,4 +263,177 @@ func FuzzTrainStatsState(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fanOutCase is one training configuration over a perturbed F2 sample.
+type fanOutCase struct {
+	name string
+	data *dataset.Table
+	cfg  Config
+}
+
+// fanOutCases trains in ByClass with noise on every attribute, in
+// Randomized (direct cells only) and in ByClass with noise on three
+// attributes (collectors beside direct cells).
+func fanOutCases(tb testing.TB) []fanOutCase {
+	tb.Helper()
+	clean, err := synth.Generate(synth.Config{Function: synth.F2, N: 9000, Seed: 5})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	models, err := noise.ModelsForAllAttrs(clean.Schema(), "gaussian", 1.0, noise.DefaultConfidence)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	subset := map[int]noise.Model{
+		synth.AttrSalary: models[synth.AttrSalary],
+		synth.AttrAge:    models[synth.AttrAge],
+		synth.AttrLoan:   models[synth.AttrLoan],
+	}
+	all, err := noise.PerturbTable(clean, models, 6)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	some, err := noise.PerturbTable(clean, subset, 6)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []fanOutCase{
+		{"byclass-all", all, Config{Mode: core.ByClass, Noise: models}},
+		{"randomized", all, Config{Mode: core.Randomized}},
+		{"byclass-subset", some, Config{Mode: core.ByClass, Noise: subset}},
+	}
+}
+
+// AddBatch and Finalize fan out per attribute at GOMAXPROCS workers. At
+// GOMAXPROCS 1 and 8 and at every batch size, TrainStream must save the
+// same bytes, and after every batch the direct cells and class counts must
+// hold what adding the records one at a time gives. (The collectors are
+// checked the same way in internal/reconstruct.)
+func TestTrainStreamFanOutDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range fanOutCases(t) {
+		var want []byte
+		for _, procs := range []int{1, 8} {
+			runtime.GOMAXPROCS(procs)
+			for _, batch := range []int{1, 7, 1000, 8192} {
+				clf, err := TrainStream(stream.FromTable(tc.data, batch), tc.cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				var buf bytes.Buffer
+				if err := clf.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = buf.Bytes()
+				} else if !bytes.Equal(buf.Bytes(), want) {
+					t.Fatalf("%s: GOMAXPROCS %d, batch %d saves different bytes", tc.name, procs, batch)
+				}
+				checkPerBatch(t, tc.name, tc.data, tc.cfg, procs, batch)
+			}
+		}
+	}
+}
+
+// checkPerBatch adds the table batch by batch and, after every batch,
+// compares the direct cells, the class counts and the collectors' record
+// counts with a per-record oracle.
+func checkPerBatch(t *testing.T, name string, data *dataset.Table, cfg Config, procs, batch int) {
+	t.Helper()
+	st, err := NewTrainStats(data.Schema(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := data.Schema().NumClasses()
+	hist := make([][][]float64, k)
+	for c := range hist {
+		hist[c] = make([][]float64, len(st.parts))
+		for _, j := range st.direct {
+			hist[c][j] = make([]float64, st.parts[j].K)
+		}
+	}
+	counts := make([]int, k)
+	src := stream.FromTable(data, batch)
+	for {
+		b, err := src.Next()
+		if err == io.EOF {
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.AddBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		for i, label := range b.Labels {
+			counts[label]++
+			for _, j := range st.direct {
+				hist[label][j][st.parts[j].Bin(b.Row(i)[j])]++
+			}
+		}
+		at := b.Start + b.N()
+		if st.n != at || !slices.Equal(st.classCounts, counts) {
+			t.Fatalf("%s: GOMAXPROCS %d, batch %d: %d records in classes %v after record %d, want %v",
+				name, procs, batch, st.n, st.classCounts, at, counts)
+		}
+		for c := range hist {
+			for _, j := range st.direct {
+				if !slices.Equal(st.hist[c][j], hist[c][j]) {
+					t.Fatalf("%s: GOMAXPROCS %d, batch %d: class %d attribute %d cells differ after record %d",
+						name, procs, batch, c, j, at)
+				}
+			}
+			for j, recon := range st.useRecon {
+				if recon && st.stats.ClassCollector(j, c).N() != counts[c] {
+					t.Fatalf("%s: GOMAXPROCS %d, batch %d: class %d collector of attribute %d holds %d records after record %d, want %d",
+						name, procs, batch, c, j, st.stats.ClassCollector(j, c).N(), at, counts[c])
+				}
+			}
+		}
+	}
+}
+
+// A batch with a non-finite value or an out-of-range label fails before
+// any attribute is binned, with CheckBatch's error text, and leaves the
+// statistics empty; the batch is large enough to fan out.
+func TestAddBatchRejectsBadBatch(t *testing.T) {
+	for _, tc := range fanOutCases(t) {
+		bad := []struct {
+			corrupt func(*stream.Batch)
+			want    string
+		}{
+			{func(b *stream.Batch) { b.Row(5000)[synth.AttrCommission] = math.NaN() },
+				`stream: record 5000 attribute "commission" has non-finite value NaN`},
+			{func(b *stream.Batch) { b.Row(8999)[synth.AttrLoan] = math.Inf(-1) },
+				`stream: record 8999 attribute "loan" has non-finite value -Inf`},
+			{func(b *stream.Batch) { b.Labels[4096] = 2 }, "stream: label 2 out of range [0,2)"},
+			{func(b *stream.Batch) { b.Labels[0] = -1 }, "stream: label -1 out of range [0,2)"},
+		}
+		for _, bc := range bad {
+			st, err := NewTrainStats(tc.data.Schema(), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			empty, err := json.Marshal(st.State())
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := stream.FromTable(tc.data, tc.data.N()).Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bc.corrupt(b)
+			if err := st.AddBatch(b); err == nil || err.Error() != bc.want {
+				t.Fatalf("%s: AddBatch error %v, want %q", tc.name, err, bc.want)
+			}
+			after, err := json.Marshal(st.State())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, empty) {
+				t.Fatalf("%s: a rejected batch changed the statistics", tc.name)
+			}
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"ppdm/internal/dataset"
 	"ppdm/internal/noise"
+	"ppdm/internal/parallel"
 	"ppdm/internal/stream"
 )
 
@@ -77,24 +78,48 @@ func NewStreamStats(s *dataset.Schema, parts map[int]Partition, models map[int]n
 	return st, nil
 }
 
+// parallelMinRecords is the batch size below which AddBatch bins serially:
+// a smaller batch costs less than starting the workers.
+const parallelMinRecords = 2048
+
 // AddBatch folds one record batch into the statistics. Each value is binned
-// once, into the collector of its attribute and its record's class.
+// once, into the collector of its attribute and its record's class. The
+// attributes are binned in parallel, one task per attribute at GOMAXPROCS
+// workers: a task writes only its own attribute's collectors, and each
+// collector's record count grows once per batch, by its class's count.
+// Counts are integers, so the statistics are the same at any worker count.
 func (st *StreamStats) AddBatch(b *stream.Batch) error {
 	// CheckBatch rejects non-finite values, so the collectors can skip
 	// that check.
 	if err := stream.CheckBatch(st.schema, b); err != nil {
 		return err
 	}
-	for i := 0; i < b.N(); i++ {
-		row := b.Row(i)
-		label := b.Labels[i]
-		st.classCounts[label]++
-		for j, perClass := range st.byClass {
-			if perClass != nil {
-				perClass[label].add(row[j])
-			}
-		}
+	batchCounts := make([]int, len(st.classCounts))
+	for _, label := range b.Labels {
+		batchCounts[label]++
 	}
+	for cl, cnt := range batchCounts {
+		st.classCounts[cl] += cnt
+	}
+	workers := 0
+	if b.N() < parallelMinRecords {
+		workers = 1
+	}
+	na := st.schema.NumAttrs()
+	parallel.ForEach(len(st.byClass), workers, func(j int) error {
+		perClass := st.byClass[j]
+		if perClass == nil {
+			return nil
+		}
+		for i, label := range b.Labels {
+			c := perClass[label]
+			c.counts[c.cell(b.Values[i*na+j])]++
+		}
+		for cl, c := range perClass {
+			c.n += batchCounts[cl]
+		}
+		return nil
+	})
 	st.n += b.N()
 	return nil
 }

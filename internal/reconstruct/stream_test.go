@@ -1,6 +1,9 @@
 package reconstruct
 
 import (
+	"io"
+	"runtime"
+	"slices"
 	"testing"
 
 	"ppdm/internal/dataset"
@@ -127,5 +130,71 @@ func TestStreamStatsValidation(t *testing.T) {
 	}
 	if st.Schema() != tb.Schema() {
 		t.Error("Schema not returned")
+	}
+}
+
+// AddBatch bins one attribute per task and grows each collector's record
+// count once per batch. After every batch, at any GOMAXPROCS and batch size,
+// the collectors must hold exactly what adding the records one at a time
+// gives.
+func TestStreamStatsAddBatchMatchesPerRecord(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	tb := streamStatsTable(t, 9000)
+	part0, _ := NewPartition(0, 100, 12)
+	part1, _ := NewPartition(0, 10, 8)
+	parts := map[int]Partition{0: part0, 1: part1}
+	models := map[int]noise.Model{0: noise.Uniform{Alpha: 30}, 1: noise.Gaussian{Sigma: 2}}
+
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, batch := range []int{1, 7, 1000, 8192} {
+			st, err := NewStreamStats(tb.Schema(), parts, models)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := make(map[int][]*Collector)
+			for j, part := range parts {
+				for range tb.Schema().NumClasses() {
+					c, err := NewCollector(part, models[j])
+					if err != nil {
+						t.Fatal(err)
+					}
+					oracle[j] = append(oracle[j], c)
+				}
+			}
+			src := stream.FromTable(tb, batch)
+			for {
+				b, err := src.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.AddBatch(b); err != nil {
+					t.Fatal(err)
+				}
+				for i := range b.N() {
+					for j := range parts {
+						if err := oracle[j][b.Labels[i]].Add(b.Row(i)[j]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for j, perClass := range oracle {
+					for cl, want := range perClass {
+						got := st.ClassCollector(j, cl)
+						if got.n != want.n || !slices.Equal(got.counts, want.counts) {
+							t.Fatalf("GOMAXPROCS %d, batch %d, after record %d: attribute %d class %d collector holds n=%d, want n=%d",
+								procs, batch, b.Start+b.N(), j, cl, got.n, want.n)
+						}
+					}
+				}
+			}
+			if st.N() != tb.N() || !slices.Equal(st.ClassCounts(), tb.ClassCounts()) {
+				t.Fatalf("GOMAXPROCS %d, batch %d: %d records in classes %v, want %d in %v",
+					procs, batch, st.N(), st.ClassCounts(), tb.N(), tb.ClassCounts())
+			}
+		}
 	}
 }
