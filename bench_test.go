@@ -109,9 +109,17 @@ func BenchmarkPredict(b *testing.B) {
 // ratios measured at GOMAXPROCS=2; on a single core the parallel variants
 // degenerate to the serial cost plus negligible chunking overhead.
 
+// pairRecords is the record count of the Generate and PerturbTable pairs,
+// which report records/s for BENCH_parallel.json's ratio gate.
+const pairRecords = 50000
+
+func reportRecordsPerSec(b *testing.B) {
+	b.ReportMetric(float64(pairRecords)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
 func benchPerturbWorkers(b *testing.B, workers int) {
 	b.Helper()
-	tb := benchData(b, 50000)
+	tb := benchData(b, pairRecords)
 	models, err := ppdm.ModelsForAllAttrs(tb.Schema(), "gaussian", 1.0, ppdm.DefaultConfidence)
 	if err != nil {
 		b.Fatal(err)
@@ -122,6 +130,7 @@ func benchPerturbWorkers(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 	}
+	reportRecordsPerSec(b)
 }
 
 func BenchmarkPerturbTableSerial(b *testing.B)   { benchPerturbWorkers(b, 1) }
@@ -130,10 +139,11 @@ func BenchmarkPerturbTableParallel(b *testing.B) { benchPerturbWorkers(b, 0) }
 func benchGenerateWorkers(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if _, err := ppdm.Generate(ppdm.GenConfig{Function: ppdm.F2, N: 50000, Seed: uint64(i), Workers: workers}); err != nil {
+		if _, err := ppdm.Generate(ppdm.GenConfig{Function: ppdm.F2, N: pairRecords, Seed: uint64(i), Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportRecordsPerSec(b)
 }
 
 func BenchmarkGenerateSerial(b *testing.B)   { benchGenerateWorkers(b, 1) }
@@ -146,16 +156,18 @@ func benchReconstructWorkers(b *testing.B, workers int) {
 	perturbed, _ := ppdm.PerturbTable(tb, models, 2)
 	ageIdx, _ := tb.Schema().AttrIndex("age")
 	col := perturbed.Column(ageIdx)
+	// At 200 intervals an iteration adds about 214k terms, past the 65,536
+	// below which the kernel's row and column passes stay serial.
+	part, err := ppdm.NewPartition(20, 80, 200)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A fresh partition geometry per iteration defeats the transition
-		// cache, so the bench measures the full precompute + EM loop.
-		part, err := ppdm.NewPartition(20-float64(i+1)*1e-7, 80, 50)
-		if err != nil {
-			b.Fatal(err)
-		}
+		// A cold cache per call, so the bench measures the full precompute
+		// + EM loop, and neither half of the pair warms the other's.
 		if _, err := ppdm.Reconstruct(col, ppdm.ReconstructConfig{
-			Partition: part, Noise: models[ageIdx], Epsilon: 1e-3, Workers: workers,
+			Partition: part, Noise: models[ageIdx], Epsilon: 1e-3, Workers: workers, Cache: ppdm.NewWeightCache(1),
 		}); err != nil {
 			b.Fatal(err)
 		}
