@@ -165,18 +165,6 @@ func TestSubset(t *testing.T) {
 	}
 }
 
-func TestCheckDomains(t *testing.T) {
-	tb := NewTable(testSchema(t))
-	_ = tb.Append([]float64{30, 50000, 2}, 0)
-	if err := tb.CheckDomains(); err != nil {
-		t.Errorf("valid domains flagged: %v", err)
-	}
-	_ = tb.Append([]float64{30, 50000, 2.5}, 0) // non-integral categorical
-	if err := tb.CheckDomains(); err == nil {
-		t.Error("invalid categorical not flagged")
-	}
-}
-
 func TestNewTableFromDense(t *testing.T) {
 	s := MustSchema([]Attribute{NumericAttr("x", 0, 10), NumericAttr("y", 0, 10)}, []string{"a", "b"})
 	tb, err := NewTableFromDense(s, []float64{1, 2, 3, 4, 5, 6}, []int{0, 1, 0})

@@ -155,16 +155,3 @@ func (t *Table) Subset(idx []int) (*Table, error) {
 	}
 	return out, nil
 }
-
-// CheckDomains verifies that every stored value lies inside its attribute's
-// declared domain; used by tests and by callers ingesting untrusted CSV.
-func (t *Table) CheckDomains() error {
-	for i, r := range t.rows {
-		for j, v := range r {
-			if !t.schema.Attrs[j].Contains(v) {
-				return fmt.Errorf("dataset: record %d attribute %q value %v outside domain", i, t.schema.Attrs[j].Name, v)
-			}
-		}
-	}
-	return nil
-}
