@@ -13,9 +13,10 @@
 // TrainStream consumes a record stream (internal/stream) in one pass,
 // retaining only O(classes × attributes × intervals) sufficient statistics,
 // and produces a classifier identical to Train on the materialized table.
-// TrainStats.AddBatch bins each batch one task per attribute, and Finalize
-// builds each (attribute, class) distribution as a task of its own, both at
-// GOMAXPROCS workers with no option to set: the counts are integers and
-// every cell is finalized on its own, so the model is the same bits at any
-// worker count.
+// TrainStats.AddBatch bins a batch's reconstructed attributes one task per
+// attribute (reconstruct.StreamStats.AddBatch) and its direct cells
+// serially, and Finalize builds each (attribute, class) distribution as a
+// task of its own, both at GOMAXPROCS workers with no option to set: the
+// counts are integers and every cell is finalized on its own, so the model
+// is the same bits at any worker count.
 package bayes

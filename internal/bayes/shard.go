@@ -24,12 +24,10 @@ import (
 //
 // A TrainStats is not safe for concurrent use.
 type TrainStats struct {
-	cfg      Config
-	schema   *dataset.Schema
-	parts    []reconstruct.Partition
-	useRecon []bool
-	// direct lists the attributes binned straight into hist.
-	direct      []int
+	cfg         Config
+	schema      *dataset.Schema
+	parts       []reconstruct.Partition
+	useRecon    []bool
 	stats       *reconstruct.StreamStats
 	hist        [][][]float64
 	classCounts []int
@@ -71,20 +69,13 @@ func NewTrainStats(s *dataset.Schema, cfg Config) (*TrainStats, error) {
 			return nil, err
 		}
 	}
-	var direct []int
-	for j, recon := range useRecon {
-		if !recon {
-			direct = append(direct, j)
-		}
-	}
-	// AddBatch bins each attribute on its own worker. Eight spare cells, a
-	// 64-byte cache line, keep every row off the line of the next heap
-	// object, which may be another attribute's row.
 	hist := make([][][]float64, k)
 	for c := 0; c < k; c++ {
 		hist[c] = make([][]float64, nAttrs)
-		for _, j := range direct {
-			hist[c][j] = make([]float64, parts[j].K, parts[j].K+8)
+		for j := 0; j < nAttrs; j++ {
+			if !useRecon[j] {
+				hist[c][j] = make([]float64, parts[j].K)
+			}
 		}
 	}
 	return &TrainStats{
@@ -92,21 +83,15 @@ func NewTrainStats(s *dataset.Schema, cfg Config) (*TrainStats, error) {
 		schema:      s,
 		parts:       parts,
 		useRecon:    useRecon,
-		direct:      direct,
 		stats:       stats,
 		hist:        hist,
 		classCounts: make([]int, k),
 	}, nil
 }
 
-// parallelMinRecords is the batch size below which AddBatch bins serially:
-// a smaller batch costs less than starting the workers.
-const parallelMinRecords = 2048
-
 // AddBatch folds one record batch into the statistics. The reconstructed
-// attributes are collected by StreamStats.AddBatch, and the direct cells are
-// binned the same way, one task per attribute, each writing only its own
-// attribute's rows.
+// attributes are binned by StreamStats.AddBatch, one task per attribute;
+// the direct cells are binned here, serially.
 func (t *TrainStats) AddBatch(b *stream.Batch) error {
 	// StreamStats.AddBatch runs the same validation internally; don't scan
 	// the batch twice.
@@ -117,22 +102,16 @@ func (t *TrainStats) AddBatch(b *stream.Batch) error {
 	} else if err := stream.CheckBatch(t.schema, b); err != nil {
 		return err
 	}
-	for _, label := range b.Labels {
+	for i := 0; i < b.N(); i++ {
+		row := b.Row(i)
+		label := b.Labels[i]
 		t.classCounts[label]++
-	}
-	workers := 0
-	if b.N() < parallelMinRecords {
-		workers = 1
-	}
-	na := len(t.parts)
-	parallel.ForEach(len(t.direct), workers, func(d int) error {
-		j := t.direct[d]
-		part := t.parts[j]
-		for i, label := range b.Labels {
-			t.hist[label][j][part.Bin(b.Values[i*na+j])]++
+		for j := range t.parts {
+			if !t.useRecon[j] {
+				t.hist[label][j][t.parts[j].Bin(row[j])]++
+			}
 		}
-		return nil
-	})
+	}
 	t.n += b.N()
 	return nil
 }
@@ -204,9 +183,12 @@ func (t *TrainStats) Finalize() (*Classifier, error) {
 		if t.useRecon[j] {
 			col := t.stats.ClassCollector(j, c)
 			if col.N() > 0 {
+				// The cells already run in parallel, so each kernel runs
+				// on one worker.
 				res, err := col.Reconstruct(reconstruct.Config{
 					Algorithm: cfg.ReconAlgorithm,
 					Epsilon:   core.DefaultReconEpsilon,
+					Workers:   1,
 				})
 				if err != nil {
 					return fmt.Errorf("bayes: reconstructing attribute %d class %d: %w", j, c, err)

@@ -305,8 +305,9 @@ func fanOutCases(tb testing.TB) []fanOutCase {
 	}
 }
 
-// AddBatch and Finalize fan out per attribute at GOMAXPROCS workers. At
-// GOMAXPROCS 1 and 8 and at every batch size, TrainStream must save the
+// AddBatch bins the reconstructed attributes one task per attribute, and
+// Finalize builds every cell as a task of its own, at GOMAXPROCS workers.
+// At GOMAXPROCS 1 and 8 and at every batch size, TrainStream must save the
 // same bytes, and after every batch the direct cells and class counts must
 // hold what adding the records one at a time gives. (The collectors are
 // checked the same way in internal/reconstruct.)
@@ -349,8 +350,10 @@ func checkPerBatch(t *testing.T, name string, data *dataset.Table, cfg Config, p
 	hist := make([][][]float64, k)
 	for c := range hist {
 		hist[c] = make([][]float64, len(st.parts))
-		for _, j := range st.direct {
-			hist[c][j] = make([]float64, st.parts[j].K)
+		for j, recon := range st.useRecon {
+			if !recon {
+				hist[c][j] = make([]float64, st.parts[j].K)
+			}
 		}
 	}
 	counts := make([]int, k)
@@ -368,8 +371,10 @@ func checkPerBatch(t *testing.T, name string, data *dataset.Table, cfg Config, p
 		}
 		for i, label := range b.Labels {
 			counts[label]++
-			for _, j := range st.direct {
-				hist[label][j][st.parts[j].Bin(b.Row(i)[j])]++
+			for j, recon := range st.useRecon {
+				if !recon {
+					hist[label][j][st.parts[j].Bin(b.Row(i)[j])]++
+				}
 			}
 		}
 		at := b.Start + b.N()
@@ -378,13 +383,11 @@ func checkPerBatch(t *testing.T, name string, data *dataset.Table, cfg Config, p
 				name, procs, batch, st.n, st.classCounts, at, counts)
 		}
 		for c := range hist {
-			for _, j := range st.direct {
-				if !slices.Equal(st.hist[c][j], hist[c][j]) {
+			for j, recon := range st.useRecon {
+				if !recon && !slices.Equal(st.hist[c][j], hist[c][j]) {
 					t.Fatalf("%s: GOMAXPROCS %d, batch %d: class %d attribute %d cells differ after record %d",
 						name, procs, batch, c, j, at)
 				}
-			}
-			for j, recon := range st.useRecon {
 				if recon && st.stats.ClassCollector(j, c).N() != counts[c] {
 					t.Fatalf("%s: GOMAXPROCS %d, batch %d: class %d collector of attribute %d holds %d records after record %d, want %d",
 						name, procs, batch, c, j, st.stats.ClassCollector(j, c).N(), at, counts[c])

@@ -78,8 +78,12 @@ func NewStreamStats(s *dataset.Schema, parts map[int]Partition, models map[int]n
 	return st, nil
 }
 
-// parallelMinRecords is the batch size below which AddBatch bins serially:
-// a smaller batch costs less than starting the workers.
+// parallelMinRecords is the batch size below which AddBatch bins serially.
+// Measured at GOMAXPROCS 2 (2-vCPU Xeon) on naive Bayes over a generated and
+// perturbed stream of 100,000 records, all nine attributes reconstructed,
+// medians of 30 alternating rounds: the fan-out took 10.9 ms against 9.1 ms
+// serial at 512 records per batch, tied at 1024 (8.5 against 8.6 ms), and
+// won from 2048 (7.5 against 8.3 ms) to 8192 (7.4 against 9.9 ms).
 const parallelMinRecords = 2048
 
 // AddBatch folds one record batch into the statistics. Each value is binned
