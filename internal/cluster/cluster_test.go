@@ -62,7 +62,10 @@ func saveTree(t *testing.T, c *core.Classifier) []byte {
 // to single-node streamed training at every shard count — including shard
 // counts larger than the number of deal units (empty shards merge as
 // zeros). 20000 records span three UnitLen units, so shards 2 and 8
-// exercise interleaving and idle shards respectively.
+// exercise interleaving and idle shards respectively. The tree learner
+// must also save in-memory Train's bytes in the modes that bin some or all
+// attributes directly: Original, Randomized, and Global and ByClass with
+// noise on age and salary only.
 func TestShardMergeGolden(t *testing.T) {
 	perturbed, models := clusterData(t, 20000, 11)
 
@@ -98,6 +101,44 @@ func TestShardMergeGolden(t *testing.T) {
 			}
 			if !bytes.Equal(wantDoc, saveTree(t, got)) {
 				t.Errorf("shards %d: merged tree model differs from single-node", shards)
+			}
+		}
+
+		clean, err := synth.Generate(synth.Config{Function: synth.F2, N: 20000, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		partial, err := noise.ModelsForAttrs(clean.Schema(), []int{synth.AttrAge, synth.AttrSalary}, "gaussian", 1.0, noise.DefaultConfidence)
+		if err != nil {
+			t.Fatal(err)
+		}
+		partlyPerturbed, err := noise.PerturbTable(clean, partial, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name  string
+			table *dataset.Table
+			cfg   core.Config
+		}{
+			{"original", clean, core.Config{Mode: core.Original}},
+			{"randomized", perturbed, core.Config{Mode: core.Randomized}},
+			{"global-partial", partlyPerturbed, core.Config{Mode: core.Global, Noise: partial}},
+			{"byclass-partial", partlyPerturbed, core.Config{Mode: core.ByClass, Noise: partial}},
+		} {
+			want, err := core.Train(tc.table, tc.cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			wantDoc := saveTree(t, want)
+			for _, shards := range []int{1, 2, 8} {
+				got, err := TrainTree(stream.FromTable(tc.table, 777), tc.cfg, Options{Shards: shards})
+				if err != nil {
+					t.Fatalf("%s shards %d: %v", tc.name, shards, err)
+				}
+				if !bytes.Equal(wantDoc, saveTree(t, got)) {
+					t.Errorf("%s shards %d: merged tree model differs from in-memory Train", tc.name, shards)
+				}
 			}
 		}
 	})
