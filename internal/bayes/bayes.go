@@ -91,14 +91,14 @@ func Train(train *dataset.Table, cfg Config) (*Classifier, error) {
 }
 
 // distFromCounts normalizes pre-binned counts with Laplace smoothing
-// (DefaultSmoothing); n is the total observation count. It overwrites and
-// returns counts.
+// (DefaultSmoothing) into a new slice; n is the total observation count.
 func distFromCounts(counts []float64, n float64) []float64 {
+	out := make([]float64, len(counts))
 	total := n + DefaultSmoothing*float64(len(counts))
-	for b := range counts {
-		counts[b] = (counts[b] + DefaultSmoothing) / total
+	for b, v := range counts {
+		out[b] = (v + DefaultSmoothing) / total
 	}
-	return counts
+	return out
 }
 
 // smooth converts a reconstructed probability vector into expected counts

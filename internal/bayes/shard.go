@@ -158,7 +158,8 @@ func (t *TrainStats) Merge(o *TrainStats) error {
 // (DefaultSmoothing), and each reconstructed cell run once through the
 // banded kernel on its merged collector counts, stopped at
 // core.DefaultReconEpsilon. Each (attribute, class) cell is a task of its
-// own at GOMAXPROCS workers.
+// own at GOMAXPROCS workers. The statistics are only read, so Finalize may
+// run again, and State after it is still a valid shard state.
 func (t *TrainStats) Finalize() (*Classifier, error) {
 	if t.n == 0 {
 		return nil, errors.New("bayes: empty training stream")

@@ -440,3 +440,56 @@ func TestAddBatchRejectsBadBatch(t *testing.T) {
 		}
 	}
 }
+
+// Finalize reads the statistics and leaves them as they were: a second
+// Finalize saves the first one's bytes, the first classifier still saves
+// its own bytes afterwards, and State after Finalize equals State before it
+// and is accepted by NewTrainStatsFromState. Randomized and ByClass with
+// noise on some attributes have direct cells, which Finalize once
+// normalized in place.
+func TestFinalizeLeavesStatsIntact(t *testing.T) {
+	save := func(c *Classifier) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, tc := range fanOutCases(t) {
+		st, err := NewTrainStats(tc.data.Schema(), tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := stream.FromTable(tc.data, tc.data.N()).Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.AddBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		before := st.State()
+		first, err := st.Finalize()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		firstDoc := save(first)
+		after := st.State()
+		if !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: State after Finalize differs from State before it", tc.name)
+		}
+		if _, err := NewTrainStatsFromState(tc.data.Schema(), tc.cfg, after); err != nil {
+			t.Errorf("%s: State after Finalize rejected: %v", tc.name, err)
+		}
+		second, err := st.Finalize()
+		if err != nil {
+			t.Fatalf("%s: second Finalize: %v", tc.name, err)
+		}
+		if !bytes.Equal(save(second), firstDoc) {
+			t.Errorf("%s: second Finalize saves different bytes", tc.name)
+		}
+		if !bytes.Equal(save(first), firstDoc) {
+			t.Errorf("%s: the first classifier's bytes changed", tc.name)
+		}
+	}
+}
