@@ -77,12 +77,21 @@ func TestTrainStreamMatchesTrain(t *testing.T) {
 	}
 }
 
-// TestTrainStreamRejectsLocal documents the one unsupported mode.
+// TestTrainStreamRejectsLocal documents the one unsupported mode, which the
+// spill and the merge both reject.
 func TestTrainStreamRejectsLocal(t *testing.T) {
 	perturbed, models := colstreamData(t, 1200, 5)
 	_, err := TrainStream(stream.FromTable(perturbed, 0), Config{Mode: Local, Noise: models})
 	if err == nil {
 		t.Fatal("Local mode accepted by TrainStream")
+	}
+	sh, err := SpillShard(stream.FromTable(perturbed, 0), Config{Mode: ByClass, Noise: models})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	if _, err := MergeShardSpills([]*ShardSpill{sh}, Config{Mode: Local, Noise: models}); err == nil {
+		t.Error("Local mode accepted by MergeShardSpills")
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"ppdm/internal/dataset"
 	"ppdm/internal/parallel"
 	"ppdm/internal/reconstruct"
 	"ppdm/internal/tree"
@@ -34,23 +33,12 @@ import (
 type localSource struct {
 	*tree.StaticSource
 	// values[attr] is the perturbed column of attribute attr in row order,
-	// nil for an unperturbed attribute: a column-major copy of the table, so
-	// a node's walk reads one column instead of one row slice per record.
+	// nil for an unperturbed attribute: the copies Train assigned the root
+	// from, so a node's walk reads one column instead of one row slice per
+	// record.
 	values [][]float64
 	parts  []reconstruct.Partition
 	cfg    Config
-}
-
-// newLocalSource wraps the root ByClass assignment with the perturbed
-// columns Local re-reconstructs from.
-func newLocalSource(static *tree.StaticSource, t *dataset.Table, parts []reconstruct.Partition, cfg Config) *localSource {
-	values := make([][]float64, len(parts))
-	for j := range values {
-		if _, perturbed := cfg.Noise[j]; perturbed {
-			values[j] = t.Column(j)
-		}
-	}
-	return &localSource{StaticSource: static, values: values, parts: parts, cfg: cfg}
 }
 
 // NodeDistributions implements tree.DistribSource: per-class expected

@@ -38,19 +38,26 @@ func buildLocalSource(t *testing.T, n int) (*localSource, map[int]noise.Model) {
 		}
 		parts[j] = p
 	}
-	cols, err := byClassColumns(perturbed, parts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	labels := make([]int, perturbed.N())
 	for i := range labels {
 		labels[i] = perturbed.Label(i)
+	}
+	rows := classRows(labels, s.NumClasses())
+	values := make([][]float64, len(parts))
+	cols := make([][]int, len(parts))
+	for j := range parts {
+		values[j] = perturbed.Column(j)
+		col, err := assignColumn(j, values[j], rows, parts[j], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols[j] = col
 	}
 	static, err := staticSource(cols, parts, labels, s.NumClasses())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newLocalSource(static, perturbed, parts, cfg), models
+	return &localSource{StaticSource: static, values: values, parts: parts, cfg: cfg}, models
 }
 
 // TestLocalRoutesLikeByClass trains Local with LocalMinRecords above the

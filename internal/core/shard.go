@@ -5,57 +5,54 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"ppdm/internal/dataset"
 	"ppdm/internal/parallel"
-	"ppdm/internal/reconstruct"
 	"ppdm/internal/stream"
 	"ppdm/internal/tree"
 )
 
 // ShardSpill holds one training shard's pass-1 spill output for the
-// decision-tree learner: the per-attribute segment files (interval indices
-// for directly-binned attributes, raw perturbed values for attributes
-// awaiting reconstruction) plus the shard-local class list. internal/cluster
-// deals tree.SegLen-sized record units round-robin across shards, runs
-// SpillShard per shard in parallel, and hands the results to
-// MergeShardSpills; because the spill grid equals the deal grid, the merged
-// column store is the one a single shard holding the whole stream would
-// give, which is how TrainStream trains.
+// decision-tree learner: one segment file of raw values per attribute plus
+// the shard-local class list. The spill does not depend on the training
+// mode or the partitions; the merge assigns every column under its own
+// config. internal/cluster deals tree.SegLen-sized record units round-robin
+// across shards, runs SpillShard per shard in parallel, and hands the
+// results to MergeShardSpills; because the spill grid equals the deal grid,
+// the merged column store is the one a single shard holding the whole
+// stream would give, which is how TrainStream trains.
 //
 // MergeShardSpills consumes the raw columns: it removes each one as soon as
 // its attribute is re-binned, so a second merge of the same shards fails,
 // naming the consumed column. Callers still own the spill and Close it,
-// which removes the directly-binned columns and the shard's directory.
+// which removes the shard's directory.
 type ShardSpill struct {
 	dir    string
 	sp     *spill
 	labels []int
-	parts  []reconstruct.Partition
 	schema *dataset.Schema
 }
 
+// errLocalStream rejects Local on the out-of-core path.
+var errLocalStream = errors.New("core: Local mode trains from node-local raw values and needs the materialized table; use Train")
+
 // SpillShard runs the streaming spill pass of out-of-core training over one
 // shard's record substream (TrainStream's single shard is the whole
-// stream). The source must present the shard's records with shard-local
-// Start offsets (0, batch, 2×batch, …) — the cluster dealer renumbers them
-// — and, for the merge to reproduce single-node training, must consist of
-// whole tree.SegLen record units in global order, with only the
-// globally-last unit allowed to be short.
+// stream), writing every attribute's raw values. It validates cfg and uses
+// only its SpillDir. The source must present the shard's records with
+// shard-local Start offsets (0, batch, 2×batch, …) — the cluster dealer
+// renumbers them — and, for the merge to reproduce single-node training,
+// must consist of whole tree.SegLen record units in global order, with only
+// the globally-last unit allowed to be short.
 func SpillShard(src stream.Source, cfg Config) (*ShardSpill, error) {
 	if src == nil {
 		return nil, errors.New("core: nil training stream")
 	}
 	if cfg.Mode == Local {
-		return nil, errors.New("core: Local mode trains from node-local raw values and needs the materialized table; use Train")
+		return nil, errLocalStream
 	}
-	cfg, err := cfg.normalized(1)
-	if err != nil {
-		return nil, err
-	}
-	s := src.Schema()
-	parts, err := attrPartitions(s, cfg.Intervals)
-	if err != nil {
+	if _, err := cfg.normalized(1); err != nil {
 		return nil, err
 	}
 	dir, err := os.MkdirTemp(cfg.SpillDir, "ppdm-shard-*")
@@ -63,13 +60,13 @@ func SpillShard(src stream.Source, cfg Config) (*ShardSpill, error) {
 		return nil, fmt.Errorf("core: creating shard spill directory: %w", err)
 	}
 	sp := &spill{dir: dir}
-	labels, err := spillColumns(src, parts, cfg, sp)
+	labels, err := spillColumns(src, sp)
 	if err != nil {
 		sp.closeAll()
 		os.RemoveAll(dir)
 		return nil, err
 	}
-	return &ShardSpill{dir: dir, sp: sp, labels: labels, parts: parts, schema: s}, nil
+	return &ShardSpill{dir: dir, sp: sp, labels: labels, schema: src.Schema()}, nil
 }
 
 // N returns the number of records spilled into this shard.
@@ -92,20 +89,23 @@ func (ss *ShardSpill) Close() error {
 
 // MergeShardSpills completes out-of-core tree training: it interleaves the
 // shards' spilled columns back into global record order on the tree.SegLen
-// unit grid (unit u lives in shard u%N), reconstructs and re-assigns each
-// perturbed attribute once on the full merged column — the very same
-// per-column code as in-memory training, so the interval assignments cannot
-// drift — and grows the tree from the merged column store. The result is
-// byte-identical to Train on the materialized table, at any shard count.
+// unit grid (unit u lives in shard u%N), assigns every attribute once on
+// the full merged column through assignColumn — the call in-memory Train
+// makes, so the interval assignments cannot drift — and grows the tree from
+// the merged column store. The result is byte-identical to Train on the
+// materialized table, at any shard count.
 //
 // Each merged raw column is read exactly once; after re-binning attribute
 // j, the merge closes and removes every shard's raw file for j, so no raw
 // column outlives its re-binning. The shards must all come from SpillShard
-// with the same schema and config; the caller still owns them and must
-// Close them after the merge.
+// with the same schema; cfg alone decides how their columns are assigned.
+// The caller still owns the shards and must Close them after the merge.
 func MergeShardSpills(shards []*ShardSpill, cfg Config) (*Classifier, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("core: no shards to merge")
+	}
+	if cfg.Mode == Local {
+		return nil, errLocalStream
 	}
 	adaptiveLeaf := cfg.Tree.MinLeaf == 0
 	cfg, err := cfg.normalized(1)
@@ -113,20 +113,20 @@ func MergeShardSpills(shards []*ShardSpill, cfg Config) (*Classifier, error) {
 		return nil, err
 	}
 	s := shards[0].schema
-	parts := shards[0].parts
+	parts, err := attrPartitions(s, cfg.Intervals)
+	if err != nil {
+		return nil, err
+	}
 	n := 0
 	for i, sh := range shards {
 		if sh.sp == nil {
 			return nil, fmt.Errorf("core: shard %d is closed", i)
 		}
-		if sh.schema.NumAttrs() != s.NumAttrs() || sh.schema.NumClasses() != s.NumClasses() {
-			return nil, fmt.Errorf("core: shard %d schema (%d attrs, %d classes) differs from shard 0 (%d attrs, %d classes)",
+		// Equal attributes give every shard's raw values the domains the
+		// partitions are built on.
+		if !slices.Equal(sh.schema.Attrs, s.Attrs) || sh.schema.NumClasses() != s.NumClasses() {
+			return nil, fmt.Errorf("core: shard %d schema (%d attrs, %d classes) differs from shard 0's (%d attrs, %d classes)",
 				i, sh.schema.NumAttrs(), sh.schema.NumClasses(), s.NumAttrs(), s.NumClasses())
-		}
-		for j := range parts {
-			if sh.parts[j] != parts[j] {
-				return nil, fmt.Errorf("core: shard %d discretizes attribute %d differently", i, j)
-			}
 		}
 		n += len(sh.labels)
 	}
@@ -142,9 +142,15 @@ func MergeShardSpills(shards []*ShardSpill, cfg Config) (*Classifier, error) {
 	if err != nil {
 		return nil, err
 	}
+	raw := make([]*stream.SegmentReader, s.NumAttrs())
+	for j := range raw {
+		if raw[j], err = mergedColumn(shards, j, n, units); err != nil {
+			return nil, err
+		}
+	}
 
-	// Re-binned perturbed columns land in their own scratch directory; the
-	// shard directories themselves are never written to.
+	// Re-binned columns land in their own scratch directory; the shard
+	// directories themselves are never written to.
 	dir, err := os.MkdirTemp(cfg.SpillDir, "ppdm-merge-*")
 	if err != nil {
 		return nil, fmt.Errorf("core: creating merge spill directory: %w", err)
@@ -153,47 +159,28 @@ func MergeShardSpills(shards []*ShardSpill, cfg Config) (*Classifier, error) {
 	msp := &spill{dir: dir, cols: make([]*spillCol, s.NumAttrs())}
 	defer msp.closeAll()
 
-	readers := make([]*stream.SegmentReader, s.NumAttrs())
-	bins := make([]int, s.NumAttrs())
-	var perturbed []int
-	rawReaders := make([]*stream.SegmentReader, s.NumAttrs())
-	for j := 0; j < s.NumAttrs(); j++ {
-		bins[j] = parts[j].K
-		r, direct, err := mergedColumn(shards, j, n, units)
+	// Assign each merged column, in parallel bounded by Workers, so peak
+	// raw-column memory is Workers × one column. The raw columns are dead
+	// weight once re-binned; dropping them right away keeps the spill from
+	// holding raw and binned copies of every attribute at once.
+	rows := classRows(labels, s.NumClasses())
+	readers, err := parallel.Map(len(raw), cfg.Workers, func(j int) (*stream.SegmentReader, error) {
+		r, err := msp.rebin(j, raw[j], rows, parts[j], cfg)
 		if err != nil {
 			return nil, err
-		}
-		if direct {
-			readers[j] = r
-		} else {
-			rawReaders[j] = r
-			perturbed = append(perturbed, j)
-		}
-	}
-
-	// Reconstruct and re-assign each merged perturbed column, in parallel
-	// bounded by Workers, so peak raw-column memory is Workers × one
-	// column. The raw columns are dead weight once re-binned; dropping them
-	// right away keeps the spill from holding raw and binned copies of
-	// every attribute at once.
-	err = parallel.ForEach(len(perturbed), cfg.Workers, func(i int) error {
-		j := perturbed[i]
-		msp.cols[j] = &spillCol{}
-		if err := msp.rebin(j, msp.cols[j], rawReaders[j], labels, s.NumClasses(), parts[j], cfg); err != nil {
-			return err
 		}
 		for _, sh := range shards {
 			sh.sp.cols[j].dropRaw()
 		}
-		return nil
+		return r, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, j := range perturbed {
-		readers[j] = stream.NewSegmentReader(msp.cols[j].binFile, msp.cols[j].binIndex)
+	bins := make([]int, len(parts))
+	for j, p := range parts {
+		bins[j] = p.K
 	}
-
 	treeSrc, err := tree.NewSpillSource(readers, bins, labels, s.NumClasses(), 0)
 	if err != nil {
 		return nil, err
@@ -244,32 +231,22 @@ func interleaveLabels(shards []*ShardSpill, n, units int) ([]int, error) {
 }
 
 // mergedColumn builds a SegmentReader presenting attribute j's per-shard
-// segment files as one column in global record order: the shard files are
-// concatenated into one logical byte space and the global index interleaves
-// each unit's segment (unit u is local segment u/N of shard u%N) with its
-// offset shifted to the shard's base. It reports whether the column holds
-// directly-binned interval indices or raw perturbed values.
-func mergedColumn(shards []*ShardSpill, j, n, units int) (*stream.SegmentReader, bool, error) {
-	direct := shards[0].sp.cols[j].direct
+// raw segment files as one column in global record order: the shard files
+// are concatenated into one logical byte space and the global index
+// interleaves each unit's segment (unit u is local segment u/N of shard
+// u%N) with its offset shifted to the shard's base.
+func mergedColumn(shards []*ShardSpill, j, n, units int) (*stream.SegmentReader, error) {
 	files := make([]io.ReaderAt, len(shards))
 	sizes := make([]int64, len(shards))
 	starts := make([]int64, len(shards))
 	var total int64
 	for s, sh := range shards {
 		c := sh.sp.cols[j]
-		if c.direct != direct {
-			return nil, false, fmt.Errorf("core: shard %d spilled attribute %d %s, shard 0 spilled it %s — configs differ",
-				s, j, spillKind(c.direct), spillKind(direct))
+		if c.rawFile == nil {
+			return nil, fmt.Errorf("core: shard %d attribute %d: raw column already consumed by an earlier merge", s, j)
 		}
-		f, idx := c.binFile, c.binIndex
-		if !direct {
-			if c.rawFile == nil {
-				return nil, false, fmt.Errorf("core: shard %d attribute %d: raw column already consumed by an earlier merge", s, j)
-			}
-			f, idx = c.rawFile, c.rawIdx
-		}
-		files[s] = f
-		for _, e := range idx {
+		files[s] = c.rawFile
+		for _, e := range c.rawIdx {
 			sizes[s] = e.Off + e.Size
 		}
 		starts[s] = total
@@ -277,35 +254,23 @@ func mergedColumn(shards []*ShardSpill, j, n, units int) (*stream.SegmentReader,
 	}
 	concat, err := stream.NewConcatReaderAt(files, sizes)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	merged := make([]stream.Segment, 0, units)
 	for u := 0; u < units; u++ {
 		s := u % len(shards)
-		c := shards[s].sp.cols[j]
-		idx := c.binIndex
-		if !direct {
-			idx = c.rawIdx
-		}
+		idx := shards[s].sp.cols[j].rawIdx
 		l := u / len(shards)
 		if l >= len(idx) {
-			return nil, false, fmt.Errorf("core: shard %d attribute %d has %d segments, unit %d needs segment %d", s, j, len(idx), u, l)
+			return nil, fmt.Errorf("core: shard %d attribute %d has %d segments, unit %d needs segment %d", s, j, len(idx), u, l)
 		}
 		e := idx[l]
 		if e.Count != unitSize(u, n, units) {
-			return nil, false, fmt.Errorf("core: shard %d attribute %d segment %d holds %d values, unit %d holds %d — shards were not dealt on the %d-record unit grid",
+			return nil, fmt.Errorf("core: shard %d attribute %d segment %d holds %d values, unit %d holds %d — shards were not dealt on the %d-record unit grid",
 				s, j, l, e.Count, u, unitSize(u, n, units), tree.SegLen)
 		}
 		e.Off += starts[s]
 		merged = append(merged, e)
 	}
-	return stream.NewSegmentReader(concat, merged), direct, nil
-}
-
-// spillKind names a spill column's encoding for error messages.
-func spillKind(direct bool) string {
-	if direct {
-		return "directly binned"
-	}
-	return "as raw values"
+	return stream.NewSegmentReader(concat, merged), nil
 }

@@ -103,17 +103,20 @@ func Train(train *dataset.Table, cfg Config) (*Classifier, error) {
 	for i := range labels {
 		labels[i] = train.Label(i)
 	}
+	rows := classRows(labels, s.NumClasses())
 
-	// Local routes and falls back on the ByClass assignment; it only adds
-	// per-node reconstruction on top of it.
-	columns := byClassColumns
-	switch cfg.Mode {
-	case Original, Randomized:
-		columns = directColumns
-	case Global:
-		columns = globalColumns
-	}
-	cols, err := columns(train, parts, cfg)
+	// One task per attribute copies its raw column and assigns it. Local
+	// routes and falls back on the ByClass assignment, and keeps each
+	// perturbed column to re-reconstruct from at every node; the other modes
+	// drop a column once it is assigned, so at most Workers are held at once.
+	raw := make([][]float64, len(parts))
+	cols, err := parallel.Map(len(parts), cfg.Workers, func(j int) ([]int, error) {
+		values := train.Column(j)
+		if _, perturbed := cfg.Noise[j]; perturbed && cfg.Mode == Local {
+			raw[j] = values
+		}
+		return assignColumn(j, values, rows, parts[j], cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +126,7 @@ func Train(train *dataset.Table, cfg Config) (*Classifier, error) {
 	}
 	var src tree.Source = static
 	if cfg.Mode == Local {
-		src = newLocalSource(static, train, parts, cfg)
+		src = &localSource{StaticSource: static, values: raw, parts: parts, cfg: cfg}
 	}
 
 	tr, err := tree.Grow(src, cfg.Tree)
@@ -215,23 +218,11 @@ func staticSource(cols [][]int, parts []reconstruct.Partition, labels []int, cla
 	return tree.NewStaticSource(cols, bins, labels, classes)
 }
 
-// directColumns bins every value into its own interval: the
-// Original/Randomized path. Attributes are binned in parallel.
-func directColumns(t *dataset.Table, parts []reconstruct.Partition, cfg Config) ([][]int, error) {
-	return parallel.Map(len(parts), cfg.Workers, func(j int) ([]int, error) {
-		col := make([]int, t.N())
-		for i := 0; i < t.N(); i++ {
-			col[i] = parts[j].Bin(t.Row(i)[j])
-		}
-		return col, nil
-	})
-}
-
 // reconCfg assembles the reconstruction configuration for one attribute:
 // the configured algorithm, stopped at DefaultReconEpsilon or at the
 // reconstruct package's iteration cap. The inner weight precompute stays
-// serial: the per-attribute (and per-class) callers below already run in
-// parallel, and the matrices are cached anyway.
+// serial: its callers (one task per attribute, and Local's per-class tasks
+// at a node) already run in parallel, and the matrices are cached anyway.
 func reconCfg(cfg Config, part reconstruct.Partition, m noise.Model) reconstruct.Config {
 	return reconstruct.Config{
 		Partition: part,
@@ -242,11 +233,10 @@ func reconCfg(cfg Config, part reconstruct.Partition, m noise.Model) reconstruct
 	}
 }
 
-// assignPerturbed is the shared reconstruction-and-reassignment unit of the
-// in-memory and out-of-core paths: it reconstructs the distribution of one
-// set of perturbed values — a whole column (Global) or one class's slice of
-// it (ByClass) — and maps each value to an interval by ordered
-// re-assignment. errCtx names the column (and class) for error reports.
+// assignPerturbed reconstructs the distribution of one set of perturbed
+// values — a whole column (Global) or one class's rows of it (ByClass) — and
+// maps each value to an interval by ordered re-assignment. errCtx names the
+// column (and class) for error reports. assignColumn is its one caller.
 func assignPerturbed(values []float64, part reconstruct.Partition, m noise.Model, cfg Config, errCtx string) ([]int, error) {
 	res, err := reconstruct.Reconstruct(values, reconCfg(cfg, part, m))
 	if err != nil {
@@ -255,64 +245,59 @@ func assignPerturbed(values []float64, part reconstruct.Partition, m noise.Model
 	return orderedAssign(values, res.P)
 }
 
-// globalColumns implements the Global mode: one reconstruction per attribute
-// over all records, then ordered re-assignment. Attributes reconstruct in
-// parallel; each column depends only on its own values, so the result is
-// worker-count independent.
-func globalColumns(t *dataset.Table, parts []reconstruct.Partition, cfg Config) ([][]int, error) {
-	return parallel.Map(len(parts), cfg.Workers, func(j int) ([]int, error) {
-		values := t.Column(j)
-		m, perturbed := cfg.Noise[j]
-		if !perturbed {
-			col := make([]int, t.N())
-			for i, v := range values {
-				col[i] = parts[j].Bin(v)
-			}
-			return col, nil
-		}
-		return assignPerturbed(values, parts[j], m, cfg, fmt.Sprintf("attribute %d", j))
-	})
+// classRows lists the rows of each class in ascending order. One training
+// builds it once from the labels, and every attribute's per-class
+// assignment gathers and scatters through it.
+func classRows(labels []int, classes int) [][]int {
+	counts := make([]int, classes)
+	for _, l := range labels {
+		counts[l]++
+	}
+	rows := make([][]int, classes)
+	for c := range rows {
+		rows[c] = make([]int, 0, counts[c])
+	}
+	for r, l := range labels {
+		rows[l] = append(rows[l], r)
+	}
+	return rows
 }
 
-// byClassColumns implements the ByClass mode: per attribute, reconstruct and
-// re-assign each class's records independently. The attribute × class tasks
-// are flattened into one parallel work list; each task writes a disjoint set
-// of rows of its own column.
-func byClassColumns(t *dataset.Table, parts []reconstruct.Partition, cfg Config) ([][]int, error) {
-	s := t.Schema()
-	classes := s.NumClasses()
-	cols := make([][]int, len(parts))
-	for j := range cols {
-		cols[j] = make([]int, t.N())
+// assignColumn is the one step that turns attribute j's raw column into
+// interval indices, for in-memory Train and for the shard merge alike. An
+// attribute the mode bins directly (Original, Randomized, or no noise
+// model) takes its own value's interval. Global reconstructs the
+// distribution over the whole column; ByClass, and Local at the root,
+// reconstruct it per class over the rows classRows lists. Either way the
+// records are handed to intervals in value order (assignPerturbed).
+func assignColumn(j int, values []float64, classRows [][]int, part reconstruct.Partition, cfg Config) ([]int, error) {
+	m, perturbed := cfg.Noise[j]
+	if !cfg.Mode.NeedsNoise() || !perturbed {
+		col := make([]int, len(values))
+		for i, v := range values {
+			col[i] = part.Bin(v)
+		}
+		return col, nil
 	}
-	err := parallel.ForEach(len(parts)*classes, cfg.Workers, func(task int) error {
-		j, c := task/classes, task%classes
-		col := cols[j]
-		m, perturbed := cfg.Noise[j]
-		if !perturbed {
-			if c != 0 {
-				return nil // unperturbed attributes are binned once, by task c=0
-			}
-			for i := 0; i < t.N(); i++ {
-				col[i] = parts[j].Bin(t.Row(i)[j])
-			}
-			return nil
+	if cfg.Mode == Global {
+		return assignPerturbed(values, part, m, cfg, fmt.Sprintf("attribute %d", j))
+	}
+	col := make([]int, len(values))
+	for c, rows := range classRows {
+		if len(rows) == 0 {
+			continue
 		}
-		values, rowIdx := t.ColumnForClass(j, c)
-		if len(values) == 0 {
-			return nil
+		classVals := make([]float64, len(rows))
+		for i, r := range rows {
+			classVals[i] = values[r]
 		}
-		bins, err := assignPerturbed(values, parts[j], m, cfg, fmt.Sprintf("attribute %d class %d", j, c))
+		bins, err := assignPerturbed(classVals, part, m, cfg, fmt.Sprintf("attribute %d class %d", j, c))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for i, row := range rowIdx {
-			col[row] = bins[i]
+		for i, r := range rows {
+			col[r] = bins[i]
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return cols, nil
+	return col, nil
 }
