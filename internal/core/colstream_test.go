@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -201,4 +202,37 @@ func TestSpillLifecycle(t *testing.T) {
 		}
 	}
 	empty("after Close")
+}
+
+// TestMergeRejectsMismatchedShards: the merge builds every partition from
+// shard 0's schema, so a shard spilled under other attribute domains is
+// refused rather than binned on a grid that is not its own.
+func TestMergeRejectsMismatchedShards(t *testing.T) {
+	perturbed, models := colstreamData(t, 500, 23)
+	s := perturbed.Schema()
+	attrs := slices.Clone(s.Attrs)
+	attrs[0].Hi *= 2
+	wider, err := dataset.NewSchema(attrs, s.Classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := dataset.NewTable(wider)
+	for i := 0; i < perturbed.N(); i++ {
+		if err := other.Append(perturbed.Row(i), perturbed.Label(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := Config{Mode: ByClass, Noise: models}
+	var shards []*ShardSpill
+	for _, table := range []*dataset.Table{perturbed, other} {
+		sh, err := SpillShard(stream.FromTable(table, 0), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sh.Close()
+		shards = append(shards, sh)
+	}
+	if _, err := MergeShardSpills(shards, cfg); err == nil || !strings.Contains(err.Error(), "shard 1 was spilled under a schema") {
+		t.Errorf("merge of shards spilled under different domains: err = %v, want shard 1's schema named", err)
+	}
 }

@@ -125,8 +125,7 @@ func MergeShardSpills(shards []*ShardSpill, cfg Config) (*Classifier, error) {
 		// Equal attributes give every shard's raw values the domains the
 		// partitions are built on.
 		if !slices.Equal(sh.schema.Attrs, s.Attrs) || sh.schema.NumClasses() != s.NumClasses() {
-			return nil, fmt.Errorf("core: shard %d schema (%d attrs, %d classes) differs from shard 0's (%d attrs, %d classes)",
-				i, sh.schema.NumAttrs(), sh.schema.NumClasses(), s.NumAttrs(), s.NumClasses())
+			return nil, fmt.Errorf("core: shard %d was spilled under a schema other than shard 0's", i)
 		}
 		n += len(sh.labels)
 	}
